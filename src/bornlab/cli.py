@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .fock import sigma_affinity_convergence, tau_coherent_analytic, truncation_convergence
 from .linalg import StateVector, fidelity_to_pure, purify
-from .rigidity import certify_identity, scan_gaps
+from .rigidity import certify_identity
 from .rules import PhiRule
 from .signaling import build_two_level_scenario, detectability, jensen_gap, run_steering_experiment
 from .steering import Ensemble, barycenter, hjw_povm, steer
@@ -60,6 +61,9 @@ class ScenarioConfig:
     seed: int
     output_path: str
     output_format: str
+    # values validation parsed out of ``parameters`` (states, complex
+    # numbers), keyed by parameter name, so that no handler parses again
+    parsed: dict
     warnings: tuple[str, ...] = ()
 
 
@@ -72,11 +76,33 @@ def _parse_complex(entry, field: str, errors: list[str]) -> complex:
     return 0j
 
 
+def _amplitude_array(raw: list) -> np.ndarray | None:
+    """Amplitudes of a list of numbers or of [re, im] pairs, in one
+    conversion; None for any other list. The parts are assigned, not
+    summed, so every amplitude equals ``complex(re, im)`` bit for bit."""
+    try:
+        arr = np.array(raw)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.dtype.kind not in "biuf" or not (arr.ndim == 1 or (arr.ndim == 2 and arr.shape[1] == 2)):
+        return None
+    amps = np.zeros(arr.shape[0], dtype=complex)
+    if arr.ndim == 1:
+        amps.real = arr
+    else:
+        amps.real = arr[:, 0]
+        amps.imag = arr[:, 1]
+    return amps
+
+
 def _parse_state(raw, field: str, errors: list[str]) -> StateVector | None:
     if not isinstance(raw, list) or not raw:
         errors.append(f"{field}: expected a nonempty amplitude list")
         return None
-    amps = np.array([_parse_complex(v, f"{field}[{i}]", errors) for i, v in enumerate(raw)])
+    amps = _amplitude_array(raw)
+    if amps is None:
+        # entry by entry, so that each malformed entry is named
+        amps = np.array([_parse_complex(v, f"{field}[{i}]", errors) for i, v in enumerate(raw)])
     norm = float(np.linalg.norm(amps))
     if norm < 1e-12:
         errors.append(f"{field}: amplitude list has zero norm")
@@ -98,10 +124,12 @@ def _require_probability(params: dict, name: str, errors: list[str], *, exclusiv
     return float(value)
 
 
-def _validate_parameters(command: str, params: dict, errors: list[str]) -> None:
+def _validate_parameters(command: str, params: dict, errors: list[str]) -> dict:
+    """Check the command's parameters; returns the values parsed on the way."""
+    parsed: dict = {}
     if command == "tau":
-        _parse_state(params.get("psi"), "psi", errors)
-        phi = _parse_state(params.get("phi"), "phi", errors)
+        parsed["psi"] = _parse_state(params.get("psi"), "psi", errors)
+        parsed["phi"] = phi = _parse_state(params.get("phi"), "phi", errors)
         psi = params.get("psi")
         if phi is not None and isinstance(psi, list) and len(psi) != len(params.get("phi", [])):
             errors.append("psi/phi: amplitude lists differ in length")
@@ -123,7 +151,8 @@ def _validate_parameters(command: str, params: dict, errors: list[str]) -> None:
         spec = params.get("ensemble")
         if not isinstance(spec, dict) or not isinstance(spec.get("members"), list) or not spec["members"]:
             errors.append("ensemble.members: required nonempty list of [weight, amplitudes]")
-            return
+            return parsed
+        members = []
         for i, entry in enumerate(spec["members"]):
             if not isinstance(entry, list) or len(entry) != 2:
                 errors.append(f"ensemble.members[{i}]: expected [weight, amplitudes]")
@@ -131,7 +160,8 @@ def _validate_parameters(command: str, params: dict, errors: list[str]) -> None:
             weight, amps = entry
             if not isinstance(weight, (int, float)) or weight < 0:
                 errors.append(f"ensemble.members[{i}]: weight must be a nonnegative number")
-            _parse_state(amps, f"ensemble.members[{i}].state", errors)
+            members.append((weight, _parse_state(amps, f"ensemble.members[{i}].state", errors)))
+        parsed["members"] = tuple(members)
         tail = spec.get("tail_weight", 0.0)
         if not isinstance(tail, (int, float)) or tail < 0:
             errors.append("ensemble.tail_weight: must be a nonnegative number")
@@ -149,10 +179,8 @@ def _validate_parameters(command: str, params: dict, errors: list[str]) -> None:
         if not isinstance(tol, (int, float)) or tol <= 0:
             errors.append("gap_tolerance: must be positive")
     elif command == "fock_converge":
-        scratch: list[str] = []
-        _parse_complex(params.get("alpha", None), "alpha", scratch)
-        _parse_complex(params.get("beta", None), "beta", scratch)
-        errors.extend(scratch)
+        parsed["alpha"] = _parse_complex(params.get("alpha"), "alpha", errors)
+        parsed["beta"] = _parse_complex(params.get("beta"), "beta", errors)
         _validate_cutoffs(params.get("n_list"), errors)
     elif command == "sigma_affinity":
         r = params.get("r")
@@ -165,9 +193,10 @@ def _validate_parameters(command: str, params: dict, errors: list[str]) -> None:
             if not isinstance(idx, int) or idx < 0:
                 errors.append("phi.fock: must be a nonnegative integer")
         elif isinstance(phi, list):
-            _parse_state(phi, "phi", errors)
+            parsed["phi"] = _parse_state(phi, "phi", errors)
         else:
             errors.append("phi: expected {\"fock\": n} or an amplitude list")
+    return parsed
 
 
 def _validate_cutoffs(raw, errors: list[str]) -> None:
@@ -180,11 +209,22 @@ def _validate_cutoffs(raw, errors: list[str]) -> None:
         errors.append("n_list: cutoffs must be strictly ascending")
 
 
+def _reject_non_finite(token: str):
+    raise ConfigValidationError([f"non-finite number {token}: only finite numbers are accepted"])
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigValidationError([f"number {text} overflows to {value}: only finite numbers are accepted"])
+    return value
+
+
 def validate(config_text: str) -> ScenarioConfig:
     """Parse and validate a config document; collects every error before
     failing so one round trip fixes them all."""
     try:
-        doc = json.loads(config_text)
+        doc = json.loads(config_text, parse_float=_finite_float, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigValidationError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -228,12 +268,13 @@ def validate(config_text: str) -> ScenarioConfig:
         errors.append("output.path: expected a nonempty string")
         output_path = f"{command}.{output_format}"
 
+    parsed: dict = {}
     parameters = doc.get("parameters", {})
     if not isinstance(parameters, dict):
         errors.append("parameters: expected an object")
         parameters = {}
     else:
-        _validate_parameters(command, parameters, errors)
+        parsed = _validate_parameters(command, parameters, errors)
 
     if errors:
         raise ConfigValidationError(errors)
@@ -244,6 +285,7 @@ def validate(config_text: str) -> ScenarioConfig:
         seed=seed,
         output_path=output_path,
         output_format=output_format,
+        parsed=parsed,
         warnings=tuple(warnings),
     )
 
@@ -282,12 +324,9 @@ def _write_json(path: str, metadata: dict, payload: dict) -> None:
 
 
 def _run_tau(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    params = config.parameters
-    errors: list[str] = []
-    psi = _parse_state(params["psi"], "psi", errors)
-    phi = _parse_state(params["phi"], "phi", errors)
+    psi, phi = config.parsed["psi"], config.parsed["phi"]
     closed = tau_closed(psi, phi)
-    optimizer = OptimizerConfig(max_iters=params.get("max_iters", 5000))
+    optimizer = OptimizerConfig(max_iters=config.parameters.get("max_iters", 5000))
     optimized = tau_optimized(psi, phi, optimizer)
     columns = ["method", "value", "iterations", "residual"]
     rows = [
@@ -362,11 +401,7 @@ def _run_detect(config: ScenarioConfig) -> tuple[str, list[str], list[list], dic
 
 def _run_steer(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
     spec = config.parameters["ensemble"]
-    scratch: list[str] = []
-    members = tuple(
-        (float(w), _parse_state(amps, "member", scratch)) for w, amps in spec["members"]
-    )
-    ensemble = Ensemble(members=members, tail_weight=float(spec.get("tail_weight", 0.0)))
+    ensemble = Ensemble(members=config.parsed["members"], tail_weight=float(spec.get("tail_weight", 0.0)))
     purification = purify(barycenter(ensemble))
     povm = hjw_povm(purification, ensemble)
     outcomes = steer(purification, povm)
@@ -393,8 +428,8 @@ def _run_scan(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict 
     p = config.parameters
     grid_step = p.get("grid_step", 0.01)
     tol = p.get("gap_tolerance", 1e-10)
-    report = scan_gaps(config.rule, grid_step)
     cert = certify_identity(config.rule, tol, grid_step)
+    report = cert.report
     columns = ["rule", "max_gap", "max_identity_deviation", "affine_residual", "certified", "witness"]
     rows = [[
         report.rule_id,
@@ -415,11 +450,8 @@ def _fmt_witness(witness) -> str:
 
 
 def _run_fock_converge(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    p = config.parameters
-    scratch: list[str] = []
-    alpha = _parse_complex(p["alpha"], "alpha", scratch)
-    beta = _parse_complex(p["beta"], "beta", scratch)
-    pairs = truncation_convergence(alpha, beta, p["n_list"])
+    alpha, beta = config.parsed["alpha"], config.parsed["beta"]
+    pairs = truncation_convergence(alpha, beta, config.parameters["n_list"])
     analytic = tau_coherent_analytic(alpha, beta)
     columns = ["N", "error", "analytic_tau"]
     rows = [[n, err, analytic] for n, err in pairs]
@@ -434,8 +466,7 @@ def _run_sigma_affinity(config: ScenarioConfig) -> tuple[str, list[str], list[li
         dim = max(max(n_list) + 1, phi_spec["fock"] + 1)
         phi = StateVector.basis(dim, phi_spec["fock"])
     else:
-        scratch: list[str] = []
-        phi = _parse_state(phi_spec, "phi", scratch)
+        phi = config.parsed["phi"]
     triples = sigma_affinity_convergence(config.rule, p["r"], phi, n_list)
     columns = ["N", "deviation", "tail_bound"]
     rows = [list(t) for t in triples]

@@ -278,7 +278,11 @@ def random_povm(dim: int, n_outcomes: int, seed: int, stream: int = 0) -> Povm:
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix, tiny negative eigenvalues clipped."""
+    """Square root of a Hermitian PSD matrix, tiny negative eigenvalues clipped.
+
+    No bornlab routine calls it; ``perfbench/tracing.py`` still looks it up
+    by name, so it stays until that span is dropped.
+    """
     eigvals, eigvecs = np.linalg.eigh(hermitize(matrix))
     eigvals = np.clip(eigvals, 0.0, None)
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T

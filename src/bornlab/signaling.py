@@ -215,12 +215,16 @@ def _two_proportion_test(x1: int, x2: int, n: int) -> tuple[float, float]:
 
 
 def required_sample_size(prob_split: float, prob_direct: float, alpha: float = 0.05, beta: float = 0.05) -> float:
-    """Per-arm sample estimate (z_alpha + z_beta)^2 * pbar(1-pbar) * 2 / gap^2."""
+    """Per-arm sample estimate (z_{1-alpha/2} + z_{1-beta})^2 * pbar(1-pbar) * 2 / gap^2.
+
+    The level quantile is two-sided, matching the two-sided test of
+    ``_two_proportion_test``; ``beta`` is the miss rate (one minus power).
+    """
     gap = prob_split - prob_direct
     if abs(gap) < 1e-15:
         return math.inf
     pbar = 0.5 * (prob_split + prob_direct)
-    z_sum = _NORMAL.inv_cdf(1.0 - alpha) + _NORMAL.inv_cdf(1.0 - beta)
+    z_sum = _NORMAL.inv_cdf(1.0 - alpha / 2.0) + _NORMAL.inv_cdf(1.0 - beta)
     return z_sum**2 * pbar * (1.0 - pbar) * 2.0 / gap**2
 
 

@@ -22,7 +22,6 @@ from .linalg import (
     StateVector,
     hermitize,
     partial_trace_a,
-    psd_sqrt,
 )
 
 WEIGHT_SUM_ATOL = 1e-10
@@ -123,21 +122,17 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
         return Povm.trivial(dim_a)
 
     m_t = purification.amplitudes.T
-    solver = np.linalg.pinv(m_t, rcond=1e-9)
-    elements = []
-    for weight, member in ensemble.members:
-        rhs = np.sqrt(weight) * member.amplitudes
-        x = solver @ rhs
-        support_defect = float(np.linalg.norm(m_t @ x - rhs))
-        if support_defect > SUPPORT_ATOL:
-            raise ValueError(
-                f"ensemble member leaves the marginal's support (defect {support_defect})"
-            )
-        w_vec = x.conj()
-        elements.append(np.outer(w_vec, w_vec.conj()))
-
-    remainder = np.eye(dim_a, dtype=complex) - sum(elements)
-    effects = [Effect(hermitize(e)) for e in elements]
+    # column i is sqrt(w_i) psi_i; all members are solved for at once
+    rhs = np.stack([np.sqrt(w) * member.amplitudes for w, member in ensemble.members], axis=1)
+    x = np.linalg.lstsq(m_t, rhs, rcond=1e-9)[0]
+    support_defect = float(np.max(np.linalg.norm(m_t @ x - rhs, axis=0)))
+    if support_defect > SUPPORT_ATOL:
+        raise ValueError(
+            f"ensemble member leaves the marginal's support (defect {support_defect})"
+        )
+    w_vecs = x.conj()
+    effects = [Effect(hermitize(np.outer(w_vec, w_vec.conj()))) for w_vec in w_vecs.T]
+    remainder = np.eye(dim_a, dtype=complex) - w_vecs @ w_vecs.conj().T
     if float(np.max(np.linalg.eigvalsh(hermitize(remainder)))) > 1e-10:
         effects.append(Effect(hermitize(remainder)))
     return Povm(tuple(effects))
@@ -146,34 +141,40 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
 def steer(state: BipartiteState, povm_a: Povm) -> list[SteeringOutcome]:
     """Measure A and collect Bob's conditional preparations.
 
-    Branch i keeps probability <Psi|(M_i x I)|Psi> and the A-traced
-    post-measurement state, normalized by that probability.
+    With coefficient matrix M of the state, branch i is Bob's unnormalized
+    state tr_A[(E_i x I)|Psi><Psi|] = M^T E_i^* conj(M). It is linear in the
+    effect, so no square root of E_i is taken. Its real trace
+    <Psi|(E_i x I)|Psi> is the branch probability, and the branch divided
+    by that probability is the conditional state.
     """
     if povm_a.dim != state.dim_a:
         raise ValueError(f"POVM dimension {povm_a.dim} differs from A side {state.dim_a}")
-    m = state.amplitudes
+    m_t, m_conj = state.amplitudes.T, state.amplitudes.conj()
     outcomes = []
     for index, effect in enumerate(povm_a.outcomes):
-        branch = psd_sqrt(effect.matrix) @ m
-        prob = float(np.real(np.sum(branch.conj() * branch)))
+        branch = m_t @ effect.matrix.conj() @ m_conj
+        prob = float(np.real(np.trace(branch)))
         if prob < NULL_OUTCOME_PROB:
             outcomes.append(SteeringOutcome(index, prob, None))
             continue
-        conditional = (branch.T @ branch.conj()) / prob
+        conditional = branch / prob
         outcomes.append(SteeringOutcome(index, prob, DensityMatrix(hermitize(conditional))))
     return outcomes
 
 
 def verify_marginal_invariance(state: BipartiteState, povm1: Povm, povm2: Povm) -> float:
     """Max-norm distance between Bob's average states under two of Alice's
-    measurement choices; zero (to solver precision) for any complete pair."""
+    measurement choices; zero (to solver precision) for any complete pair.
+
+    Each average is the sum of the unnormalized branches M^T E_i^* conj(M),
+    one per effect, as in ``steer``; no square root of an effect is taken.
+    """
 
     def average_state(povm: Povm) -> np.ndarray:
-        m = state.amplitudes
+        m_t, m_conj = state.amplitudes.T, state.amplitudes.conj()
         acc = np.zeros((state.dim_b, state.dim_b), dtype=complex)
         for effect in povm.outcomes:
-            branch = psd_sqrt(effect.matrix) @ m
-            acc += branch.T @ branch.conj()
+            acc += m_t @ effect.matrix.conj() @ m_conj
         return acc
 
     if povm1.dim != state.dim_a or povm2.dim != state.dim_a:

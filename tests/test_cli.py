@@ -1,12 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
+from bornlab import linalg, rigidity
 from bornlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     ConfigValidationError,
+    _amplitude_array,
+    _parse_state,
     main,
     validate,
 )
@@ -266,3 +270,127 @@ class TestReproducibility:
         main(["--config", str(config_path), "--quiet"])
         main(["--config", str(config_path), "--quiet", "--out", str(again)])
         assert out.read_bytes() == again.read_bytes()
+
+
+class TestNonFiniteJson:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_constant_is_a_config_error_naming_it(self, token):
+        text = '{"command": "scan", "rule": {"kind": "custom", "values": [0, %s, 1]}}' % token
+        with pytest.raises(ConfigValidationError) as excinfo:
+            validate(text)
+        assert token in excinfo.value.errors[0]
+
+    def test_overflowing_literal_is_a_config_error(self):
+        with pytest.raises(ConfigValidationError) as excinfo:
+            validate('{"command": "tau", "parameters": {"psi": [1e400, 0], "phi": [1, 0]}}')
+        assert "1e400" in excinfo.value.errors[0]
+
+    def test_custom_table_with_nan_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"command": "scan", "rule": {"kind": "custom", "values": [0, NaN, 1]}}', encoding="utf-8")
+        out = tmp_path / "scan.json"
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def walk_amplitudes(raw):
+    """Amplitudes entry by entry, as complex(re, im) or complex(x)."""
+    return np.array([complex(*v) if isinstance(v, list) else complex(v) for v in raw])
+
+
+class TestParseState:
+    WELL_FORMED = [
+        [0.6, -0.8],
+        [1, 0, -0.0, True, 2**62, 5e-324, 0.1],
+        [[0.6, -0.0], [0, 0.8]],
+        [[1, 2], [3, True], [-0.0, 5e-324], [0.1, -0.7]],
+        [[0.3, 0.4]],
+    ]
+
+    @pytest.mark.parametrize("raw", WELL_FORMED)
+    def test_one_conversion_is_bit_identical_to_complex(self, raw):
+        amps = _amplitude_array(raw)
+        assert amps is not None
+        assert amps.tobytes() == walk_amplitudes(raw).tobytes()
+        errors: list[str] = []
+        state = _parse_state(raw, "psi", errors)
+        expected = walk_amplitudes(raw) / np.linalg.norm(walk_amplitudes(raw))
+        assert errors == []
+        assert state.amplitudes.tobytes() == expected.tobytes()
+
+    def test_mixed_numbers_and_pairs_still_accepted(self):
+        raw = [0.6, [0.0, 0.8]]
+        assert _amplitude_array(raw) is None
+        errors: list[str] = []
+        state = _parse_state(raw, "psi", errors)
+        assert errors == []
+        assert state.amplitudes.tobytes() == walk_amplitudes(raw).tobytes()
+
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            (["a", 1.0], ["psi[0]: expected a number or [re, im] pair, got 'a'"]),
+            ([1.0, [0.0, "b"]], ["psi[1]: expected a number or [re, im] pair, got [0.0, 'b']"]),
+            ([[1.0, 0.0], [0.0, 1.0, 0.0]], ["psi[1]: expected a number or [re, im] pair, got [0.0, 1.0, 0.0]"]),
+            (
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                [
+                    "psi[0]: expected a number or [re, im] pair, got [1.0, 0.0, 0.0]",
+                    "psi[1]: expected a number or [re, im] pair, got [0.0, 1.0, 0.0]",
+                    "psi: amplitude list has zero norm",
+                ],
+            ),
+            ([None, 1.0], ["psi[0]: expected a number or [re, im] pair, got None"]),
+            ([[[1.0, 0.0]]], ["psi[0]: expected a number or [re, im] pair, got [[1.0, 0.0]]", "psi: amplitude list has zero norm"]),
+        ],
+    )
+    def test_malformed_lists_name_the_entry(self, raw, expected):
+        errors: list[str] = []
+        _parse_state(raw, "psi", errors)
+        assert errors == expected
+
+
+class TestParseOnce:
+    def test_steer_constructs_one_state_per_member(self, tmp_path, monkeypatch):
+        inv = 2**-0.5
+        members = [[0.25, [1.0, 0.0]], [0.25, [0.0, 1.0]], [0.25, [inv, inv]], [0.25, [[inv, 0.0], [0.0, -inv]]]]
+        doc = {
+            "command": "steer",
+            "seed": 0,
+            "parameters": {"ensemble": {"members": members}},
+            "output": {"path": str(tmp_path / "steer.csv"), "format": "csv"},
+        }
+        path = write_config(tmp_path, doc)
+        built = []
+        original = linalg.StateVector.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(linalg.StateVector, "__post_init__", counting)
+        assert main(["--config", str(path), "--quiet"]) == EXIT_OK
+        assert len(built) == len(members)
+
+    def test_parameters_are_left_as_given(self):
+        params = {"psi": [1.0, 0.0], "phi": [[0.6, 0.0], [0.0, 0.8]]}
+        config = validate(json.dumps({"command": "tau", "seed": 0, "parameters": params}))
+        assert config.parameters == {"psi": [1.0, 0.0], "phi": [[0.6, 0.0], [0.0, 0.8]]}
+        assert config.parsed["phi"].amplitudes.tolist() == [0.6 + 0j, 0.8j]
+
+    def test_scan_runs_the_grid_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = rigidity.scan_gaps
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rigidity, "scan_gaps", counting)
+        doc = {"command": "scan", "rule": {"kind": "power", "alpha": 2.0}, "seed": 0, "parameters": {"grid_step": 0.05}}
+        out = tmp_path / "scan.json"
+        assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(out), "--quiet"]) == EXIT_OK
+        assert len(calls) == 1
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["rigidity"] == payload["certification"]["report"]

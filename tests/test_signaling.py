@@ -155,11 +155,18 @@ class TestDetectability:
             detectability(PhiRule.identity(), scenario, n_samples=0, seed=0)
 
     def test_sample_size_estimate(self):
-        # formula check against an independent inline computation
-        z = 1.6448536269514722  # 95th percentile of the standard normal
-        expected = (z + z) ** 2 * 0.375 * (1 - 0.375) * 2 / 0.25**2
+        # formula check against an independent inline computation: the test
+        # is two-sided, so the level quantile is z_{1-alpha/2}
+        z_level = 1.959963984540054  # 97.5th percentile of the standard normal
+        z_power = 1.6448536269514722  # 95th percentile of the standard normal
+        expected = (z_level + z_power) ** 2 * 0.375 * (1 - 0.375) * 2 / 0.25**2
         assert required_sample_size(0.5, 0.25) == pytest.approx(expected, rel=1e-6)
         assert math.isinf(required_sample_size(0.5, 0.5))
         scenario = build_two_level_scenario(0.0, 1.0, 0.5)
         report = detectability(PhiRule.power(2.0), scenario, n_samples=100, seed=3)
         assert report.sample_size_estimate == pytest.approx(expected, rel=1e-6)
+
+    def test_sample_size_is_two_sided(self):
+        # p = 0.55 against 0.5 at alpha = beta = 0.05: the two-sided estimate
+        # is ~2592.5 per arm; the one-sided z_{1-alpha} would give ~2159
+        assert required_sample_size(0.55, 0.5, 0.05, 0.05) == pytest.approx(2592.44, rel=1e-5)

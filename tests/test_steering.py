@@ -171,6 +171,42 @@ class TestSteer:
             steer(BELL, Povm.trivial(3))
 
 
+def sqrt_route(state, povm):
+    """Steering through sqrt(E) from eigh: branch = sqrt(E) M, probability
+    its squared norm, conditional state branch^T conj(branch) / probability."""
+    m = state.amplitudes
+    result = []
+    for effect in povm.outcomes:
+        vals, vecs = np.linalg.eigh(effect.matrix)
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+        branch = root @ m
+        prob = float(np.real(np.vdot(branch, branch)))
+        result.append((prob, branch.T @ branch.conj() / prob))
+    return result
+
+
+class TestSteerMatchesSquareRootRoute:
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_full_rank_random_povm(self, dim, random_bipartite):
+        state = random_bipartite(dim, dim, dim)
+        povm = random_povm(dim, 3, dim)
+        self._compare(state, povm)
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_rank_one_hjw_effects(self, dim, random_ensemble):
+        ensemble = random_ensemble(dim, 2 * dim, dim)
+        purification = purify(barycenter(ensemble))
+        self._compare(purification, hjw_povm(purification, ensemble))
+
+    @staticmethod
+    def _compare(state, povm):
+        outcomes = steer(state, povm)
+        assert len(outcomes) == len(povm)
+        for outcome, (prob, conditional) in zip(outcomes, sqrt_route(state, povm)):
+            assert outcome.probability == pytest.approx(prob, abs=1e-12)
+            assert np.max(np.abs(outcome.conditional_state.matrix - conditional)) <= 1e-12
+
+
 class TestMarginalInvariance:
     def test_identical_measurements_give_zero(self, random_bipartite):
         state = random_bipartite(2, 2, 0)
