@@ -220,11 +220,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    # the length test comes first: past 4300 digits int() itself refuses
+    if len(text) <= 310:
+        value = int(text)
+        if abs(value) <= sys.float_info.max:
+            return value
+    shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+    raise ConfigValidationError([f"number {shown} overflows a float: only finite numbers are accepted"])
+
+
 def validate(config_text: str) -> ScenarioConfig:
     """Parse and validate a config document; collects every error before
     failing so one round trip fixes them all."""
     try:
-        doc = json.loads(config_text, parse_float=_finite_float, parse_constant=_reject_non_finite)
+        doc = json.loads(
+            config_text,
+            parse_float=_finite_float,
+            parse_int=_finite_int,
+            parse_constant=_reject_non_finite,
+        )
     except json.JSONDecodeError as exc:
         raise ConfigValidationError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]

@@ -62,7 +62,7 @@ class StateVector:
     def __post_init__(self):
         arr = _as_complex_vector(self.amplitudes)
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > VALIDATION_ATOL:
+        if not abs(norm - 1.0) <= VALIDATION_ATOL:
             raise ValueError(f"state vector norm {norm} deviates from 1 beyond {VALIDATION_ATOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
@@ -101,13 +101,13 @@ class DensityMatrix:
     def __post_init__(self, trace_target: float):
         arr = _as_complex_matrix(self.matrix)
         defect = _hermiticity_defect(arr)
-        if defect > VALIDATION_ATOL:
+        if not defect <= VALIDATION_ATOL:
             raise ValueError(f"density matrix hermiticity defect {defect}")
         eigs = np.linalg.eigvalsh(hermitize(arr))
-        if eigs[0] < -VALIDATION_ATOL:
+        if not eigs[0] >= -VALIDATION_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigs[0]}")
         tr = float(np.trace(arr).real)
-        if abs(tr - trace_target) > VALIDATION_ATOL:
+        if not abs(tr - trace_target) <= VALIDATION_ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from {trace_target}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -130,10 +130,10 @@ class Effect:
     def __post_init__(self):
         arr = _as_complex_matrix(self.matrix)
         defect = _hermiticity_defect(arr)
-        if defect > VALIDATION_ATOL:
+        if not defect <= VALIDATION_ATOL:
             raise ValueError(f"effect hermiticity defect {defect}")
         eigs = np.linalg.eigvalsh(hermitize(arr))
-        if eigs[0] < -VALIDATION_ATOL or eigs[-1] > 1.0 + VALIDATION_ATOL:
+        if not (eigs[0] >= -VALIDATION_ATOL and eigs[-1] <= 1.0 + VALIDATION_ATOL):
             raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] outside [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -192,7 +192,7 @@ class BipartiteState:
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError("expected a nonempty 2-D amplitude matrix")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > VALIDATION_ATOL:
+        if not abs(norm - 1.0) <= VALIDATION_ATOL:
             raise ValueError(f"bipartite norm {norm} deviates from 1 beyond {VALIDATION_ATOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)

@@ -21,6 +21,8 @@ from .rules import PhiRule
 
 SCAN_LAMBDAS = (0.25, 0.5, 0.75)
 CURVATURE_ATOL = 1e-12
+# entries of one row block of the pair scan, which bounds its memory
+_BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -104,13 +106,34 @@ def _convexity_intervals(grid: np.ndarray, values: np.ndarray) -> tuple[tuple[fl
     return tuple(intervals)
 
 
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Consecutive row ranges [start, stop) of the pairs i < j <= n. A
+    block's rectangle, its rows by the columns start+1..n, holds at most
+    ``_BLOCK_PAIRS`` entries, or one row when a single row is wider."""
+    blocks = []
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _BLOCK_PAIRS // (n - start)))
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
 def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     """Evaluate Jensen gaps over every grid pair p1 < p2 and the scan
     mixing weights, plus curvature and identity-deviation summaries.
 
-    ``max_gap`` is the largest absolute gap; ``affine_residual`` measures
-    the distance to the straight line through the rule's own endpoint
-    values, which for an admissible rule is the identity line.
+    The pairs are walked in blocks of consecutive rows: rows i of a block
+    against the columns j > start of the block, with the entries j <= i
+    masked out. A block holds at most ``_BLOCK_PAIRS`` entries (one row
+    when a row is wider), so memory is O(n + _BLOCK_PAIRS) whatever
+    ``grid_step`` is, while time still grows as n^2. ``max_gap`` is the
+    largest absolute gap. Its witness is the first pair, in row-major
+    (p1, p2) order, that reaches it for the first mixing weight in
+    ``SCAN_LAMBDAS`` order that does; a rule keeps its values and slopes
+    finite, so no gap is NaN. ``affine_residual`` measures the
+    distance to the straight line through the rule's own endpoint values,
+    which for an admissible rule is the identity line.
     """
     if not 0.0 < grid_step <= 0.1:
         raise ValueError("grid_step must lie in (0, 0.1]")
@@ -118,18 +141,24 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     grid = np.linspace(0.0, 1.0, n + 1)
     values = np.asarray(rule.eval(grid), dtype=float)
 
-    upper = np.triu_indices(n + 1, k=1)
-    p1, p2 = grid[upper[0]], grid[upper[1]]
-    v1, v2 = values[upper[0]], values[upper[1]]
+    blocks = _row_blocks(n)
+    # block entry (t, c) is the pair (start + t, start + 1 + c); c < t is no pair
+    below = np.tri(max(stop - start for start, stop in blocks), k=-1, dtype=bool)
     max_gap = -1.0
     witness = (0.0, 0.0, 0.0)
     for lam in SCAN_LAMBDAS:
-        mix = lam * p1 + (1.0 - lam) * p2
-        gaps = np.abs(lam * v1 + (1.0 - lam) * v2 - np.asarray(rule.eval(mix), dtype=float))
-        k = int(np.argmax(gaps))
-        if gaps[k] > max_gap:
-            max_gap = float(gaps[k])
-            witness = (float(p1[k]), float(p2[k]), float(lam))
+        for start, stop in blocks:
+            p1, p2 = grid[start:stop, None], grid[start + 1 :]
+            v1, v2 = values[start:stop, None], values[start + 1 :]
+            mix = lam * p1 + (1.0 - lam) * p2
+            gaps = np.abs(lam * v1 + (1.0 - lam) * v2 - np.asarray(rule.eval(mix), dtype=float))
+            rows = stop - start
+            gaps[:, :rows][below[:rows, :rows]] = -np.inf
+            k = int(np.argmax(gaps))
+            if gaps.flat[k] > max_gap:
+                t, c = divmod(k, n - start)
+                max_gap = float(gaps.flat[k])
+                witness = (float(grid[start + t]), float(grid[start + 1 + c]), float(lam))
 
     deviation = np.abs(values - grid)
     dev_at = int(np.argmax(deviation))

@@ -9,6 +9,7 @@ rather than renormalized away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,6 +31,15 @@ class AdmissibilityReport:
     monotone_ok: bool
     first_violation: float | None = None
     message: str = ""
+
+
+def _require_finite_slopes(xs, ys, what: str) -> None:
+    """Linear interpolation divides each rise by its run; a slope that
+    overflows gives inf or NaN between finite values."""
+    with np.errstate(over="ignore"):
+        slopes = np.diff(ys) / np.diff(xs)
+    if not np.isfinite(slopes).all():
+        raise ValueError(f"{what} values rise too steeply: an interpolation slope overflows")
 
 
 @dataclass(frozen=True)
@@ -54,18 +64,21 @@ class PhiRule:
         if self.kind == "identity":
             pass
         elif self.kind == "power":
-            if self.alpha is None or not self.alpha > 0:
-                raise ValueError("power rule needs a positive exponent")
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise ValueError("power rule needs a positive finite exponent")
             object.__setattr__(self, "alpha", float(self.alpha))
         elif self.kind == "piecewise_affine":
             if not self.knots or len(self.knots) < 2:
                 raise ValueError("piecewise rule needs at least two knots")
             knots = tuple((float(x), float(y)) for x, y in self.knots)
+            if not all(math.isfinite(v) for knot in knots for v in knot):
+                raise ValueError("knot coordinates must be finite")
             xs = [x for x, _ in knots]
             if xs != sorted(xs) or len(set(xs)) != len(xs):
                 raise ValueError("knot abscissae must be strictly increasing")
             if abs(xs[0]) > ENDPOINT_ATOL or abs(xs[-1] - 1.0) > ENDPOINT_ATOL:
                 raise ValueError("knots must span [0, 1]")
+            _require_finite_slopes(xs, [y for _, y in knots], "knot")
             object.__setattr__(self, "knots", knots)
         elif self.kind == "custom":
             if self.table is None:
@@ -73,6 +86,9 @@ class PhiRule:
             table = np.asarray(self.table, dtype=float)
             if table.ndim != 1 or table.size < 2:
                 raise ValueError("custom table must be a 1-D array of >= 2 values")
+            if not np.isfinite(table).all():
+                raise ValueError("custom table values must be finite")
+            _require_finite_slopes(np.linspace(0.0, 1.0, table.size), table, "custom table")
             table = table.copy()
             table.setflags(write=False)
             object.__setattr__(self, "table", table)

@@ -293,6 +293,28 @@ class TestNonFiniteJson:
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_integer_literal_exits_two(self, tmp_path, capsys, digits):
+        # 5000 digits is past int()'s own limit; 400 overflows a float
+        literal = "1" + "0" * (digits - 1)
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"command": "jensen", "parameters": {"p1": %s, "p2": 0.5, "lambda": 0.5}}' % literal,
+            encoding="utf-8",
+        )
+        out = tmp_path / "jensen.csv"
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: number 1000")
+        assert f"({digits} characters)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_integer_overflowing_a_float_in_a_rule_is_a_config_error(self):
+        with pytest.raises(ConfigValidationError, match="overflows a float"):
+            validate('{"command": "scan", "rule": {"kind": "power", "alpha": 1%s}}' % ("0" * 310))
+        assert validate('{"command": "jensen", "seed": 1%s, "parameters": {"p1": 0, "p2": 1, "lambda": 0.5}}' % ("0" * 300)).seed == 10**300
+
 
 def walk_amplitudes(raw):
     """Amplitudes entry by entry, as complex(re, im) or complex(x)."""

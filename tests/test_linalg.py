@@ -54,6 +54,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="norm"):
             BipartiteState(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_are_rejected(self, bad):
+        # NaN compares false with every bound, so each check must fail on it
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="norm"):
+                StateVector(np.array([bad, 0.0]))
+            with pytest.raises(ValueError, match="hermiticity"):
+                DensityMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+            with pytest.raises(ValueError, match="hermiticity"):
+                DensityMatrix(np.array([[0.0, bad], [bad, 1.0]]))
+            with pytest.raises(ValueError, match="hermiticity"):
+                Effect(np.array([[bad, 0.0], [0.0, 1.0]]))
+            with pytest.raises(ValueError, match="norm"):
+                BipartiteState(np.array([[bad, 0.0], [0.0, 0.0]]))
+
     def test_values_are_immutable(self):
         psi = StateVector.basis(2, 0)
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bornlab.rigidity import SCAN_LAMBDAS, certify_identity, derived_bound, scan_gaps
+from bornlab.rigidity import SCAN_LAMBDAS, _row_blocks, certify_identity, derived_bound, scan_gaps
 from bornlab.rules import PhiRule
 from bornlab.signaling import jensen_gap
 
@@ -18,6 +20,85 @@ def brute_force_max_gap(rule, grid_step):
                 if gap > best:
                     best, witness = gap, (p1, p2, lam)
     return best, witness
+
+
+def all_pairs_scan(rule, grid_step):
+    """The scan as one all-pairs pass: every grid pair p1 < p2 gathered at
+    once, then per mixing weight the first largest gap, kept only when it
+    strictly beats the weights before it."""
+    n = int(round(1.0 / grid_step))
+    grid = np.linspace(0.0, 1.0, n + 1)
+    values = np.asarray(rule.eval(grid), dtype=float)
+    upper = np.triu_indices(n + 1, k=1)
+    p1, p2 = grid[upper[0]], grid[upper[1]]
+    v1, v2 = values[upper[0]], values[upper[1]]
+    max_gap, witness = -1.0, (0.0, 0.0, 0.0)
+    for lam in SCAN_LAMBDAS:
+        mix = lam * p1 + (1.0 - lam) * p2
+        gaps = np.abs(lam * v1 + (1.0 - lam) * v2 - np.asarray(rule.eval(mix), dtype=float))
+        k = int(np.argmax(gaps))
+        if gaps[k] > max_gap:
+            max_gap = float(gaps[k])
+            witness = (float(p1[k]), float(p2[k]), float(lam))
+    return max_gap, witness
+
+
+STREAM_RULES = {
+    "identity": PhiRule.identity(),
+    "power(2)": PhiRule.power(2.0),
+    "power(0.5)": PhiRule.power(0.5),
+    "piecewise": PhiRule.piecewise_affine([(0.0, 0.0), (0.37, 0.61), (0.8, 0.83), (1.0, 1.0)]),
+    "custom": PhiRule.custom(np.linspace(0.0, 1.0, 1025) ** 1.2),
+    # rough tables put the largest gap at a narrow pair inside a block
+    "rough(11)": PhiRule.custom(np.random.default_rng(11).random(11)),
+    "rough(101)": PhiRule.custom(np.random.default_rng(101).random(101)),
+    "rough(1025)": PhiRule.custom(np.random.default_rng(1025).random(1025)),
+}
+
+
+class TestStreamedScan:
+    @pytest.mark.parametrize("name", sorted(STREAM_RULES))
+    @pytest.mark.parametrize("grid_step", [0.1, 0.05, 0.01, 1 / 91, 0.002, 0.001])
+    def test_equals_all_pairs_scan(self, name, grid_step):
+        rule = STREAM_RULES[name]
+        report = scan_gaps(rule, grid_step)
+        max_gap, witness = all_pairs_scan(rule, grid_step)
+        assert report.max_gap == max_gap
+        assert report.max_gap_witness == witness
+        grid = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
+        values = np.asarray(rule.eval(grid), dtype=float)
+        deviation = np.abs(values - grid)
+        assert report.max_identity_deviation == float(np.max(deviation))
+        assert report.max_identity_deviation_at == float(grid[np.argmax(deviation)])
+        chord = values[0] + (values[-1] - values[0]) * grid
+        assert report.affine_residual == float(np.max(np.abs(values - chord)))
+        assert report.rule_id == rule.describe()
+        assert report.grid_step == grid_step
+        assert report.lambdas == SCAN_LAMBDAS
+
+    def test_blocks_tile_the_rows(self):
+        for n in (10, 91, 100, 500, 2000):
+            blocks = _row_blocks(n)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(blocks, blocks[1:]))
+        # at step 1/91 the last block is a single row
+        assert _row_blocks(91)[-1] == (90, 91)
+
+    def test_tie_keeps_first_pair_and_first_lambda(self):
+        # every identity gap is exactly 0, so the very first triple wins
+        report = scan_gaps(PhiRule.identity(), 0.01)
+        assert report.max_gap == 0.0
+        assert report.max_gap_witness == (0.0, 0.01, 0.25)
+
+    def test_memory_is_bounded_on_a_fine_grid(self):
+        rule = PhiRule.power(2.0)
+        tracemalloc.start()
+        try:
+            scan_gaps(rule, 0.0005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestScanGaps:

@@ -87,6 +87,29 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             PhiRule(kind="mystery")
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_power_rejects_non_finite_exponent(self, alpha):
+        with pytest.raises(ValueError, match="finite exponent"):
+            PhiRule.power(alpha)
+
+    @pytest.mark.parametrize("knot", [(math.nan, 0.5), (0.5, math.inf), (0.5, -math.inf)])
+    def test_piecewise_rejects_non_finite_knot(self, knot):
+        with pytest.raises(ValueError, match="finite"):
+            PhiRule.piecewise_affine([(0.0, 0.0), knot, (1.0, 1.0)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_custom_rejects_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            PhiRule.custom([0.0, value, 1.0])
+
+    def test_overflowing_interpolation_slope_is_rejected(self):
+        # finite values whose interpolation would give NaN between the points
+        with pytest.raises(ValueError, match="slope"):
+            PhiRule.custom([0.0, 1e308, 1.0])
+        with pytest.raises(ValueError, match="slope"):
+            PhiRule.piecewise_affine([(0.0, 0.0), (1e-300, 1e10), (1.0, 1.0)])
+        assert not PhiRule.custom([0.0, 1e300, 1.0]).admissible
+
 
 class TestProbPure:
     def test_identity_same_state(self):
