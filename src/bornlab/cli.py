@@ -1,10 +1,10 @@
 """Scenario runner: validate a JSON config, execute one command, write one
 self-describing artifact, print a one-line summary.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (best-effort
-artifact still written). Identical (config, seed) pairs produce
-byte-identical artifacts: no timestamps, fixed column orders, sorted JSON
-keys, 17-significant-digit reals.
+Exit codes: 0 success, 2 config error, 3 numerical failure (a best-effort
+artifact is written only when an optimizer does not converge). Identical
+(config, seed) pairs produce byte-identical artifacts: no timestamps, fixed
+column orders, sorted JSON keys, 17-significant-digit reals.
 """
 
 from __future__ import annotations
@@ -32,19 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-COMMANDS = (
-    "tau",
-    "steer",
-    "jensen",
-    "experiment",
-    "detect",
-    "scan",
-    "fock_converge",
-    "sigma_affinity",
-)
-_JSON_DEFAULT_COMMANDS = {"detect", "scan"}
-
-
 class ConfigValidationError(ValueError):
     """All validation problems of one config, reported together."""
 
@@ -57,13 +44,12 @@ class ConfigValidationError(ValueError):
 class ScenarioConfig:
     command: str
     rule: PhiRule
-    parameters: dict
     seed: int
     output_path: str
     output_format: str
-    # values validation parsed out of ``parameters`` (states, complex
-    # numbers), keyed by parameter name, so that no handler parses again
-    parsed: dict
+    # the handler's keyword arguments: checked, typed, defaults filled in
+    # and library objects built, so that no handler parses again
+    args: dict
     warnings: tuple[str, ...] = ()
 
 
@@ -103,110 +89,163 @@ def _parse_state(raw, field: str, errors: list[str]) -> StateVector | None:
     if amps is None:
         # entry by entry, so that each malformed entry is named
         amps = np.array([_parse_complex(v, f"{field}[{i}]", errors) for i, v in enumerate(raw)])
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if norm == math.inf:
+        # entries near the float limit: their squares overflow, the state does not
+        amps = amps / np.max(np.abs(amps))
+        norm = float(np.linalg.norm(amps))
     if norm < 1e-12:
         errors.append(f"{field}: amplitude list has zero norm")
         return None
     return StateVector(amps / norm)
 
 
-def _require_probability(params: dict, name: str, errors: list[str], *, exclusive: bool = False) -> float:
-    value = params.get(name)
-    if not isinstance(value, (int, float)):
-        errors.append(f"{name}: required number missing")
-        return 0.5
-    lo_ok = value > 0.0 if exclusive else value >= 0.0
-    hi_ok = value < 1.0 if exclusive else value <= 1.0
-    if not (lo_ok and hi_ok):
-        interval = "(0, 1)" if exclusive else "[0, 1]"
-        errors.append(f"{name}: {value} outside valid range {interval}")
-        return 0.5
-    return float(value)
+def _number(raw, field: str, errors: list[str], need: str, ok=lambda v: True, *, integer: bool = False):
+    """``raw`` if it is a number (an integer if ``integer``) for which ``ok``
+    holds; else None, with the error ``field: need``. JSON true and false
+    arrive as Python bools, which are ints, and are rejected here."""
+    if isinstance(raw, int if integer else (int, float)) and not isinstance(raw, bool) and ok(raw):
+        return raw
+    errors.append(f"{field}: {need}")
+    return None
 
 
-def _validate_parameters(command: str, params: dict, errors: list[str]) -> dict:
-    """Check the command's parameters; returns the values parsed on the way."""
-    parsed: dict = {}
-    if command == "tau":
-        parsed["psi"] = _parse_state(params.get("psi"), "psi", errors)
-        parsed["phi"] = phi = _parse_state(params.get("phi"), "phi", errors)
-        psi = params.get("psi")
-        if phi is not None and isinstance(psi, list) and len(psi) != len(params.get("phi", [])):
-            errors.append("psi/phi: amplitude lists differ in length")
-        max_iters = params.get("max_iters", 5000)
-        if not isinstance(max_iters, int) or max_iters < 1:
-            errors.append("max_iters: must be a positive integer")
-    elif command in ("jensen", "experiment", "detect"):
-        _require_probability(params, "p1", errors)
-        _require_probability(params, "p2", errors)
-        _require_probability(params, "lambda", errors, exclusive=True)
-        if command == "detect":
-            n = params.get("n_samples")
-            if not isinstance(n, int) or n < 1:
-                errors.append("n_samples: must be a positive integer")
-            alpha = params.get("alpha", 0.05)
-            if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
-                errors.append("alpha: must lie strictly between 0 and 1")
-    elif command == "steer":
-        spec = params.get("ensemble")
-        if not isinstance(spec, dict) or not isinstance(spec.get("members"), list) or not spec["members"]:
-            errors.append("ensemble.members: required nonempty list of [weight, amplitudes]")
-            return parsed
-        members = []
-        for i, entry in enumerate(spec["members"]):
-            if not isinstance(entry, list) or len(entry) != 2:
-                errors.append(f"ensemble.members[{i}]: expected [weight, amplitudes]")
-                continue
-            weight, amps = entry
-            if not isinstance(weight, (int, float)) or weight < 0:
-                errors.append(f"ensemble.members[{i}]: weight must be a nonnegative number")
-            members.append((weight, _parse_state(amps, f"ensemble.members[{i}].state", errors)))
-        parsed["members"] = tuple(members)
-        tail = spec.get("tail_weight", 0.0)
-        if not isinstance(tail, (int, float)) or tail < 0:
-            errors.append("ensemble.tail_weight: must be a nonnegative number")
-            tail = 0.0
-        kind = spec.get("kind", "finite" if tail == 0.0 else "truncated_countable")
-        if kind not in ("finite", "truncated_countable"):
-            errors.append("ensemble.kind: expected finite or truncated_countable")
-        elif kind == "finite" and tail > 0.0:
-            errors.append("ensemble.kind: finite ensembles cannot declare a tail weight")
-    elif command == "scan":
-        grid_step = params.get("grid_step", 0.01)
-        if not isinstance(grid_step, (int, float)) or not 0.0 < grid_step <= 0.1:
-            errors.append("grid_step: must lie in (0, 0.1]")
-        tol = params.get("gap_tolerance", 1e-10)
-        if not isinstance(tol, (int, float)) or tol <= 0:
-            errors.append("gap_tolerance: must be positive")
-    elif command == "fock_converge":
-        parsed["alpha"] = _parse_complex(params.get("alpha"), "alpha", errors)
-        parsed["beta"] = _parse_complex(params.get("beta"), "beta", errors)
-        _validate_cutoffs(params.get("n_list"), errors)
-    elif command == "sigma_affinity":
-        r = params.get("r")
-        if not isinstance(r, (int, float)) or not 0.0 < r < 1.0:
-            errors.append("r: must lie strictly between 0 and 1")
-        _validate_cutoffs(params.get("n_list"), errors)
-        phi = params.get("phi", {"fock": 0})
-        if isinstance(phi, dict):
-            idx = phi.get("fock")
-            if not isinstance(idx, int) or idx < 0:
-                errors.append("phi.fock: must be a nonnegative integer")
-        elif isinstance(phi, list):
-            parsed["phi"] = _parse_state(phi, "phi", errors)
-        else:
-            errors.append("phi: expected {\"fock\": n} or an amplitude list")
-    return parsed
+def _probability(params: dict, name: str, errors: list[str], *, exclusive: bool = False):
+    if exclusive:
+        return _number(params.get(name), name, errors, "must be a number in (0, 1)", lambda v: 0 < v < 1)
+    return _number(params.get(name), name, errors, "must be a number in [0, 1]", lambda v: 0 <= v <= 1)
 
 
-def _validate_cutoffs(raw, errors: list[str]) -> None:
+def _cutoffs(raw, errors: list[str]) -> list[int] | None:
     if not isinstance(raw, list) or not raw:
         errors.append("n_list: required nonempty list of cutoffs")
-        return
-    if any(not isinstance(n, int) or n < 0 for n in raw):
-        errors.append("n_list: cutoffs must be nonnegative integers")
-    elif raw != sorted(set(raw)):
+        return None
+    cutoffs = [
+        _number(n, f"n_list[{i}]", errors, "must be a nonnegative integer", lambda v: v >= 0, integer=True)
+        for i, n in enumerate(raw)
+    ]
+    if None in cutoffs:
+        return None
+    if cutoffs != sorted(set(cutoffs)):
         errors.append("n_list: cutoffs must be strictly ascending")
+        return None
+    return cutoffs
+
+
+# -- per-command parameters --------------------------------------------------
+# Each parser returns its handler's keyword arguments. It builds the library
+# objects the handler needs, so that a constructor's ValueError is a config
+# error naming the field rather than a failure of the run.
+
+
+def _parse_tau(params: dict, errors: list[str]) -> dict:
+    psi = _parse_state(params.get("psi"), "psi", errors)
+    phi = _parse_state(params.get("phi"), "phi", errors)
+    max_iters = _number(
+        params.get("max_iters", OptimizerConfig.max_iters), "max_iters", errors,
+        "must be a positive integer", lambda v: v >= 1, integer=True,
+    )
+    optimizer = OptimizerConfig(max_iters=max_iters)
+    if psi is not None and phi is not None:
+        if psi.dim != phi.dim:
+            errors.append("psi/phi: amplitude lists differ in length")
+        elif psi.dim > optimizer.max_dim:
+            errors.append(f"psi/phi: {psi.dim} amplitudes exceed the optimizer's maximum dimension {optimizer.max_dim}")
+    return {"psi": psi, "phi": phi, "optimizer": optimizer}
+
+
+def _parse_two_level(params: dict, errors: list[str]) -> dict:
+    return {
+        "p1": _probability(params, "p1", errors),
+        "p2": _probability(params, "p2", errors),
+        "lam": _probability(params, "lambda", errors, exclusive=True),
+    }
+
+
+def _parse_detect(params: dict, errors: list[str]) -> dict:
+    return {
+        **_parse_two_level(params, errors),
+        "n_samples": _number(
+            params.get("n_samples"), "n_samples", errors, "must be a positive integer", lambda v: v >= 1, integer=True
+        ),
+        "alpha": _number(
+            params.get("alpha", 0.05), "alpha", errors, "must lie strictly between 0 and 1", lambda v: 0 < v < 1
+        ),
+    }
+
+
+def _parse_steer(params: dict, errors: list[str]) -> dict:
+    spec = params.get("ensemble")
+    if not isinstance(spec, dict) or not isinstance(spec.get("members"), list) or not spec["members"]:
+        errors.append("ensemble.members: required nonempty list of [weight, amplitudes]")
+        return {}
+    before = len(errors)
+    members = []
+    for i, entry in enumerate(spec["members"]):
+        if not isinstance(entry, list) or len(entry) != 2:
+            errors.append(f"ensemble.members[{i}]: expected [weight, amplitudes]")
+            continue
+        weight = _number(entry[0], f"ensemble.members[{i}].weight", errors, "must be nonnegative", lambda v: v >= 0)
+        members.append((weight, _parse_state(entry[1], f"ensemble.members[{i}].state", errors)))
+    tail = spec.get("tail_weight", 0.0)
+    kind = spec.get("kind", "finite" if tail == 0.0 else "truncated_countable")
+    if kind not in ("finite", "truncated_countable"):
+        errors.append("ensemble.kind: expected finite or truncated_countable")
+    elif kind == "finite" and tail != 0.0:
+        errors.append("ensemble.kind: finite ensembles cannot declare a tail weight")
+    # purify needs a unit-trace barycenter, so a steered ensemble has no
+    # tail; declared tails belong to prob_ensemble and sigma_affinity
+    _number(tail, "ensemble.tail_weight", errors, "must be 0: steer purifies a unit-trace barycenter", lambda v: v == 0)
+    if len(errors) > before:
+        return {}
+    try:
+        return {"ensemble": Ensemble(members=tuple(members))}
+    except ValueError as exc:
+        errors.append(f"ensemble: {exc}")
+        return {}
+
+
+def _parse_scan(params: dict, errors: list[str]) -> dict:
+    return {
+        "grid_step": _number(
+            params.get("grid_step", 0.01), "grid_step", errors, "must lie in (0, 0.1]", lambda v: 0 < v <= 0.1
+        ),
+        "gap_tolerance": _number(
+            params.get("gap_tolerance", 1e-10), "gap_tolerance", errors, "must be positive", lambda v: v > 0
+        ),
+    }
+
+
+def _parse_fock_converge(params: dict, errors: list[str]) -> dict:
+    return {
+        "alpha": _parse_complex(params.get("alpha"), "alpha", errors),
+        "beta": _parse_complex(params.get("beta"), "beta", errors),
+        "n_list": _cutoffs(params.get("n_list"), errors),
+    }
+
+
+def _parse_sigma_affinity(params: dict, errors: list[str]) -> dict:
+    r = _number(params.get("r"), "r", errors, "must lie strictly between 0 and 1", lambda v: 0 < v < 1)
+    n_list = _cutoffs(params.get("n_list"), errors)
+    spec = params.get("phi", {"fock": 0})
+    phi = None
+    if isinstance(spec, dict):
+        index = _number(
+            spec.get("fock"), "phi.fock", errors, "must be a nonnegative integer", lambda v: v >= 0, integer=True
+        )
+        if index is not None and n_list is not None:
+            try:
+                phi = StateVector.basis(max(max(n_list), index) + 1, index)
+            except ValueError as exc:
+                errors.append(f"phi.fock: {exc}")
+    elif isinstance(spec, list):
+        phi = _parse_state(spec, "phi", errors)
+        if phi is not None and n_list is not None and phi.dim < max(n_list) + 1:
+            errors.append(f"phi: {phi.dim} amplitudes, below the {max(n_list) + 1} that cutoff {max(n_list)} needs")
+    else:
+        errors.append("phi: expected {\"fock\": n} or an amplitude list")
+    return {"r": r, "phi": phi, "n_list": n_list}
 
 
 def _reject_non_finite(token: str):
@@ -235,15 +274,10 @@ def validate(config_text: str) -> ScenarioConfig:
     failing so one round trip fixes them all."""
     try:
         doc = json.loads(
-            config_text,
-            parse_float=_finite_float,
-            parse_int=_finite_int,
-            parse_constant=_reject_non_finite,
+            config_text, parse_float=_finite_float, parse_int=_finite_int, parse_constant=_reject_non_finite
         )
     except json.JSONDecodeError as exc:
-        raise ConfigValidationError(
-            [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-        ) from exc
+        raise ConfigValidationError([f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigValidationError(["top level: expected a JSON object"])
 
@@ -251,22 +285,24 @@ def validate(config_text: str) -> ScenarioConfig:
     warnings: list[str] = []
 
     command = doc.get("command")
-    if command not in COMMANDS:
-        errors.append(f"command: expected one of {', '.join(COMMANDS)}, got {command!r}")
-        command = "jensen"
+    entry = _COMMANDS.get(command) if isinstance(command, str) else None
+    if entry is None:
+        errors.append(f"command: expected one of {', '.join(_COMMANDS)}, got {command!r}")
 
     seed = doc.get("seed")
     if seed is None:
         warnings.append("seed: missing, defaulting to 0")
         seed = 0
-    elif not isinstance(seed, int):
-        errors.append("seed: must be an integer")
-        seed = 0
+    else:
+        seed = _number(seed, "seed", errors, "must be an integer", integer=True)
 
-    rule = PhiRule.identity()
-    if "rule" in doc:
+    rule = None
+    spec = doc.get("rule", {"kind": "identity"})
+    if not isinstance(spec, dict):
+        errors.append("rule: expected a JSON object")
+    else:
         try:
-            rule = PhiRule.from_dict(doc["rule"])
+            rule = PhiRule.from_dict(spec)
         except (ValueError, KeyError, TypeError) as exc:
             errors.append(f"rule: {exc}")
 
@@ -274,35 +310,23 @@ def validate(config_text: str) -> ScenarioConfig:
     if not isinstance(output, dict):
         errors.append("output: expected an object with path/format")
         output = {}
-    output_format = output.get("format", "json" if command in _JSON_DEFAULT_COMMANDS else "csv")
+    output_format = output.get("format", entry[2] if entry else "csv")
     if output_format not in ("csv", "json"):
         errors.append(f"output.format: expected csv or json, got {output_format!r}")
-        output_format = "csv"
     output_path = output.get("path", f"{command}.{output_format}")
     if not isinstance(output_path, str) or not output_path:
         errors.append("output.path: expected a nonempty string")
-        output_path = f"{command}.{output_format}"
 
-    parsed: dict = {}
+    args: dict = {}
     parameters = doc.get("parameters", {})
     if not isinstance(parameters, dict):
         errors.append("parameters: expected an object")
-        parameters = {}
-    else:
-        parsed = _validate_parameters(command, parameters, errors)
+    elif entry is not None:
+        args = entry[0](parameters, errors)
 
     if errors:
         raise ConfigValidationError(errors)
-    return ScenarioConfig(
-        command=command,
-        rule=rule,
-        parameters=parameters,
-        seed=seed,
-        output_path=output_path,
-        output_format=output_format,
-        parsed=parsed,
-        warnings=tuple(warnings),
-    )
+    return ScenarioConfig(command, rule, seed, output_path, output_format, args, tuple(warnings))
 
 
 # -- artifact writers --------------------------------------------------------
@@ -336,12 +360,14 @@ def _write_json(path: str, metadata: dict, payload: dict) -> None:
 
 
 # -- command handlers --------------------------------------------------------
+# Each takes the rule, the seed and its parser's keyword arguments, and
+# returns (summary, columns, rows, nested JSON payload or None).
+
+_Result = tuple[str, list[str], list[list], "dict | None"]
 
 
-def _run_tau(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    psi, phi = config.parsed["psi"], config.parsed["phi"]
+def _run_tau(rule, seed, psi, phi, optimizer) -> _Result:
     closed = tau_closed(psi, phi)
-    optimizer = OptimizerConfig(max_iters=config.parameters.get("max_iters", 5000))
     optimized = tau_optimized(psi, phi, optimizer)
     columns = ["method", "value", "iterations", "residual"]
     rows = [
@@ -352,49 +378,29 @@ def _run_tau(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict |
     return summary, columns, rows, None
 
 
-def _run_jensen(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    p = config.parameters
-    gap = jensen_gap(config.rule, p["p1"], p["p2"], p["lambda"])
+def _run_jensen(rule, seed, p1, p2, lam) -> _Result:
+    gap = jensen_gap(rule, p1, p2, lam)
     columns = ["p1", "p2", "lambda", "gap"]
-    rows = [[float(p["p1"]), float(p["p2"]), float(p["lambda"]), gap]]
+    rows = [[float(p1), float(p2), float(lam), gap]]
     return f"gap={gap:.12g}", columns, rows, None
 
 
-def _run_experiment(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    p = config.parameters
-    scenario = build_two_level_scenario(p["p1"], p["p2"], p["lambda"])
-    record = run_steering_experiment(config.rule, scenario)
+def _run_experiment(rule, seed, p1, p2, lam) -> _Result:
+    scenario = build_two_level_scenario(p1, p2, lam)
+    record = run_steering_experiment(rule, scenario)
     columns = [
-        "p1",
-        "p2",
-        "lambda",
-        "prob_split",
-        "prob_direct",
-        "gap",
-        "analytic_gap",
-        "pipeline_discrepancy",
-        "degenerate",
+        "p1", "p2", "lambda", "prob_split", "prob_direct", "gap", "analytic_gap", "pipeline_discrepancy", "degenerate"
     ]
     rows = [[
-        scenario.p1,
-        scenario.p2,
-        scenario.lam,
-        record.prob_split,
-        record.prob_direct,
-        record.gap,
-        record.analytic_gap,
-        record.pipeline_discrepancy,
-        scenario.degenerate,
+        scenario.p1, scenario.p2, scenario.lam, record.prob_split, record.prob_direct,
+        record.gap, record.analytic_gap, record.pipeline_discrepancy, scenario.degenerate,
     ]]
     return f"gap={record.gap:.12g}", columns, rows, None
 
 
-def _run_detect(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    p = config.parameters
-    scenario = build_two_level_scenario(p["p1"], p["p2"], p["lambda"])
-    report = detectability(
-        config.rule, scenario, p["n_samples"], config.seed, p.get("alpha", 0.05)
-    )
+def _run_detect(rule, seed, p1, p2, lam, n_samples, alpha) -> _Result:
+    scenario = build_two_level_scenario(p1, p2, lam)
+    report = detectability(rule, scenario, n_samples, seed, alpha)
     payload = {
         "n_samples": report.n_samples,
         "alpha": report.alpha,
@@ -414,9 +420,7 @@ def _run_detect(config: ScenarioConfig) -> tuple[str, list[str], list[list], dic
     return summary, columns, rows, {"detectability": _jsonable(payload)}
 
 
-def _run_steer(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    spec = config.parameters["ensemble"]
-    ensemble = Ensemble(members=config.parsed["members"], tail_weight=float(spec.get("tail_weight", 0.0)))
+def _run_steer(rule, seed, ensemble) -> _Result:
     purification = purify(barycenter(ensemble))
     povm = hjw_povm(purification, ensemble)
     outcomes = steer(purification, povm)
@@ -439,11 +443,8 @@ def _run_steer(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict
     return summary, columns, rows, None
 
 
-def _run_scan(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    p = config.parameters
-    grid_step = p.get("grid_step", 0.01)
-    tol = p.get("gap_tolerance", 1e-10)
-    cert = certify_identity(config.rule, tol, grid_step)
+def _run_scan(rule, seed, grid_step, gap_tolerance) -> _Result:
+    cert = certify_identity(rule, gap_tolerance, grid_step)
     report = cert.report
     columns = ["rule", "max_gap", "max_identity_deviation", "affine_residual", "certified", "witness"]
     rows = [[
@@ -464,25 +465,16 @@ def _fmt_witness(witness) -> str:
     return format(witness, ".17g")
 
 
-def _run_fock_converge(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    alpha, beta = config.parsed["alpha"], config.parsed["beta"]
-    pairs = truncation_convergence(alpha, beta, config.parameters["n_list"])
+def _run_fock_converge(rule, seed, alpha, beta, n_list) -> _Result:
+    pairs = truncation_convergence(alpha, beta, n_list)
     analytic = tau_coherent_analytic(alpha, beta)
     columns = ["N", "error", "analytic_tau"]
     rows = [[n, err, analytic] for n, err in pairs]
     return f"error_at_N{pairs[-1][0]}={pairs[-1][1]:.6g}", columns, rows, None
 
 
-def _run_sigma_affinity(config: ScenarioConfig) -> tuple[str, list[str], list[list], dict | None]:
-    p = config.parameters
-    n_list = p["n_list"]
-    phi_spec = p.get("phi", {"fock": 0})
-    if isinstance(phi_spec, dict):
-        dim = max(max(n_list) + 1, phi_spec["fock"] + 1)
-        phi = StateVector.basis(dim, phi_spec["fock"])
-    else:
-        phi = config.parsed["phi"]
-    triples = sigma_affinity_convergence(config.rule, p["r"], phi, n_list)
+def _run_sigma_affinity(rule, seed, r, phi, n_list) -> _Result:
+    triples = sigma_affinity_convergence(rule, r, phi, n_list)
     columns = ["N", "deviation", "tail_bound"]
     rows = [list(t) for t in triples]
     worst = max(t[1] for t in triples)
@@ -501,15 +493,16 @@ def _jsonable(value):
     return value
 
 
-_HANDLERS = {
-    "tau": _run_tau,
-    "jensen": _run_jensen,
-    "experiment": _run_experiment,
-    "detect": _run_detect,
-    "steer": _run_steer,
-    "scan": _run_scan,
-    "fock_converge": _run_fock_converge,
-    "sigma_affinity": _run_sigma_affinity,
+# command -> (parameter parser, handler, default artifact format)
+_COMMANDS = {
+    "tau": (_parse_tau, _run_tau, "csv"),
+    "steer": (_parse_steer, _run_steer, "csv"),
+    "jensen": (_parse_two_level, _run_jensen, "csv"),
+    "experiment": (_parse_two_level, _run_experiment, "csv"),
+    "detect": (_parse_detect, _run_detect, "json"),
+    "scan": (_parse_scan, _run_scan, "json"),
+    "fock_converge": (_parse_fock_converge, _run_fock_converge, "csv"),
+    "sigma_affinity": (_parse_sigma_affinity, _run_sigma_affinity, "csv"),
 }
 
 
@@ -522,27 +515,27 @@ def run(config: ScenarioConfig, quiet: bool = False) -> int:
         "seed": config.seed,
     }
     try:
-        summary, columns, rows, nested = _HANDLERS[config.command](config)
+        summary, columns, rows, nested = _COMMANDS[config.command][1](config.rule, config.seed, **config.args)
     except ConvergenceError as exc:
         # best-effort artifact so the failure is inspectable downstream
         columns = ["error", "best_value", "residual", "iterations"]
         rows = [["non-convergence", exc.best_value, exc.residual, exc.iterations]]
         _write_artifact(config, metadata, columns, rows, None)
+        failure = exc
+    except (ValueError, ArithmeticError) as exc:
+        # the config is valid, but the numerics fail on it
+        failure = exc
+    else:
+        _write_artifact(config, metadata, columns, rows, nested)
         if not quiet:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    _write_artifact(config, metadata, columns, rows, nested)
-    if not quiet:
-        print(summary)
-    return EXIT_OK
+            print(summary)
+        return EXIT_OK
+    print(f"numerical failure: {config.command}: {failure}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def _write_artifact(
-    config: ScenarioConfig,
-    metadata: dict,
-    columns: list[str],
-    rows: list[list],
-    nested: dict | None,
+    config: ScenarioConfig, metadata: dict, columns: list[str], rows: list[list], nested: dict | None
 ) -> None:
     if config.output_format == "csv":
         _write_csv(config.output_path, metadata, columns, rows)
@@ -588,7 +581,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.format is not None:
         config.output_format = args.format
 
-    return run(config, quiet=args.quiet)
+    try:
+        return run(config, quiet=args.quiet)
+    except OSError as exc:
+        print(f"config error: output.path: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -85,12 +85,22 @@ def truncation_convergence(
     exact = tau_coherent_analytic(alpha, beta)
     out = []
     for n in n_list:
-        raw_a = _coherent_amplitudes(complex(alpha), n)
-        raw_b = _coherent_amplitudes(complex(beta), n)
-        state_a = StateVector(raw_a / np.linalg.norm(raw_a))
-        state_b = StateVector(raw_b / np.linalg.norm(raw_b))
+        state_a = _truncated_coherent(complex(alpha), n, "alpha")
+        state_b = _truncated_coherent(complex(beta), n, "beta")
         out.append((int(n), abs(tau_closed(state_a, state_b).value - exact)))
     return out
+
+
+def _truncated_coherent(amplitude: complex, n: int, name: str) -> StateVector:
+    raw = _coherent_amplitudes(amplitude, n)
+    norm = np.linalg.norm(raw)
+    # exp(-|amplitude|^2/2) underflows to 0 past |amplitude| ~ 38.6, and
+    # the squares of tiny entries underflow before that
+    if not norm > 0.0:
+        raise ValueError(
+            f"coherent amplitude {name} = {amplitude}: the truncated vector at cutoff {n} underflows to norm 0"
+        )
+    return StateVector(raw / norm)
 
 
 def sigma_affinity_convergence(

@@ -44,6 +44,9 @@ def _as_complex_matrix(values) -> np.ndarray:
     return arr
 
 
+# an infinite entry makes inf - inf: the defect is then NaN, which fails the
+# caller's check without a warning
+@np.errstate(invalid="ignore")
 def _hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 

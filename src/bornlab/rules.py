@@ -61,6 +61,17 @@ class PhiRule:
     admissible: bool = field(init=False, default=False)
 
     def __post_init__(self):
+        try:
+            self._normalize_parameters()
+        except OverflowError as exc:
+            # an integer past the float range passes the comparisons and
+            # fails only when float() converts it
+            raise ValueError(f"{self.kind} rule parameter too large for a float: {exc}") from exc
+        report = check_admissibility(self, DEFAULT_MONOTONE_GRID_STEP)
+        object.__setattr__(self, "admissible", report.passed)
+
+    def _normalize_parameters(self) -> None:
+        """Check the kind's parameters and store them as floats."""
         if self.kind == "identity":
             pass
         elif self.kind == "power":
@@ -94,8 +105,6 @@ class PhiRule:
             object.__setattr__(self, "table", table)
         else:
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        report = check_admissibility(self, DEFAULT_MONOTONE_GRID_STEP)
-        object.__setattr__(self, "admissible", report.passed)
 
     # -- constructors ------------------------------------------------------
 
@@ -113,7 +122,7 @@ class PhiRule:
 
     @staticmethod
     def custom(values) -> "PhiRule":
-        return PhiRule(kind="custom", table=np.asarray(values, dtype=float))
+        return PhiRule(kind="custom", table=values)
 
     @staticmethod
     def tabulate(fn: Callable[[np.ndarray], np.ndarray], points: int = DEFAULT_TABLE_POINTS) -> "PhiRule":

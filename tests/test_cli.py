@@ -396,10 +396,16 @@ class TestParseOnce:
         assert len(built) == len(members)
 
     def test_parameters_are_left_as_given(self):
-        params = {"psi": [1.0, 0.0], "phi": [[0.6, 0.0], [0.0, 0.8]]}
+        # amplitude lists become states once; scalars keep their JSON type,
+        # and a default is filled in only for a field that is absent
+        params = {"psi": [1.0, 0.0], "phi": [[0.6, 0.0], [0.0, 0.8]], "max_iters": 7}
         config = validate(json.dumps({"command": "tau", "seed": 0, "parameters": params}))
-        assert config.parameters == {"psi": [1.0, 0.0], "phi": [[0.6, 0.0], [0.0, 0.8]]}
-        assert config.parsed["phi"].amplitudes.tolist() == [0.6 + 0j, 0.8j]
+        assert sorted(config.args) == ["optimizer", "phi", "psi"]
+        assert config.args["phi"].amplitudes.tolist() == [0.6 + 0j, 0.8j]
+        assert config.args["optimizer"].max_iters == 7
+        config = validate(json.dumps({"command": "detect", "seed": 0, "parameters": {"p1": 0, "p2": 1, "lambda": 0.5, "n_samples": 9}}))
+        assert config.args == {"p1": 0, "p2": 1, "lam": 0.5, "n_samples": 9, "alpha": 0.05}
+        assert [type(config.args[k]) for k in ("p1", "p2", "lam")] == [int, int, float]
 
     def test_scan_runs_the_grid_once(self, tmp_path, monkeypatch):
         calls = []
@@ -416,3 +422,186 @@ class TestParseOnce:
         assert len(calls) == 1
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["rigidity"] == payload["certification"]["report"]
+
+
+def run_doc(tmp_path, doc, name="case"):
+    """Run one config in-process; returns (exit code, artifact path)."""
+    out = tmp_path / f"{name}.out"
+    return main(["--config", str(write_config(tmp_path, doc, f"{name}.json")), "--out", str(out)]), out
+
+
+TWO_LEVEL = {"p1": 0.0, "p2": 1.0, "lambda": 0.5}
+
+
+class TestEveryConfigEndsCleanly:
+    """Configs that the library rejects, by a constructor or in its numerics:
+    each ends in exit 2 naming the field, or exit 3 naming the command."""
+
+    CASES = [
+        ("steer", {"ensemble": {"members": [[0.5, [1, 0]], [0.4, [0, 1]]]}}, EXIT_CONFIG, "ensemble: weights plus tail sum to 0.9"),
+        ("steer", {"ensemble": {"members": [[0.5, [1, 0]], [0.5, [0, 1, 0]]]}}, EXIT_CONFIG, "ensemble: ensemble members have mismatched"),
+        (
+            "steer",
+            {"ensemble": {"members": [[0.3, [1, 0, 0]], [0.21, [0, 1, 0]], [0.147, [0, 0, 1]]], "tail_weight": 0.343}},
+            EXIT_CONFIG,
+            "ensemble.tail_weight: must be 0",
+        ),
+        ("tau", {"psi": [1] * 17, "phi": [1] + [0] * 16}, EXIT_CONFIG, "psi/phi: 17 amplitudes exceed the optimizer's maximum dimension 16"),
+        ("sigma_affinity", {"r": 0.5, "n_list": [0, 5, 10], "phi": [1, 0, 0]}, EXIT_CONFIG, "phi: 3 amplitudes"),
+        ("fock_converge", {"alpha": 40, "beta": 0, "n_list": [5, 10]}, EXIT_NUMERICAL, "fock_converge: coherent amplitude alpha"),
+        (
+            "experiment",
+            {"p1": 0.47389107179562673, "p2": 0.47317635290876503, "lambda": 0.18210216565177664},
+            EXIT_NUMERICAL,
+            "experiment: effect spectrum",
+        ),
+        ("detect", {**TWO_LEVEL, "n_samples": True}, EXIT_CONFIG, "n_samples: must be a positive integer"),
+        ("sigma_affinity", {"r": 0.5, "n_list": [0, 5], "phi": {"fock": True}}, EXIT_CONFIG, "phi.fock: must be a nonnegative integer"),
+    ]
+
+    @pytest.mark.parametrize("command,parameters,code,message", CASES)
+    def test_config_exits_cleanly(self, tmp_path, capsys, command, parameters, code, message):
+        exit_code, out = run_doc(tmp_path, {"command": command, "seed": 0, "parameters": parameters})
+        err = capsys.readouterr().err
+        assert exit_code == code
+        prefix = "config error: " if code == EXIT_CONFIG else "numerical failure: "
+        assert err.startswith(prefix + message), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [[1], "power", None, 2.0])
+    def test_rule_that_is_not_an_object(self, tmp_path, capsys, spec):
+        assert run_doc(tmp_path, {"command": "jensen", "rule": spec, "parameters": TWO_LEVEL})[0] == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: rule: expected a JSON object\n"
+
+    def test_steer_tail_is_rejected_whatever_the_kind_tag(self, tmp_path, capsys):
+        ensemble = {"kind": "truncated_countable", "members": [[0.75, [1, 0]]], "tail_weight": 0.25}
+        assert run_doc(tmp_path, {"command": "steer", "parameters": {"ensemble": ensemble}})[0] == EXIT_CONFIG
+        assert "ensemble.tail_weight: must be 0" in capsys.readouterr().err
+
+    def test_quiet_keeps_the_numerical_failure_message(self, tmp_path, capsys):
+        doc = {"command": "fock_converge", "seed": 0, "parameters": {"alpha": 40, "beta": 0, "n_list": [5]}}
+        assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "f.csv"), "--quiet"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: fock_converge: ")
+
+    def test_unwritable_output_path_exits_two(self, tmp_path, capsys):
+        doc = {"command": "jensen", "seed": 0, "parameters": TWO_LEVEL}
+        assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: output.path: ")
+
+
+class TestBooleansAreNotNumbers:
+    # (command, parameters, field as named in the error); each parameter set
+    # is valid with the boolean replaced by a number
+    CASES = [
+        ("jensen", {**TWO_LEVEL, "p1": True}, "p1"),
+        ("jensen", {**TWO_LEVEL, "p2": False}, "p2"),
+        ("experiment", {**TWO_LEVEL, "lambda": True}, "lambda"),
+        ("detect", {**TWO_LEVEL, "n_samples": True}, "n_samples"),
+        ("detect", {**TWO_LEVEL, "n_samples": 10, "alpha": True}, "alpha"),
+        ("tau", {"psi": [1, 0], "phi": [0, 1], "max_iters": True}, "max_iters"),
+        ("scan", {"grid_step": True}, "grid_step"),
+        ("scan", {"gap_tolerance": True}, "gap_tolerance"),
+        ("sigma_affinity", {"r": True, "n_list": [0, 5]}, "r"),
+        ("sigma_affinity", {"r": 0.5, "n_list": [0, True]}, "n_list[1]"),
+        ("sigma_affinity", {"r": 0.5, "n_list": [0, 5], "phi": {"fock": False}}, "phi.fock"),
+        ("fock_converge", {"alpha": 0, "beta": 1, "n_list": [False, 5]}, "n_list[0]"),
+        ("steer", {"ensemble": {"members": [[True, [1, 0]]]}}, "ensemble.members[0].weight"),
+        ("steer", {"ensemble": {"members": [[1, [1, 0]]], "tail_weight": False}}, "ensemble.tail_weight"),
+    ]
+
+    @pytest.mark.parametrize("command,parameters,field", CASES)
+    def test_boolean_is_a_config_error_naming_the_field(self, command, parameters, field):
+        with pytest.raises(ConfigValidationError) as excinfo:
+            validate(json.dumps({"command": command, "seed": 0, "parameters": parameters}))
+        assert [e for e in excinfo.value.errors if e.startswith(f"{field}: ")], excinfo.value.errors
+
+    def test_boolean_seed(self):
+        with pytest.raises(ConfigValidationError, match="seed: must be an integer"):
+            validate(json.dumps({"command": "jensen", "seed": True, "parameters": TWO_LEVEL}))
+
+    def test_amplitude_lists_still_accept_booleans(self):
+        config = validate(json.dumps({"command": "tau", "seed": 0, "parameters": {"psi": [True, 0], "phi": [0, 1]}}))
+        assert config.args["psi"].amplitudes.tolist() == [1, 0]
+
+
+# one valid config per command, small enough that a mutant of it runs fast
+FUZZ_BASES = {
+    "tau": {"psi": [0.6, [0.0, 0.8]], "phi": [[1, 0], [0, 1]], "max_iters": 50},
+    "steer": {"ensemble": {"members": [[0.5, [1, 0]], [0.25, [0.6, 0.8]], [0.25, [0, 1]]], "kind": "finite"}},
+    "jensen": {"p1": 0.2, "p2": 0.9, "lambda": 0.3},
+    "experiment": {"p1": 0.1, "p2": 0.7, "lambda": 0.6},
+    "detect": {"p1": 0.2, "p2": 0.9, "lambda": 0.3, "n_samples": 500, "alpha": 0.05},
+    "scan": {"grid_step": 0.05, "gap_tolerance": 1e-10},
+    "fock_converge": {"alpha": [0.5, 0.25], "beta": 1.0, "n_list": [2, 8, 20]},
+    "sigma_affinity": {"r": 0.4, "n_list": [0, 3, 9], "phi": {"fock": 1}},
+}
+FUZZ_RULES = [
+    {"kind": "identity"},
+    {"kind": "power", "alpha": 2.0},
+    {"kind": "piecewise_affine", "knots": [[0, 0], [0.5, 0.3], [1, 1]]},
+    {"kind": "custom", "values": [0, 0.2, 1]},
+]
+# Replacement values. No number lies in (0, 0.01), so a grid step stays
+# >= 0.01; cutoffs, Fock indices and sample counts stay <= 60 unless they
+# are too large for any array (10**19), and lists stay <= 16 entries.
+FUZZ_VALUES = [-1, 0, 0.5, 1, 2, 7, 60, 1e300, -1e300, 10**19, True, False, None, "x", [], {}, [1], {"kind": "x"}]
+
+
+def fuzz_paths(node, prefix=()):
+    """Every (container, key) position in a config document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from fuzz_paths(child, prefix + (key,))
+
+
+def mutate(doc, rng):
+    paths = list(fuzz_paths(doc))
+    path = paths[rng.integers(len(paths))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    action = rng.integers(4)
+    if action == 0:
+        del parent[key]
+    elif action == 1 and isinstance(value, list) and value:
+        # a shorter or a longer list, the latter by repeating entries
+        length = int(rng.integers(0, min(2 * len(value), 16) + 1))
+        parent[key] = [json.loads(json.dumps(value[i % len(value)])) for i in range(length)]
+    elif action == 2 and isinstance(value, dict):
+        parent[key] = [value]
+    else:
+        parent[key] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+
+
+class TestConfigFuzz:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+    def test_mutated_configs_exit_zero_two_or_three(self, tmp_path, capsys, command):
+        rng = linalg.make_rng(20260, stream=sorted(FUZZ_BASES).index(command))
+        codes = []
+        for case in range(40):
+            doc = {
+                "command": command,
+                "seed": 1,
+                "rule": FUZZ_RULES[case % len(FUZZ_RULES)],
+                "parameters": FUZZ_BASES[command],
+                "output": {"format": "json" if case % 2 else "csv"},
+            }
+            doc = json.loads(json.dumps(doc))
+            for _ in range(1 + rng.integers(2)):
+                mutate(doc, rng)
+            code, _ = run_doc(tmp_path, doc, f"fuzz{case}")
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), (doc, err)
+            assert "Traceback" not in err
+            if code == EXIT_CONFIG:
+                assert err.startswith("config error: ") or err.startswith("config: "), (doc, err)
+            elif code == EXIT_NUMERICAL:
+                assert f"numerical failure: {command}: " in err, (doc, err)
+            codes.append(code)
+        # the mutants reach the handlers as well as the checks
+        assert EXIT_CONFIG in codes and EXIT_OK in codes

@@ -88,6 +88,14 @@ class TestTruncationConvergence:
         with pytest.raises(ValueError):
             truncation_convergence(0.0, 1.0, [10, 5])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha,beta,name", [(40.0, 0.0, "alpha"), (0.0, 40j, "beta"), (30.0, 0.0, "alpha")])
+    def test_underflowing_amplitude_is_named_before_dividing(self, alpha, beta, name):
+        # exp(-|40|^2/2) is 0; at |30| and cutoff 5 the squares of the
+        # entries underflow. Either way the norm is 0 and nothing is divided.
+        with pytest.raises(ValueError, match=f"coherent amplitude {name} = .*underflows to norm 0"):
+            truncation_convergence(alpha, beta, [5, 10])
+
 
 class TestSigmaAffinityConvergence:
     def test_identity_rule_vacuum_target(self):

@@ -69,6 +69,16 @@ class TestConstruction:
             with pytest.raises(ValueError, match="norm"):
                 BipartiteState(np.array([[bad, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, 1.0)])
+    def test_infinite_entries_raise_without_a_warning(self, bad):
+        # inf - inf in the hermiticity defect must not warn on its way to NaN
+        for build in (DensityMatrix, Effect):
+            with pytest.raises(ValueError, match="hermiticity"):
+                build(np.array([[bad, 0.0], [0.0, 1.0]]))
+            with pytest.raises(ValueError, match="hermiticity"):
+                build(np.array([[0.0, bad], [bad, 1.0]]))
+
     def test_values_are_immutable(self):
         psi = StateVector.basis(2, 0)
         with pytest.raises(ValueError):

@@ -102,6 +102,21 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="finite"):
             PhiRule.custom([0.0, value, 1.0])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda big: PhiRule.power(big),
+            lambda big: PhiRule.piecewise_affine([(0, 0), (0.5, big), (1, 1)]),
+            lambda big: PhiRule.piecewise_affine([(0, 0), (big, 0.5), (1, 1)]),
+            lambda big: PhiRule.custom([0, big, 1]),
+            lambda big: PhiRule.from_dict({"kind": "custom", "values": [0, 1, big]}),
+        ],
+    )
+    def test_integer_past_the_float_range_is_a_value_error(self, build):
+        # the comparisons pass an exact integer; float() is what overflows
+        with pytest.raises(ValueError, match="too large for a float"):
+            build(10**400)
+
     def test_overflowing_interpolation_slope_is_rejected(self):
         # finite values whose interpolation would give NaN between the points
         with pytest.raises(ValueError, match="slope"):
