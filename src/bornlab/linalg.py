@@ -6,6 +6,15 @@ defining invariants at construction time. Tolerances are global:
 ``VALIDATION_ATOL`` for constructor checks, ``RECONSTRUCTION_ATOL`` for
 round-trip identities (eigensolver noise accumulates a few ulp per op,
 these leave headroom).
+
+``DensityMatrix`` and ``Effect`` check their spectrum against
+``VALIDATION_ATOL`` once. From dimension ``_CHOLESKY_MIN_DIM`` up, a
+Cholesky factorization of ``h + VALIDATION_ATOL*I`` (and, for an effect,
+of ``(1 + VALIDATION_ATOL)*I - h``) that succeeds proves the bound up to
+rounding and accepts. Below that dimension, and whenever a factorization
+fails, ``eigvalsh`` decides and names the offending eigenvalue. The two
+routes can disagree only for an eigenvalue within rounding of the bound
+(measured: at most 1.7e-15 away, at unit norm and dimension <= 64).
 """
 
 from __future__ import annotations
@@ -17,6 +26,10 @@ import numpy as np
 VALIDATION_ATOL = 1e-9
 RECONSTRUCTION_ATOL = 1e-8
 POVM_SUM_ATOL = 1e-8
+
+# From this dimension up, one shifted Cholesky costs well under an eigvalsh
+# and two cost no more (timings in CHANGES.md); below it eigvalsh is cheaper.
+_CHOLESKY_MIN_DIM = 16
 
 #: Identifier of the seeded generator scheme. Outputs are bit-reproducible
 #: for a fixed (seed, stream) across runs as long as this scheme is unchanged.
@@ -54,6 +67,23 @@ def _hermiticity_defect(matrix: np.ndarray) -> float:
 def hermitize(matrix: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^dagger) / 2."""
     return (matrix + matrix.conj().T) / 2
+
+
+def _cholesky_accepts(h: np.ndarray, *, upper: bool) -> bool:
+    """True when shifted Cholesky factorizations prove that the Hermitian
+    ``h`` has spectrum >= -VALIDATION_ATOL and, with ``upper``, also
+    <= 1 + VALIDATION_ATOL. False below ``_CHOLESKY_MIN_DIM`` or when a
+    factorization fails; the caller's ``eigvalsh`` then decides."""
+    if h.shape[0] < _CHOLESKY_MIN_DIM:
+        return False
+    eye = np.eye(h.shape[0])
+    try:
+        np.linalg.cholesky(h + VALIDATION_ATOL * eye)
+        if upper:
+            np.linalg.cholesky((1.0 + VALIDATION_ATOL) * eye - h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -106,9 +136,12 @@ class DensityMatrix:
         defect = _hermiticity_defect(arr)
         if not defect <= VALIDATION_ATOL:
             raise ValueError(f"density matrix hermiticity defect {defect}")
-        eigs = np.linalg.eigvalsh(hermitize(arr))
-        if not eigs[0] >= -VALIDATION_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs[0]}")
+        # hermitizing an exactly Hermitian matrix gives the same bits
+        h = arr if defect == 0.0 else hermitize(arr)
+        if not _cholesky_accepts(h, upper=False):
+            eigs = np.linalg.eigvalsh(h)
+            if not eigs[0] >= -VALIDATION_ATOL:
+                raise ValueError(f"density matrix has negative eigenvalue {eigs[0]}")
         tr = float(np.trace(arr).real)
         if not abs(tr - trace_target) <= VALIDATION_ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from {trace_target}")
@@ -135,9 +168,11 @@ class Effect:
         defect = _hermiticity_defect(arr)
         if not defect <= VALIDATION_ATOL:
             raise ValueError(f"effect hermiticity defect {defect}")
-        eigs = np.linalg.eigvalsh(hermitize(arr))
-        if not (eigs[0] >= -VALIDATION_ATOL and eigs[-1] <= 1.0 + VALIDATION_ATOL):
-            raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] outside [0, 1]")
+        h = arr if defect == 0.0 else hermitize(arr)
+        if not _cholesky_accepts(h, upper=True):
+            eigs = np.linalg.eigvalsh(h)
+            if not (eigs[0] >= -VALIDATION_ATOL and eigs[-1] <= 1.0 + VALIDATION_ATOL):
+                raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] outside [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 

@@ -42,6 +42,13 @@ def _require_finite_slopes(xs, ys, what: str) -> None:
         raise ValueError(f"{what} values rise too steeply: an interpolation slope overflows")
 
 
+def _reject_booleans(field: str, values) -> None:
+    """JSON true/false arrive as Python bools, which float() reads as 1 and
+    0; a rule parameter must be written as a number."""
+    if bool in map(type, values):
+        raise ValueError(f"{field}: expected numbers, got a boolean")
+
+
 @dataclass(frozen=True)
 class PhiRule:
     """A probability distortion with admissibility metadata.
@@ -75,6 +82,7 @@ class PhiRule:
         if self.kind == "identity":
             pass
         elif self.kind == "power":
+            _reject_booleans("alpha", [self.alpha])
             if self.alpha is None or not 0 < self.alpha < math.inf:
                 raise ValueError("power rule needs a positive finite exponent")
             object.__setattr__(self, "alpha", float(self.alpha))
@@ -82,6 +90,7 @@ class PhiRule:
             if not self.knots or len(self.knots) < 2:
                 raise ValueError("piecewise rule needs at least two knots")
             knots = tuple((float(x), float(y)) for x, y in self.knots)
+            _reject_booleans("knots", (v for knot in self.knots for v in knot))
             if not all(math.isfinite(v) for knot in knots for v in knot):
                 raise ValueError("knot coordinates must be finite")
             xs = [x for x, _ in knots]
@@ -97,6 +106,7 @@ class PhiRule:
             table = np.asarray(self.table, dtype=float)
             if table.ndim != 1 or table.size < 2:
                 raise ValueError("custom table must be a 1-D array of >= 2 values")
+            _reject_booleans("values", self.table)
             if not np.isfinite(table).all():
                 raise ValueError("custom table values must be finite")
             _require_finite_slopes(np.linspace(0.0, 1.0, table.size), table, "custom table")

@@ -44,12 +44,13 @@ class Ensemble:
         members = tuple((float(w), s) for w, s in self.members)
         if not members:
             raise ValueError("ensemble needs at least one member")
-        if any(w < -1e-12 for w, _ in members):
+        # written as `not ... <=` so that a NaN weight fails them
+        if not all(-1e-12 <= w for w, _ in members):
             raise ValueError("ensemble weights must be nonnegative")
-        if self.tail_weight < -1e-12:
+        if not -1e-12 <= self.tail_weight:
             raise ValueError("tail weight must be nonnegative")
         total = sum(w for w, _ in members) + self.tail_weight
-        if abs(total - 1.0) > WEIGHT_SUM_ATOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_ATOL:
             raise ValueError(f"weights plus tail sum to {total}, expected 1")
         dim = members[0][1].dim
         if any(s.dim != dim for _, s in members):
@@ -132,9 +133,9 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
         )
     w_vecs = x.conj()
     effects = [Effect(hermitize(np.outer(w_vec, w_vec.conj()))) for w_vec in w_vecs.T]
-    remainder = np.eye(dim_a, dtype=complex) - w_vecs @ w_vecs.conj().T
-    if float(np.max(np.linalg.eigvalsh(hermitize(remainder)))) > 1e-10:
-        effects.append(Effect(hermitize(remainder)))
+    remainder = hermitize(np.eye(dim_a, dtype=complex) - w_vecs @ w_vecs.conj().T)
+    if float(np.max(np.linalg.eigvalsh(remainder))) > 1e-10:
+        effects.append(Effect(remainder))
     return Povm(tuple(effects))
 
 

@@ -516,6 +516,18 @@ class TestBooleansAreNotNumbers:
             validate(json.dumps({"command": command, "seed": 0, "parameters": parameters}))
         assert [e for e in excinfo.value.errors if e.startswith(f"{field}: ")], excinfo.value.errors
 
+    @pytest.mark.parametrize(
+        "rule,field",
+        [
+            ({"kind": "power", "alpha": True}, "alpha"),
+            ({"kind": "piecewise_affine", "knots": [[0, 0], [1, True]]}, "knots"),
+            ({"kind": "custom", "values": [0, True]}, "values"),
+        ],
+    )
+    def test_boolean_in_a_rule_is_a_config_error_naming_the_field(self, tmp_path, capsys, rule, field):
+        assert run_doc(tmp_path, {"command": "jensen", "rule": rule, "parameters": TWO_LEVEL})[0] == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: rule: {field}: expected numbers, got a boolean\n"
+
     def test_boolean_seed(self):
         with pytest.raises(ConfigValidationError, match="seed: must be an integer"):
             validate(json.dumps({"command": "jensen", "seed": True, "parameters": TWO_LEVEL}))

@@ -38,6 +38,14 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="nonnegative"):
             Ensemble(members=((-0.2, ZERO), (1.2, ONE)))
 
+    @pytest.mark.parametrize(
+        "members,tail",
+        [(((np.nan, ZERO),), 0.0), (((np.nan, ZERO), (1.0, ONE)), 0.0), (((1.0, ZERO),), np.nan)],
+    )
+    def test_rejects_nan_weight_or_tail(self, members, tail):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Ensemble(members=members, tail_weight=tail)
+
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimension"):
             Ensemble(members=((0.5, ZERO), (0.5, StateVector.basis(3, 0))))
