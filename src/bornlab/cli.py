@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -31,6 +32,11 @@ from .transition import ConvergenceError, OptimizerConfig, tau_closed, tau_optim
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# Largest cutoff in n_list and largest sigma_affinity phi.fock, sized from
+# time: listing every cutoff up to it costs about 1 s (fock_converge builds
+# each truncated coherent pair anew; sigma_affinity sums a prefix per cutoff)
+MAX_CUTOFF = 1000
 
 class ConfigValidationError(ValueError):
     """All validation problems of one config, reported together."""
@@ -117,14 +123,20 @@ def _probability(params: dict, name: str, errors: list[str], *, exclusive: bool 
     return _number(params.get(name), name, errors, "must be a number in [0, 1]", lambda v: 0 <= v <= 1)
 
 
+def _level(raw, field: str, errors: list[str]) -> int | None:
+    """A cutoff or Fock index: an integer in [0, MAX_CUTOFF]."""
+    value = _number(raw, field, errors, "must be a nonnegative integer", lambda v: v >= 0, integer=True)
+    if value is not None and value > MAX_CUTOFF:
+        errors.append(f"{field}: {value} exceeds the largest allowed level {MAX_CUTOFF}")
+        return None
+    return value
+
+
 def _cutoffs(raw, errors: list[str]) -> list[int] | None:
     if not isinstance(raw, list) or not raw:
         errors.append("n_list: required nonempty list of cutoffs")
         return None
-    cutoffs = [
-        _number(n, f"n_list[{i}]", errors, "must be a nonnegative integer", lambda v: v >= 0, integer=True)
-        for i, n in enumerate(raw)
-    ]
+    cutoffs = [_level(n, f"n_list[{i}]", errors) for i, n in enumerate(raw)]
     if None in cutoffs:
         return None
     if cutoffs != sorted(set(cutoffs)):
@@ -231,9 +243,7 @@ def _parse_sigma_affinity(params: dict, errors: list[str]) -> dict:
     spec = params.get("phi", {"fock": 0})
     phi = None
     if isinstance(spec, dict):
-        index = _number(
-            spec.get("fock"), "phi.fock", errors, "must be a nonnegative integer", lambda v: v >= 0, integer=True
-        )
+        index = _level(spec.get("fock"), "phi.fock", errors)
         if index is not None and n_list is not None:
             try:
                 phi = StateVector.basis(max(max(n_list), index) + 1, index)
@@ -547,7 +557,10 @@ def _write_artifact(
         _write_json(config.output_path, metadata, _jsonable(payload))
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and shared
+    by every later one; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bornlab",
         description="Run a transition-probability / steering / rigidity scenario from a JSON config.",
@@ -557,7 +570,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="override the artifact output path")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="override the artifact format")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector, embed_state
-from .rules import PhiRule, prob_ensemble
-from .steering import geometric_fock_ensemble
-from .transition import tau_closed
+from .linalg import StateVector
+from .rules import PhiRule
+from .steering import check_weight_sum
+from .transition import TAU_RANGE_ATOL, tau_closed
 
 DEFAULT_REFERENCE_PADDING = 50
 
@@ -113,11 +113,21 @@ def sigma_affinity_convergence(
     """Convergence of the ensemble probability under deepening geometric
     number-state mixtures.
 
-    For each cutoff N the ensemble probability of ``phi`` is compared to a
+    For each cutoff N the ensemble probability of ``phi`` under the
+    truncated thermal mixture {((1-r) r^n, |n>)}, n <= N, is compared to a
     reference computed ``reference_padding`` levels deeper; the deviation
     is guaranteed below the discarded tail weight r^(N+1) because member
     probabilities never exceed 1. Returns (N, deviation, tail_bound)
     triples.
+
+    Time and memory are O(N) at N = the deepest cutoff plus the padding,
+    plus one prefix sum per listed cutoff: a number-state member's
+    transition probability is tau(|n>, phi) = |phi_n|^2, so no member
+    state is built. The values are those of ``prob_ensemble`` over
+    ``geometric_fock_ensemble`` bit for bit, with its checks and messages:
+    the weights plus tail sum to 1, and each tau lies in [0, 1] before it
+    is clamped. The CLI caps the cutoffs and the Fock index of the target
+    (``bornlab.cli.MAX_CUTOFF``).
     """
     if not 0.0 < r < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
@@ -128,11 +138,27 @@ def sigma_affinity_convergence(
     if phi.dim < max(n_list) + 1:
         raise ValueError(f"target state lives in dimension {phi.dim}, below cutoff {max(n_list)}")
     n_ref = max(n_list) + reference_padding
-    dim = max(phi.dim, n_ref + 1)
-    target = embed_state(phi, dim)
-    reference = prob_ensemble(rule, geometric_fock_ensemble(r, n_ref, dim), target).value
+    # the member weights as geometric_fock_ensemble writes them and
+    # Ensemble stores them
+    weights = [float((1.0 - r) * r**n) for n in range(n_ref + 1)]
+    check_weight_sum(sum(weights) + r ** (n_ref + 1))
+    amps = np.zeros(n_ref + 1, dtype=complex)
+    amps[: min(phi.dim, n_ref + 1)] = phi.amplitudes[: n_ref + 1]
+    # |phi_n| as abs() of a complex scalar gives it, squared by pow() as the
+    # scalar ** 2 of tau_closed does: an array's ** 2 multiplies, which
+    # differs from pow() in the last bit
+    tau = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+    outside = np.flatnonzero(~((-TAU_RANGE_ATOL <= tau) & (tau <= 1.0 + TAU_RANGE_ATOL)))
+    if outside.size:
+        raise ValueError(f"transition probability {float(tau[outside[0]])} outside [0, 1]")
+    # the clamped tau is Phi's argument, in [0, 1] as phi_eval requires
+    terms = [w * p for w, p in zip(weights, rule.eval(np.clip(tau, 0.0, 1.0)).tolist())]
+    # the builtin sum of a prefix adds the same floats in the same order as
+    # prob_ensemble; a running total would differ wherever sum compensates
+    reference = sum(terms)
     out = []
     for n in n_list:
-        value = prob_ensemble(rule, geometric_fock_ensemble(r, int(n), dim), target).value
-        out.append((int(n), abs(value - reference), r ** (int(n) + 1)))
+        n = int(n)
+        check_weight_sum(sum(weights[: n + 1]) + r ** (n + 1))
+        out.append((n, abs(sum(terms[: n + 1]) - reference), r ** (n + 1)))
     return out

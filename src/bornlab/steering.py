@@ -10,6 +10,7 @@ identity is exact linear algebra and is checkable here to solver precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,9 +50,7 @@ class Ensemble:
             raise ValueError("ensemble weights must be nonnegative")
         if not -1e-12 <= self.tail_weight:
             raise ValueError("tail weight must be nonnegative")
-        total = sum(w for w, _ in members) + self.tail_weight
-        if not abs(total - 1.0) <= WEIGHT_SUM_ATOL:
-            raise ValueError(f"weights plus tail sum to {total}, expected 1")
+        check_weight_sum(sum(w for w, _ in members) + self.tail_weight)
         dim = members[0][1].dim
         if any(s.dim != dim for _, s in members):
             raise ValueError("ensemble members have mismatched dimensions")
@@ -65,6 +64,28 @@ class Ensemble:
     @property
     def kind(self) -> str:
         return "finite" if self.tail_weight == 0.0 else "truncated_countable"
+
+    @cached_property
+    def barycenter(self) -> DensityMatrix:
+        """Weighted sum of member projectors, built on first use and kept:
+        the ensemble is immutable, and so is the returned matrix.
+
+        For a truncated-countable ensemble the sum carries only the retained
+        weight; its trace defect equals the declared tail weight and is left
+        visible rather than renormalized away.
+        """
+        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        for weight, member in self.members:
+            acc += weight * member.projector()
+        return DensityMatrix(hermitize(acc), trace_target=1.0 - self.tail_weight)
+
+
+def check_weight_sum(total: float) -> None:
+    """Raise unless an ensemble's weights plus tail, summed to ``total``,
+    account for all probability within ``WEIGHT_SUM_ATOL``."""
+    # written as `not ... <=` so that a NaN total fails it
+    if not abs(total - 1.0) <= WEIGHT_SUM_ATOL:
+        raise ValueError(f"weights plus tail sum to {total}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -81,17 +102,9 @@ class SteeringOutcome:
 
 
 def barycenter(ensemble: Ensemble) -> DensityMatrix:
-    """Weighted sum of member projectors.
-
-    For a truncated-countable ensemble the sum carries only the retained
-    weight; its trace defect equals the declared tail weight and is left
-    visible rather than renormalized away.
-    """
-    dim = ensemble.dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for weight, member in ensemble.members:
-        acc += weight * member.projector()
-    return DensityMatrix(hermitize(acc), trace_target=1.0 - ensemble.tail_weight)
+    """The ensemble's barycenter (``Ensemble.barycenter``), built once per
+    ensemble however many callers ask for it."""
+    return ensemble.barycenter
 
 
 def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:

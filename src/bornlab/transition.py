@@ -20,6 +20,9 @@ from .linalg import DensityMatrix, Effect, StateVector, hermitize
 
 TauMethod = Literal["closed_form", "optimized"]
 
+# a transition probability may leave [0, 1] by this much before it is clamped
+TAU_RANGE_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TransitionResult:
@@ -36,7 +39,7 @@ class TransitionResult:
     residual: float = 0.0
 
     def __post_init__(self):
-        if not -1e-9 <= self.value <= 1.0 + 1e-9:
+        if not -TAU_RANGE_ATOL <= self.value <= 1.0 + TAU_RANGE_ATOL:
             raise ValueError(f"transition probability {self.value} outside [0, 1]")
         object.__setattr__(self, "value", float(min(1.0, max(0.0, self.value))))
 

@@ -1,19 +1,22 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from bornlab import linalg, rigidity
+from bornlab import cli, linalg, rigidity, steering
 from bornlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    MAX_CUTOFF,
     ConfigValidationError,
     _amplitude_array,
     _parse_state,
     main,
     validate,
 )
+from bornlab.linalg import haar_random_state
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -424,6 +427,75 @@ class TestParseOnce:
         assert payload["rigidity"] == payload["certification"]["report"]
 
 
+    def test_steer_forms_one_barycenter(self, tmp_path, monkeypatch):
+        # purify and hjw_povm share the ensemble's barycenter: one weighted
+        # sum of the 64 projectors, in one DensityMatrix that both receive
+        members = [
+            [1 / 64, [[z.real, z.imag] for z in haar_random_state(32, seed).amplitudes]]
+            for seed in range(64)
+        ]
+        projectors = []
+        original_projector = linalg.StateVector.projector
+
+        def counting_projector(self):
+            projectors.append(self)
+            return original_projector(self)
+
+        handed_out = []
+        original_barycenter = steering.barycenter
+
+        def recording_barycenter(ensemble):
+            handed_out.append(original_barycenter(ensemble))
+            return handed_out[-1]
+
+        monkeypatch.setattr(linalg.StateVector, "projector", counting_projector)
+        for module in (cli, steering):
+            monkeypatch.setattr(module, "barycenter", recording_barycenter)
+        doc = {"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": members}}}
+        exit_code, out = run_doc(tmp_path, doc)
+        assert exit_code == EXIT_OK
+        assert len(projectors) == 64
+        assert len(handed_out) == 2 and handed_out[0] is handed_out[1]
+        assert len(out.read_text(encoding="utf-8").splitlines()) > 64
+
+
+class TestParserBuiltOnce:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_two_main_calls_share_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        path = write_config(tmp_path, jensen_doc(tmp_path / "jensen.csv"))
+        assert main(["--config", str(path), "--quiet"]) == EXIT_OK
+        assert main(["--config", str(path), "--quiet", "--seed", "4"]) == EXIT_OK
+        assert len(built) == 1
+        assert cli._parser() is built[0]
+
+    def test_usage_errors_and_help_are_unchanged(self, tmp_path, capsys):
+        # a shared parser still exits 2 on a usage error and 0 on --help,
+        # and a failed parse leaves it working for the next call
+        with pytest.raises(SystemExit) as usage:
+            main([])
+        assert usage.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as shown:
+            main(["--help"])
+        assert shown.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bornlab")
+        path = write_config(tmp_path, jensen_doc(tmp_path / "jensen.csv"))
+        assert main(["--config", str(path), "--quiet"]) == EXIT_OK
+
+
 def run_doc(tmp_path, doc, name="case"):
     """Run one config in-process; returns (exit code, artifact path)."""
     out = tmp_path / f"{name}.out"
@@ -488,6 +560,39 @@ class TestEveryConfigEndsCleanly:
         doc = {"command": "jensen", "seed": 0, "parameters": TWO_LEVEL}
         assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: output.path: ")
+
+
+class TestLevelCap:
+    """Cutoffs and the Fock index stop at MAX_CUTOFF: the time, not the
+    memory, of the worst config within it is the bound."""
+
+    @pytest.mark.parametrize(
+        "command,parameters,field",
+        [
+            ("sigma_affinity", {"r": 0.5, "n_list": [0, MAX_CUTOFF + 1]}, "n_list[1]"),
+            ("sigma_affinity", {"r": 0.5, "n_list": [0, 5], "phi": {"fock": MAX_CUTOFF + 1}}, "phi.fock"),
+            ("sigma_affinity", {"r": 0.5, "n_list": [10**4]}, "n_list[0]"),
+            ("fock_converge", {"alpha": 0.5, "beta": 1.0, "n_list": [5, 10**6]}, "n_list[1]"),
+        ],
+    )
+    def test_past_the_cap_exits_two_naming_the_field(self, tmp_path, capsys, command, parameters, field):
+        exit_code, out = run_doc(tmp_path, {"command": command, "seed": 0, "parameters": parameters})
+        assert exit_code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and f"largest allowed level {MAX_CUTOFF}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,parameters",
+        [
+            ("sigma_affinity", {"r": 0.5, "n_list": [0, MAX_CUTOFF], "phi": {"fock": MAX_CUTOFF}}),
+            ("fock_converge", {"alpha": 0.5, "beta": 1.0, "n_list": [5, MAX_CUTOFF]}),
+        ],
+    )
+    def test_the_cap_itself_is_accepted(self, tmp_path, command, parameters):
+        exit_code, out = run_doc(tmp_path, {"command": command, "seed": 0, "parameters": parameters})
+        assert exit_code == EXIT_OK
+        assert out.exists()
 
 
 class TestBooleansAreNotNumbers:

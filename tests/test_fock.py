@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bornlab import linalg, steering
 from bornlab.fock import (
     CoherentSpec,
     coherent_vector,
@@ -10,8 +12,9 @@ from bornlab.fock import (
     tau_coherent_analytic,
     truncation_convergence,
 )
-from bornlab.linalg import StateVector
-from bornlab.rules import PhiRule, builtin_rules
+from bornlab.linalg import StateVector, embed_state
+from bornlab.rules import PhiRule, builtin_rules, prob_ensemble
+from bornlab.steering import geometric_fock_ensemble
 
 
 class TestCoherentSpec:
@@ -137,3 +140,143 @@ class TestSigmaAffinityConvergence:
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
             sigma_affinity_convergence(PhiRule.identity(), 1.2, StateVector.basis(11, 0), [5])
+
+
+def member_route(rule, r, phi, n_list, reference_padding=50):
+    """sigma_affinity_convergence by the definition: one basis-state ensemble
+    per cutoff, every member scored by prob_ensemble."""
+    n_ref = max(n_list) + reference_padding
+    dim = max(phi.dim, n_ref + 1)
+    target = embed_state(phi, dim)
+    reference = prob_ensemble(rule, geometric_fock_ensemble(r, n_ref, dim), target).value
+    return [
+        (n, abs(prob_ensemble(rule, geometric_fock_ensemble(r, n, dim), target).value - reference), r ** (n + 1))
+        for n in n_list
+    ]
+
+
+def random_target(rng, dim, complex_entries=True):
+    # moduli spread over eight decades, so that many members weigh in
+    amps = rng.standard_normal(dim) * 10.0 ** rng.uniform(-8, 0, dim)
+    if complex_entries:
+        amps = amps + 1j * rng.standard_normal(dim) * 10.0 ** rng.uniform(-8, 0, dim)
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+RULES = {
+    "identity": PhiRule.identity(),
+    "power(2)": PhiRule.power(2.0),
+    "power(0.5)": PhiRule.power(0.5),
+    "power(1.2)": PhiRule.power(1.2),
+    "piecewise_affine": PhiRule.piecewise_affine([[0.0, 0.0], [0.3, 0.55], [1.0, 1.0]]),
+    "custom": PhiRule.custom((np.linspace(0.0, 1.0, 33) ** 1.3).tolist()),
+}
+
+
+class TestSigmaAffinityRoute:
+    """The amplitude-moduli route gives the member route's triples bit for
+    bit (== on every float), and raises where it raises, with its message."""
+
+    @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
+    @pytest.mark.parametrize(
+        "n_list,dim,padding",
+        [
+            ([0], 1, 50),  # cutoff 0, target far shorter than n_ref + 1
+            ([7], 8, 0),  # one cutoff, no padding: the reference is the cutoff
+            ([0, 3, 9, 20], 21, 50),
+            ([2, 5], 90, 50),  # target longer than n_ref + 1
+            ([1, 4, 30], 40, 7),
+        ],
+    )
+    def test_triples_equal_the_member_route(self, rule, n_list, dim, padding):
+        rng = np.random.default_rng([dim, padding, *n_list])
+        for phi in (random_target(rng, dim), random_target(rng, dim, complex_entries=False)):
+            got = sigma_affinity_convergence(rule, 0.73, phi, n_list, padding)
+            assert got == member_route(rule, 0.73, phi, n_list, padding)
+            assert [tuple(map(type, t)) for t in got] == [(int, float, float)] * len(n_list)
+
+    @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
+    @pytest.mark.parametrize("index,n_list", [(0, [0, 5]), (4, [2, 4, 6]), (30, [3, 10])])
+    def test_fock_targets(self, rule, index, n_list):
+        # the CLI's {"fock": n} target: a basis state of dimension max(N, n) + 1
+        phi = StateVector.basis(max(max(n_list), index) + 1, index)
+        for r in (0.05, 0.5, 0.95):
+            assert sigma_affinity_convergence(rule, r, phi, n_list) == member_route(rule, r, phi, n_list)
+
+    def test_seeded_random_cases(self):
+        rng = np.random.default_rng(2026)
+        rules = list(RULES.values())
+        for case in range(120):
+            rule = rules[case % len(rules)]
+            r = float(rng.uniform(0.05, 0.95))
+            n_list = sorted({int(n) for n in rng.integers(0, 60, int(rng.integers(1, 7)))})
+            phi = random_target(rng, int(rng.integers(max(n_list) + 1, max(n_list) + 130)), case % 4 != 0)
+            padding = int(rng.choice([0, 1, 13, 50]))
+            assert sigma_affinity_convergence(rule, r, phi, n_list, padding) == member_route(rule, r, phi, n_list, padding)
+
+    def test_moduli_that_pow_and_multiplication_square_differently(self):
+        # tau_closed squares |<phi|n>| with pow(); multiplying the modulus by
+        # itself rounds differently for about one in a thousand values, so
+        # each such modulus is placed where it changes the reference sum
+        moduli = np.random.default_rng(17).uniform(0.05, 0.9, 20000)
+        split = moduli[np.float_power(moduli, 2.0) != moduli * moduli][:6]
+        for h in split:
+            phi = StateVector(np.array([math.sqrt(1.0 - h * h), h], dtype=complex))
+            for rule in (PhiRule.identity(), PhiRule.power(2.0)):
+                assert sigma_affinity_convergence(rule, 0.5, phi, [0], 1) == member_route(rule, 0.5, phi, [0], 1)
+
+    def test_tau_past_one_raises_the_member_route_message(self):
+        # within the state's norm tolerance, yet |phi_0|^2 = 1 + 1.8e-9
+        phi = StateVector(np.array([1.0 + 9e-10, 0.0], dtype=complex))
+        with pytest.raises(ValueError) as member:
+            member_route(PhiRule.identity(), 0.5, phi, [0, 1])
+        with pytest.raises(ValueError) as moduli:
+            sigma_affinity_convergence(PhiRule.identity(), 0.5, phi, [0, 1])
+        assert str(moduli.value) == str(member.value)
+        assert str(member.value).startswith("transition probability 1.0000000018")
+
+    @pytest.mark.parametrize("failing", ["reference", "cutoff"])
+    def test_weight_sum_is_checked_for_the_reference_and_each_cutoff(self, monkeypatch, failing):
+        # find a ratio whose checked total (the reference's at n_ref = 53,
+        # or cutoff 3's) misses 1 by more than the other does, and set the
+        # tolerance between the two, so that only the checked one fails
+        def miss(r, n):
+            return abs(sum(float((1.0 - r) * r**k) for k in range(n + 1)) + r ** (n + 1) - 1.0)
+
+        checked, other = (53, 3) if failing == "reference" else (3, 53)
+        rng = np.random.default_rng(5)
+        r = next(r for r in rng.uniform(0.05, 0.95, 500) if miss(r, checked) > miss(r, other))
+        monkeypatch.setattr(steering, "WEIGHT_SUM_ATOL", (miss(r, checked) + miss(r, other)) / 2)
+        phi = StateVector.basis(4, 1)
+        with pytest.raises(ValueError, match="weights plus tail sum to") as member:
+            member_route(PhiRule.identity(), r, phi, [3])
+        with pytest.raises(ValueError) as moduli:
+            sigma_affinity_convergence(PhiRule.identity(), r, phi, [3])
+        assert str(moduli.value) == str(member.value)
+
+    def test_memory_is_linear_in_the_cutoff(self):
+        # the member route holds ~(N + 51)^2 complex numbers, ~1.6 GB here
+        n = 10**4
+        phi = StateVector.basis(n + 1, 3)
+        tracemalloc.start()
+        try:
+            triples = sigma_affinity_convergence(PhiRule.power(2.0), 0.5, phi, [n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert triples[0][0] == n
+
+    def test_no_member_state_or_ensemble_is_built(self, monkeypatch):
+        phi = StateVector(np.ones(60, dtype=complex) / math.sqrt(60.0))
+        built = []
+        for cls in (linalg.StateVector, steering.Ensemble):
+            original = cls.__post_init__
+
+            def counting(self, *args, _original=original):
+                built.append(type(self).__name__)
+                _original(self, *args)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        sigma_affinity_convergence(PhiRule.power(2.0), 0.7, phi, [0, 10, 59])
+        assert built == []

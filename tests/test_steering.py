@@ -74,6 +74,15 @@ class TestBarycenter:
         bary = barycenter(ensemble)
         assert np.trace(bary.matrix).real == pytest.approx(1.0 - 0.5**4, abs=1e-12)
 
+    def test_built_once_per_ensemble_and_read_only(self, random_ensemble):
+        ensemble = random_ensemble(4, 5, 3)
+        bary = barycenter(ensemble)
+        assert barycenter(ensemble) is bary and ensemble.barycenter is bary
+        expected = sum(w * s.projector() for w, s in ensemble.members)
+        assert np.allclose(bary.matrix, expected, rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError, match="read-only"):
+            bary.matrix[0, 0] = 0.0
+
 
 class TestHjwPovm:
     def test_single_member_target_is_trivial_measurement(self):
