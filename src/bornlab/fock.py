@@ -83,16 +83,18 @@ def truncation_convergence(
     if any(n < 0 for n in n_list):
         raise ValueError("cutoffs must be nonnegative")
     exact = tau_coherent_analytic(alpha, beta)
+    # by the recurrence, each cutoff's array is bit for bit a prefix of these
+    raw_a = _coherent_amplitudes(complex(alpha), max(n_list, default=0))
+    raw_b = _coherent_amplitudes(complex(beta), max(n_list, default=0))
     out = []
     for n in n_list:
-        state_a = _truncated_coherent(complex(alpha), n, "alpha")
-        state_b = _truncated_coherent(complex(beta), n, "beta")
+        state_a = _truncated_coherent(raw_a[: n + 1], complex(alpha), n, "alpha")
+        state_b = _truncated_coherent(raw_b[: n + 1], complex(beta), n, "beta")
         out.append((int(n), abs(tau_closed(state_a, state_b).value - exact)))
     return out
 
 
-def _truncated_coherent(amplitude: complex, n: int, name: str) -> StateVector:
-    raw = _coherent_amplitudes(amplitude, n)
+def _truncated_coherent(raw: np.ndarray, amplitude: complex, n: int, name: str) -> StateVector:
     norm = np.linalg.norm(raw)
     # exp(-|amplitude|^2/2) underflows to 0 past |amplitude| ~ 38.6, and
     # the squares of tiny entries underflow before that

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +49,70 @@ def _reject_booleans(field: str, values) -> None:
         raise ValueError(f"{field}: expected numbers, got a boolean")
 
 
+def _exponent(alpha):
+    _reject_booleans("alpha", [alpha])
+    if alpha is None or not 0 < alpha < math.inf:
+        raise ValueError("power rule needs a positive finite exponent")
+    return float(alpha), float(alpha)
+
+
+def _knots(knots):
+    raw = () if knots is None else tuple(knots)
+    if len(raw) < 2:
+        raise ValueError("piecewise rule needs at least two knots")
+    knots = tuple((float(x), float(y)) for x, y in raw)
+    _reject_booleans("knots", (v for knot in raw for v in knot))
+    if not all(math.isfinite(v) for knot in knots for v in knot):
+        raise ValueError("knot coordinates must be finite")
+    xs, ys = (list(column) for column in zip(*knots))
+    if xs != sorted(xs) or len(set(xs)) != len(xs):
+        raise ValueError("knot abscissae must be strictly increasing")
+    if abs(xs[0]) > ENDPOINT_ATOL or abs(xs[-1] - 1.0) > ENDPOINT_ATOL:
+        raise ValueError("knots must span [0, 1]")
+    _require_finite_slopes(xs, ys, "knot")
+    return knots, (np.array(xs), np.array(ys))
+
+
+def _table(values):
+    if values is None:
+        raise ValueError("custom rule needs tabulated values")
+    table = np.array(values, dtype=float)
+    if table.ndim != 1 or table.size < 2:
+        raise ValueError("custom table must be a 1-D array of >= 2 values")
+    _reject_booleans("values", values)
+    if not np.isfinite(table).all():
+        raise ValueError("custom table values must be finite")
+    grid = np.linspace(0.0, 1.0, table.size)
+    _require_finite_slopes(grid, table, "custom table")
+    table.setflags(write=False)
+    return table, (grid, table)
+
+
+class _Kind(NamedTuple):
+    """A rule kind: the PhiRule field holding its parameter and the
+    parameter's key in a rule spec (None for identity), the check that
+    returns (stored parameter, evaluation form), and the describe() label."""
+
+    field: str | None
+    key: str | None
+    normalize: Callable
+    label: Callable[[PhiRule], str]
+
+
+_KINDS = {
+    "identity": _Kind(None, None, lambda _: (None, 1.0), lambda r: "identity"),
+    "power": _Kind("alpha", "alpha", _exponent, lambda r: f"power({r.alpha:g})"),
+    "piecewise_affine": _Kind("knots", "knots", _knots, lambda r: f"piecewise_affine({len(r.knots)} knots)"),
+    "custom": _Kind("table", "values", _table, lambda r: f"custom({r.table.size} points)"),
+}
+
+
+def _lookup(kind) -> _Kind:
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown rule kind {kind!r}")
+    return _KINDS[kind]
+
+
 @dataclass(frozen=True)
 class PhiRule:
     """A probability distortion with admissibility metadata.
@@ -56,9 +120,11 @@ class PhiRule:
     Kinds: ``identity``; ``power`` with exponent ``alpha``;
     ``piecewise_affine`` through sorted ``knots``; ``custom`` given by
     ``table`` values on a uniform grid over [0, 1] with linear
-    interpolation. ``admissible`` caches the endpoint and monotonicity
-    check at construction; inadmissible rules remain constructible so they
-    can be scanned and rejected.
+    interpolation; each evaluates as ``np.power`` (identity: exponent 1) or
+    as ``np.interp`` through nodes fixed at construction. ``admissible``
+    caches the endpoint and monotonicity check at construction;
+    inadmissible rules remain constructible so they can be scanned and
+    rejected.
     """
 
     kind: str
@@ -66,55 +132,22 @@ class PhiRule:
     knots: tuple[tuple[float, float], ...] | None = None
     table: np.ndarray | None = None
     admissible: bool = field(init=False, default=False)
+    # the exponent for np.power, or the (xs, ys) nodes for np.interp
+    _form: float | tuple[np.ndarray, np.ndarray] = field(init=False, default=1.0, repr=False, compare=False)
 
     def __post_init__(self):
+        kind = _lookup(self.kind)
         try:
-            self._normalize_parameters()
+            value, form = kind.normalize(getattr(self, kind.field) if kind.field else None)
         except OverflowError as exc:
             # an integer past the float range passes the comparisons and
             # fails only when float() converts it
             raise ValueError(f"{self.kind} rule parameter too large for a float: {exc}") from exc
+        if kind.field:
+            object.__setattr__(self, kind.field, value)
+        object.__setattr__(self, "_form", form)
         report = check_admissibility(self, DEFAULT_MONOTONE_GRID_STEP)
         object.__setattr__(self, "admissible", report.passed)
-
-    def _normalize_parameters(self) -> None:
-        """Check the kind's parameters and store them as floats."""
-        if self.kind == "identity":
-            pass
-        elif self.kind == "power":
-            _reject_booleans("alpha", [self.alpha])
-            if self.alpha is None or not 0 < self.alpha < math.inf:
-                raise ValueError("power rule needs a positive finite exponent")
-            object.__setattr__(self, "alpha", float(self.alpha))
-        elif self.kind == "piecewise_affine":
-            if not self.knots or len(self.knots) < 2:
-                raise ValueError("piecewise rule needs at least two knots")
-            knots = tuple((float(x), float(y)) for x, y in self.knots)
-            _reject_booleans("knots", (v for knot in self.knots for v in knot))
-            if not all(math.isfinite(v) for knot in knots for v in knot):
-                raise ValueError("knot coordinates must be finite")
-            xs = [x for x, _ in knots]
-            if xs != sorted(xs) or len(set(xs)) != len(xs):
-                raise ValueError("knot abscissae must be strictly increasing")
-            if abs(xs[0]) > ENDPOINT_ATOL or abs(xs[-1] - 1.0) > ENDPOINT_ATOL:
-                raise ValueError("knots must span [0, 1]")
-            _require_finite_slopes(xs, [y for _, y in knots], "knot")
-            object.__setattr__(self, "knots", knots)
-        elif self.kind == "custom":
-            if self.table is None:
-                raise ValueError("custom rule needs tabulated values")
-            table = np.asarray(self.table, dtype=float)
-            if table.ndim != 1 or table.size < 2:
-                raise ValueError("custom table must be a 1-D array of >= 2 values")
-            _reject_booleans("values", self.table)
-            if not np.isfinite(table).all():
-                raise ValueError("custom table values must be finite")
-            _require_finite_slopes(np.linspace(0.0, 1.0, table.size), table, "custom table")
-            table = table.copy()
-            table.setflags(write=False)
-            object.__setattr__(self, "table", table)
-        else:
-            raise ValueError(f"unknown rule kind {self.kind!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -128,7 +161,7 @@ class PhiRule:
 
     @staticmethod
     def piecewise_affine(knots) -> "PhiRule":
-        return PhiRule(kind="piecewise_affine", knots=tuple(knots))
+        return PhiRule(kind="piecewise_affine", knots=knots)
 
     @staticmethod
     def custom(values) -> "PhiRule":
@@ -145,53 +178,26 @@ class PhiRule:
     def eval(self, p):
         """Vectorized evaluation on values in [0, 1]."""
         p = np.asarray(p, dtype=float)
-        if self.kind == "identity":
-            out = p.copy()
-        elif self.kind == "power":
-            out = np.power(p, self.alpha)
-        elif self.kind == "piecewise_affine":
-            xs = np.array([x for x, _ in self.knots])
-            ys = np.array([y for _, y in self.knots])
-            out = np.interp(p, xs, ys)
-        else:
-            grid = np.linspace(0.0, 1.0, self.table.size)
-            out = np.interp(p, grid, self.table)
+        form = self._form
+        out = np.interp(p, *form) if isinstance(form, tuple) else np.power(p, form)
         return out if out.ndim else float(out)
 
     __call__ = eval
 
     def describe(self) -> str:
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "power":
-            return f"power({self.alpha:g})"
-        if self.kind == "piecewise_affine":
-            return f"piecewise_affine({len(self.knots)} knots)"
-        return f"custom({self.table.size} points)"
+        return _KINDS[self.kind].label(self)
 
     # -- serialization (scenario config format) -----------------------------
 
     def to_dict(self) -> dict:
-        if self.kind == "identity":
-            return {"kind": "identity"}
-        if self.kind == "power":
-            return {"kind": "power", "alpha": self.alpha}
-        if self.kind == "piecewise_affine":
-            return {"kind": "piecewise_affine", "knots": [list(k) for k in self.knots]}
-        return {"kind": "custom", "values": self.table.tolist()}
+        kind = _KINDS[self.kind]
+        return {"kind": self.kind} | ({kind.key: np.asarray(getattr(self, kind.field)).tolist()} if kind.key else {})
 
     @staticmethod
     def from_dict(spec: dict) -> "PhiRule":
         kind = spec.get("kind")
-        if kind == "identity":
-            return PhiRule.identity()
-        if kind == "power":
-            return PhiRule.power(spec["alpha"])
-        if kind == "piecewise_affine":
-            return PhiRule.piecewise_affine(spec["knots"])
-        if kind == "custom":
-            return PhiRule.custom(spec["values"])
-        raise ValueError(f"unknown rule kind {kind!r}")
+        entry = _lookup(kind)
+        return PhiRule(kind, **({entry.field: spec[entry.key]} if entry.key else {}))
 
 
 def check_admissibility(rule: PhiRule, grid_step: float = DEFAULT_MONOTONE_GRID_STEP) -> AdmissibilityReport:

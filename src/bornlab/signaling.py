@@ -129,13 +129,10 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
     # exact equality only: a forced-zero gap at nearly-equal probabilities
     # would contradict the analytic gap of steep rules near p = 0
     degenerate = p1 == p2
-    if degenerate:
-        ensemble = Ensemble(members=((1.0, psi1),))
-    else:
-        ensemble = Ensemble(members=((lam, psi1), (1.0 - lam, psi2)))
-    omega = barycenter(
-        Ensemble(members=((lam, psi1), (1.0 - lam, psi2)))
-    )
+    mixture = Ensemble(members=((lam, psi1), (1.0 - lam, psi2)))
+    # one ensemble for omega and the split: hjw_povm reuses its cached barycenter
+    ensemble = Ensemble(members=((1.0, psi1),)) if degenerate else mixture
+    omega = barycenter(mixture)
     purification = purify(omega)
     povm_split = hjw_povm(purification, ensemble)
     povm_direct = Povm.trivial(purification.dim_a)

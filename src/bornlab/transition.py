@@ -56,9 +56,6 @@ class OptimizerConfig:
     max_iters: int = 5000
     tolerance: float = 1e-6
     max_dim: int = 16
-    initial_step: float = 1.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
 
 
 class ConvergenceError(RuntimeError):
@@ -115,16 +112,13 @@ def tau_optimized(
     psi: StateVector,
     phi: StateVector,
     config: OptimizerConfig | None = None,
-    mode: Literal["inf", "sup"] = "inf",
 ) -> TransitionResult:
-    """Transition probability via constrained numerical extremization.
+    """Transition probability via constrained numerical minimization.
 
     Parametrizes the feasible effects as |phi><phi| (+) F with Hermitian
     0 <= F <= I on the orthogonal complement of phi, and runs projected
-    gradient descent with backtracking on <psi|E|psi>. The default ``inf``
-    mode extremizes toward the minimal effect, whose value is the
-    transition probability; ``sup`` is surfaced for completeness and is
-    identically 1 because the unit effect is always feasible.
+    gradient descent with backtracking on <psi|E|psi> toward the minimal
+    effect, whose value is the transition probability.
 
     Raises ConvergenceError (carrying the best value and residual) if the
     step criterion is not met within ``config.max_iters``.
@@ -142,29 +136,27 @@ def tau_optimized(
     m = basis.shape[1]
     if m == 0 or weight < 1e-30:
         # nothing to optimize over: E = |phi><phi| (+) F never sees psi
-        value = accepted if mode == "inf" else accepted + weight
-        return _assemble_result(phi, basis, np.zeros((m, m), dtype=complex), psi, value, 0)
+        return _assemble_result(phi, basis, np.zeros((m, m), dtype=complex), psi, accepted, 0)
 
-    sign = 1.0 if mode == "inf" else -1.0
-    grad = sign * np.outer(psi_c, psi_c.conj())
+    grad = np.outer(psi_c, psi_c.conj())
 
     f = 0.5 * np.eye(m, dtype=complex)
-    obj = sign * float(np.real(np.vdot(psi_c, f @ psi_c)))
-    step = cfg.initial_step / weight
+    obj = float(np.real(np.vdot(psi_c, f @ psi_c)))
+    step = 1.0 / weight
 
     step_tol = cfg.tolerance * 1e-3
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
         trial = _clip_spectrum(f - step * grad)
-        obj_trial = sign * float(np.real(np.vdot(psi_c, trial @ psi_c)))
+        obj_trial = float(np.real(np.vdot(psi_c, trial @ psi_c)))
         move = float(np.linalg.norm(trial - f))
-        # sufficient-decrease safeguard; the objective is linear in F so
-        # this nearly never fires
-        while obj_trial > obj - cfg.armijo * move**2 / step and step > 1e-14:
-            step *= cfg.step_shrink
+        # sufficient-decrease safeguard (Armijo constant 1e-4, halving the
+        # step); the objective is linear in F so this nearly never fires
+        while obj_trial > obj - 1e-4 * move**2 / step and step > 1e-14:
+            step *= 0.5
             trial = _clip_spectrum(f - step * grad)
-            obj_trial = sign * float(np.real(np.vdot(psi_c, trial @ psi_c)))
+            obj_trial = float(np.real(np.vdot(psi_c, trial @ psi_c)))
             move = float(np.linalg.norm(trial - f))
         f, obj = trial, obj_trial
         if move <= step_tol:

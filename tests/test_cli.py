@@ -458,6 +458,22 @@ class TestParseOnce:
         assert len(handed_out) == 2 and handed_out[0] is handed_out[1]
         assert len(out.read_text(encoding="utf-8").splitlines()) > 64
 
+    def test_experiment_forms_the_mixture_barycenter_once(self, tmp_path, monkeypatch):
+        # omega and the split ensemble are one Ensemble, whose barycenter
+        # hjw_povm and the scenario check reuse: one projector per member
+        projectors = []
+        original_projector = linalg.StateVector.projector
+
+        def counting_projector(self):
+            projectors.append(self)
+            return original_projector(self)
+
+        monkeypatch.setattr(linalg.StateVector, "projector", counting_projector)
+        doc = {"command": "experiment", "seed": 0, "parameters": {"p1": 0.2, "p2": 0.7, "lambda": 0.4}}
+        exit_code, _ = run_doc(tmp_path, doc)
+        assert exit_code == EXIT_OK
+        assert len(projectors) == 2
+
 
 class TestParserBuiltOnce:
     @pytest.fixture(autouse=True)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bornlab import linalg, steering
+from bornlab import fock, linalg, steering
 from bornlab.fock import (
     CoherentSpec,
     coherent_vector,
@@ -15,6 +15,7 @@ from bornlab.fock import (
 from bornlab.linalg import StateVector, embed_state
 from bornlab.rules import PhiRule, builtin_rules, prob_ensemble
 from bornlab.steering import geometric_fock_ensemble
+from bornlab.transition import tau_closed
 
 
 class TestCoherentSpec:
@@ -90,6 +91,29 @@ class TestTruncationConvergence:
     def test_requires_ascending_cutoffs(self):
         with pytest.raises(ValueError):
             truncation_convergence(0.0, 1.0, [10, 5])
+
+    @pytest.mark.parametrize(
+        "alpha,beta,cutoffs",
+        [(0.0, 2.0, [0, 1, 5, 10, 20, 40]), (2.0, -2.0, list(range(60))), (1.5 + 0.5j, -0.3j, [3, 200])],
+    )
+    def test_matches_per_cutoff_reference_with_two_amplitude_builds(self, monkeypatch, alpha, beta, cutoffs):
+        # the reference builds each truncated pair from n = 0 at every cutoff
+        exact = tau_coherent_analytic(alpha, beta)
+        reference = []
+        for n in cutoffs:
+            a, b = (fock._coherent_amplitudes(complex(z), n) for z in (alpha, beta))
+            tau = tau_closed(StateVector(a / np.linalg.norm(a)), StateVector(b / np.linalg.norm(b))).value
+            reference.append((n, abs(tau - exact)))
+        builds = []
+        original = fock._coherent_amplitudes
+
+        def counting(amplitude, n_max):
+            builds.append(n_max)
+            return original(amplitude, n_max)
+
+        monkeypatch.setattr(fock, "_coherent_amplitudes", counting)
+        assert truncation_convergence(alpha, beta, cutoffs) == reference
+        assert builds == [cutoffs[-1], cutoffs[-1]]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha,beta,name", [(40.0, 0.0, "alpha"), (0.0, 40j, "beta"), (30.0, 0.0, "alpha")])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -48,6 +49,59 @@ class TestEval:
         rule = PhiRule.tabulate(lambda p: p**3)
         grid = np.linspace(0.0, 1.0, 57)
         assert np.max(np.abs(rule.eval(grid) - grid**3)) <= 1e-5
+
+
+KNOTS = [(0.0, 0.0), (0.3, 0.5), (0.7, 0.6), (1.0, 1.0)]
+CUSTOM_VALUES = np.linspace(0.0, 1.0, 1025) ** 1.2
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def same_bits(got, want) -> bool:
+    return np.array_equal(bits(got), bits(want))
+
+
+class TestEvaluationForms:
+    """Every kind is np.power or np.interp, bit for bit, on arrays and scalars."""
+
+    POINTS = np.concatenate([np.random.default_rng(3).random(20_000), np.linspace(0.0, 1.0, 1001)])
+
+    @pytest.mark.parametrize(
+        "rule,formula",
+        [
+            (PhiRule.identity(), lambda p: p),
+            (PhiRule.power(2.0), lambda p: np.power(p, 2.0)),
+            (PhiRule.power(0.37), lambda p: np.power(p, 0.37)),
+            (
+                PhiRule.piecewise_affine(KNOTS),
+                lambda p: np.interp(p, [x for x, _ in KNOTS], [y for _, y in KNOTS]),
+            ),
+            (
+                PhiRule.custom(CUSTOM_VALUES),
+                lambda p: np.interp(p, np.linspace(0.0, 1.0, CUSTOM_VALUES.size), CUSTOM_VALUES),
+            ),
+            (PhiRule.custom([0.0, 0.2, 1.0]), lambda p: np.interp(p, [0.0, 0.5, 1.0], [0.0, 0.2, 1.0])),
+        ],
+    )
+    def test_eval_matches_its_formula(self, rule, formula):
+        assert same_bits(rule.eval(self.POINTS), formula(self.POINTS))
+        for p in self.POINTS[:200].tolist():
+            got = rule.eval(p)
+            assert type(got) is float
+            assert same_bits(got, formula(np.float64(p)))
+
+    def test_identity_is_power_one(self):
+        assert same_bits(PhiRule.identity().eval(self.POINTS), PhiRule.power(1.0).eval(self.POINTS))
+
+    @pytest.mark.parametrize("values", [CUSTOM_VALUES, [0.0, 0.2, 1.0]])
+    def test_custom_is_piecewise_through_its_grid(self, values):
+        grid = np.linspace(0.0, 1.0, len(values)).tolist()
+        custom = PhiRule.custom(values)
+        piecewise = PhiRule.piecewise_affine(zip(grid, np.asarray(values).tolist()))
+        assert same_bits(custom.eval(self.POINTS), piecewise.eval(self.POINTS))
+        assert same_bits([custom(p) for p in self.POINTS[:200]], [piecewise(p) for p in self.POINTS[:200]])
 
 
 class TestAdmissibility:
@@ -227,18 +281,27 @@ class TestSerialization:
             PhiRule.power(1.7),
             PhiRule.piecewise_affine([(0.0, 0.0), (0.5, 0.7), (1.0, 1.0)]),
             PhiRule.custom(np.linspace(0.0, 1.0, 17) ** 2),
+            PhiRule.power(3),
+            PhiRule.piecewise_affine(KNOTS),
+            PhiRule.custom(CUSTOM_VALUES),
         ],
     )
     def test_round_trip(self, rule):
-        clone = PhiRule.from_dict(rule.to_dict())
+        spec = rule.to_dict()
+        clone = PhiRule.from_dict(spec)
         grid = np.linspace(0.0, 1.0, 101)
-        assert np.allclose(clone.eval(grid), rule.eval(grid))
+        assert same_bits(clone.eval(grid), rule.eval(grid))
         assert clone.describe() == rule.describe()
+        assert clone.to_dict() == spec
+        assert PhiRule.from_dict(json.loads(json.dumps(spec))).to_dict() == spec
 
     def test_describe_names(self):
         assert PhiRule.identity().describe() == "identity"
         assert PhiRule.power(2.0).describe() == "power(2)"
         assert "sqrt" not in PhiRule.power(0.5).describe()
+        assert PhiRule.piecewise_affine(KNOTS).describe() == "piecewise_affine(4 knots)"
+        assert PhiRule.custom([0.0, 0.2, 1.0]).describe() == "custom(3 points)"
+        assert PhiRule.tabulate(lambda p: p**2).describe() == "custom(1025 points)"
 
     def test_from_dict_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

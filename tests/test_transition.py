@@ -86,11 +86,6 @@ class TestOptimized:
             assert abs(optimized.value - closed) <= 1e-6
             assert optimized.residual <= 1e-8
 
-    def test_sup_reading_is_trivially_one(self):
-        # the unit effect is always feasible, so the supremum carries no
-        # information; surfaced only for completeness
-        assert tau_optimized(PLUS, ZERO, mode="sup").value == pytest.approx(1.0, abs=1e-9)
-
     def test_dimension_cap(self):
         psi = haar_random_state(17, 0)
         phi = haar_random_state(17, 1)
