@@ -124,7 +124,8 @@ class PhiRule:
     as ``np.interp`` through nodes fixed at construction. ``admissible``
     caches the endpoint and monotonicity check at construction;
     inadmissible rules remain constructible so they can be scanned and
-    rejected.
+    rejected. Two rules are equal, and hash alike, when they have the same
+    kind and bitwise-equal parameters.
     """
 
     kind: str
@@ -148,6 +149,20 @@ class PhiRule:
         object.__setattr__(self, "_form", form)
         report = check_admissibility(self, DEFAULT_MONOTONE_GRID_STEP)
         object.__setattr__(self, "admissible", report.passed)
+
+    # the generated __eq__ and __hash__ would compare and hash the table
+    # array itself, which raises
+    def _key(self) -> tuple:
+        field = _KINDS[self.kind].field
+        return self.kind, field and np.asarray(getattr(self, field), dtype=float).tobytes()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- constructors ------------------------------------------------------
 

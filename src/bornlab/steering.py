@@ -145,7 +145,7 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
             f"ensemble member leaves the marginal's support (defect {support_defect})"
         )
     w_vecs = x.conj()
-    effects = [Effect(hermitize(np.outer(w_vec, w_vec.conj()))) for w_vec in w_vecs.T]
+    effects = [Effect.rank_one(w_vec) for w_vec in w_vecs.T]
     remainder = hermitize(np.eye(dim_a, dtype=complex) - w_vecs @ w_vecs.conj().T)
     if float(np.max(np.linalg.eigvalsh(remainder))) > 1e-10:
         effects.append(Effect(remainder))

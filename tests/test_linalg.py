@@ -119,6 +119,32 @@ def constructs(build, *args) -> bool:
     return True
 
 
+def cli_steer_counts(tmp_path, monkeypatch, members) -> dict:
+    """Run a CLI steer of the given [weight, state] members and count the
+    factorizations and eigendecompositions it makes."""
+    doc = {
+        "command": "steer",
+        "seed": 0,
+        "parameters": {"ensemble": {"members": [[w, [[z.real, z.imag] for z in s]] for w, s in members]}},
+    }
+    config = tmp_path / "steer.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    counts = dict.fromkeys(("cholesky", "eigh", "eigvalsh"), 0)
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    out = tmp_path / "steer.csv"
+    assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
+    monkeypatch.undo()
+    assert len(out.read_text(encoding="utf-8").splitlines()) > len(members)
+    return counts
+
+
 class TestSpectrumCheck:
     # From _CHOLESKY_MIN_DIM up, a shifted Cholesky decides before eigvalsh.
     # It may disagree with eigvalsh only for an eigenvalue within rounding of
@@ -174,28 +200,82 @@ class TestSpectrumCheck:
                     build(m)
 
     def test_cli_steer_at_dim_32_takes_two_eigendecompositions(self, tmp_path, monkeypatch):
-        # purify's eigh and hjw_povm's remainder decision; every effect and
-        # conditional state is checked by Cholesky
-        members = [
-            [1 / 64, [[z.real, z.imag] for z in haar_random_state(32, seed).amplitudes]]
-            for seed in range(64)
-        ]
-        doc = {"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": members}}}
-        config = tmp_path / "steer.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
+        # purify's eigh and hjw_povm's remainder decision; the barycenter,
+        # the purified marginal and the 64 conditional states are checked by
+        # Cholesky, and the rank-one member effects take no factorization
+        members = [(1 / 64, haar_random_state(32, seed).amplitudes) for seed in range(64)]
+        counts = cli_steer_counts(tmp_path, monkeypatch, members)
+        assert counts == {"cholesky": 66, "eigh": 1, "eigvalsh": 1}
 
-            def counting(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counting)
-        out = tmp_path / "steer.csv"
-        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK
-        assert calls == ["eigh", "eigvalsh"]
-        assert len(out.read_text(encoding="utf-8").splitlines()) > 64
+class TestRankOneEffect:
+    # The trace of hermitize(v v^dagger) is |v|^2 up to rounding, and so is
+    # its top eigenvalue; the two differ by about (d + 2) eps at unit norm,
+    # and eigvalsh adds its own rounding (measured: at most 5 eps). Every
+    # vector placed here lies outside that band, so Effect.rank_one, the
+    # general constructor and eigvalsh must agree.
+    @pytest.mark.parametrize("dim", [2, 8, 16, 32, 64])
+    def test_agrees_with_eigvalsh_outside_the_rounding_band(self, dim):
+        band = (dim + 2 + 5) * np.finfo(float).eps
+        bound = 1.0 + VALIDATION_ATOL
+        for seed in range(5):
+            unit = haar_random_state(dim, seed, stream=9).amplitudes
+            for exponent in range(6, 14):
+                for offset in (10.0**-exponent, -(10.0**-exponent)):
+                    v = unit * np.sqrt(bound + offset)
+                    m = linalg.hermitize(np.outer(v, v.conj()))
+                    eigs = np.linalg.eigvalsh(m)
+                    assert abs(eigs[-1] - bound) > band
+                    assert abs(float(np.trace(m).real) - bound) > band
+                    accepted = eigs[0] >= -VALIDATION_ATOL and eigs[-1] <= bound
+                    assert accepted == (offset < 0)
+                    assert constructs(Effect.rank_one, v) == accepted
+                    assert constructs(Effect, m) == accepted
+
+    @pytest.mark.parametrize("dim", [1, 3, 32])
+    def test_stores_the_hermitized_outer_product(self, dim):
+        v = haar_random_state(dim, 4).amplitudes * 0.9
+        effect = Effect.rank_one(v)
+        want = linalg.hermitize(np.outer(v, v.conj()))
+        assert type(effect) is Effect and effect.dim == dim
+        assert effect.matrix.dtype == want.dtype
+        assert effect.matrix.tobytes() == want.tobytes()
+        assert not effect.matrix.flags.writeable
+        assert Effect.rank_one(list(v)).matrix.tobytes() == want.tobytes()
+        assert not Effect.rank_one(np.zeros(dim)).matrix.any()
+
+    def test_rejection_messages_are_the_general_constructors(self):
+        for dim in (2, 32):
+            v = haar_random_state(dim, 1).amplitudes * np.sqrt(1.0 + 2e-9)
+            m = linalg.hermitize(np.outer(v, v.conj()))
+            with pytest.raises(ValueError) as general:
+                Effect(m)
+            with pytest.raises(ValueError) as rank_one:
+                Effect.rank_one(v)
+            assert str(rank_one.value) == str(general.value)
+            assert str(general.value).startswith("effect spectrum [")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0), 1e200])
+    def test_non_finite_vectors_raise_without_a_warning(self, bad):
+        for dim in (2, 32):
+            v = np.full(dim, 0.1, dtype=complex)
+            v[dim - 1] = bad
+            with pytest.raises(ValueError, match="hermiticity"):
+                Effect.rank_one(v)
+
+    def test_rejects_a_vector_that_is_not_one_dimensional(self):
+        for bad in ([], [[0.5, 0.0]], 0.5):
+            with pytest.raises(ValueError, match="1-D"):
+                Effect.rank_one(bad)
+
+    def test_cli_steer_of_a_rank_deficient_ensemble_at_dim_32(self, tmp_path, monkeypatch):
+        # 2 + 48 states and the remainder effect's two factorizations (its
+        # branch has probability 0 and no state); no member effect factorizes
+        basis, _ = np.linalg.qr(make_rng(3).standard_normal((32, 16)) + 0j)
+        members = [(1 / 48, basis @ haar_random_state(16, seed).amplitudes) for seed in range(48)]
+        counts = cli_steer_counts(tmp_path, monkeypatch, members)
+        assert counts == {"cholesky": 52, "eigh": 1, "eigvalsh": 1}
 
 
 class TestTensor:

@@ -294,6 +294,7 @@ class TestSerialization:
         assert clone.describe() == rule.describe()
         assert clone.to_dict() == spec
         assert PhiRule.from_dict(json.loads(json.dumps(spec))).to_dict() == spec
+        assert clone == rule and hash(clone) == hash(rule)
 
     def test_describe_names(self):
         assert PhiRule.identity().describe() == "identity"
@@ -306,6 +307,47 @@ class TestSerialization:
     def test_from_dict_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             PhiRule.from_dict({"kind": "cubic"})
+
+
+class TestEquality:
+    # one rule of every kind, and the same rule built from other inputs
+    SAME = [
+        (PhiRule.identity(), PhiRule(kind="identity")),
+        (PhiRule.power(2), PhiRule.power(2.0)),
+        (PhiRule.piecewise_affine(KNOTS), PhiRule.piecewise_affine([list(k) for k in KNOTS])),
+        (PhiRule.custom([0, 0.5, 1]), PhiRule.custom(np.array([0.0, 0.5, 1.0]))),
+    ]
+
+    @pytest.mark.parametrize("rule,twin", SAME)
+    def test_same_kind_and_parameters_are_equal_and_hash_alike(self, rule, twin):
+        assert rule is not twin
+        assert rule == twin and not rule != twin
+        assert hash(rule) == hash(twin)
+        assert len({rule, twin}) == 1
+
+    def test_every_kind_is_hashable(self):
+        rules = [rule for rule, _ in self.SAME] + [twin for _, twin in self.SAME]
+        assert len(set(rules)) == len(self.SAME)
+        assert {rule.kind for rule in set(rules)} == {"identity", "power", "piecewise_affine", "custom"}
+
+    @pytest.mark.parametrize(
+        "rule,other",
+        [
+            (PhiRule.power(2.0), PhiRule.power(2.0000000000000004)),
+            (PhiRule.custom([0, 0.5, 1]), PhiRule.custom([0, 0.5000000000000001, 1])),
+            (PhiRule.custom([0, 0.5, 1]), PhiRule.custom([0, 0.25, 0.5, 0.75, 1])),
+            (PhiRule.piecewise_affine([(0, 0), (1, 1)]), PhiRule.piecewise_affine([(0, -0.0), (1, 1)])),
+            # the same function, but a different kind
+            (PhiRule.identity(), PhiRule.power(1.0)),
+            (PhiRule.custom([0, 0.5, 1]), PhiRule.piecewise_affine([(0, 0), (0.5, 0.5), (1, 1)])),
+        ],
+    )
+    def test_different_bits_or_kind_are_unequal(self, rule, other):
+        assert rule != other and not rule == other
+
+    def test_other_types_are_unequal(self):
+        assert PhiRule.identity() != "identity"
+        assert PhiRule.custom([0, 1]) != np.array([0.0, 1.0]).tobytes()
 
 
 def test_builtin_rules_cover_acceptance_families():
