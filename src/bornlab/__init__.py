@@ -2,11 +2,12 @@
 probability-rule rigidity in finite-dimensional and truncated-Fock quantum
 models.
 
-The package computes the transition probability between pure states by two
-independent routes, realizes ensemble steering through purification, measures
-the Jensen gap that a distorted probability rule opens between two steering
-choices of the same marginal state, and certifies numerically that only the
-undistorted (Born) rule closes that gap everywhere.
+The package computes the transition probability between pure states by a
+closed form and by an optimizer over effects, realizes ensemble steering
+through purification, measures the Jensen gap that a distorted probability
+rule opens between two steering choices of the same marginal state, and
+certifies numerically that only the undistorted (Born) rule closes that gap
+everywhere.
 """
 
 __version__ = "0.1.0"
@@ -33,7 +34,6 @@ from .steering import (
     verify_marginal_invariance,
 )
 from .transition import (
-    OptimizerConfig,
     TransitionResult,
     complementarity_check,
     tau_closed,
@@ -66,7 +66,6 @@ __all__ = [
     "Effect",
     "Ensemble",
     "ExperimentRecord",
-    "OptimizerConfig",
     "PhiRule",
     "Povm",
     "RigidityReport",

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .rigidity import certify_identity
 from .rules import PhiRule
 from .signaling import build_two_level_scenario, detectability, jensen_gap, run_steering_experiment
 from .steering import Ensemble, barycenter, hjw_povm, steer
-from .transition import ConvergenceError, OptimizerConfig, tau_closed, tau_optimized
+from .transition import MAX_DIM, MAX_ITERS, ConvergenceError, tau_closed, tau_optimized
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,16 +156,15 @@ def _parse_tau(params: dict, errors: list[str]) -> dict:
     psi = _parse_state(params.get("psi"), "psi", errors)
     phi = _parse_state(params.get("phi"), "phi", errors)
     max_iters = _number(
-        params.get("max_iters", OptimizerConfig.max_iters), "max_iters", errors,
+        params.get("max_iters", MAX_ITERS), "max_iters", errors,
         "must be a positive integer", lambda v: v >= 1, integer=True,
     )
-    optimizer = OptimizerConfig(max_iters=max_iters)
     if psi is not None and phi is not None:
         if psi.dim != phi.dim:
             errors.append("psi/phi: amplitude lists differ in length")
-        elif psi.dim > optimizer.max_dim:
-            errors.append(f"psi/phi: {psi.dim} amplitudes exceed the optimizer's maximum dimension {optimizer.max_dim}")
-    return {"psi": psi, "phi": phi, "optimizer": optimizer}
+        elif psi.dim > MAX_DIM:
+            errors.append(f"psi/phi: {psi.dim} amplitudes exceed the optimizer's maximum dimension {MAX_DIM}")
+    return {"psi": psi, "phi": phi, "max_iters": max_iters}
 
 
 def _parse_two_level(params: dict, errors: list[str]) -> dict:
@@ -201,15 +200,15 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
             continue
         weight = _number(entry[0], f"ensemble.members[{i}].weight", errors, "must be nonnegative", lambda v: v >= 0)
         members.append((weight, _parse_state(entry[1], f"ensemble.members[{i}].state", errors)))
-    tail = spec.get("tail_weight", 0.0)
-    kind = spec.get("kind", "finite" if tail == 0.0 else "truncated_countable")
-    if kind not in ("finite", "truncated_countable"):
+    if spec.get("kind", "finite") not in ("finite", "truncated_countable"):
         errors.append("ensemble.kind: expected finite or truncated_countable")
-    elif kind == "finite" and tail != 0.0:
-        errors.append("ensemble.kind: finite ensembles cannot declare a tail weight")
-    # purify needs a unit-trace barycenter, so a steered ensemble has no
-    # tail; declared tails belong to prob_ensemble and sigma_affinity
-    _number(tail, "ensemble.tail_weight", errors, "must be 0: steer purifies a unit-trace barycenter", lambda v: v == 0)
+    # purify needs a unit-trace barycenter, so a steered ensemble of either
+    # kind has no tail; declared tails belong to prob_ensemble and
+    # sigma_affinity
+    _number(
+        spec.get("tail_weight", 0.0), "ensemble.tail_weight", errors,
+        "must be 0: steer purifies a unit-trace barycenter", lambda v: v == 0,
+    )
     if len(errors) > before:
         return {}
     try:
@@ -377,9 +376,9 @@ def _write_json(path: str, metadata: dict, payload: dict) -> None:
 _Result = tuple[str, list[str], list[list], "dict | None"]
 
 
-def _run_tau(rule, seed, psi, phi, optimizer) -> _Result:
+def _run_tau(rule, seed, psi, phi, max_iters) -> _Result:
     closed = tau_closed(psi, phi)
-    optimized = tau_optimized(psi, phi, optimizer)
+    optimized = tau_optimized(psi, phi, max_iters)
     columns = ["method", "value", "iterations", "residual"]
     rows = [
         ["closed_form", closed.value, closed.iterations, closed.residual],
@@ -412,23 +411,13 @@ def _run_experiment(rule, seed, p1, p2, lam) -> _Result:
 def _run_detect(rule, seed, p1, p2, lam, n_samples, alpha) -> _Result:
     scenario = build_two_level_scenario(p1, p2, lam)
     report = detectability(rule, scenario, n_samples, seed, alpha)
-    payload = {
-        "n_samples": report.n_samples,
-        "alpha": report.alpha,
-        "prob_split": report.prob_split,
-        "prob_direct": report.prob_direct,
-        "freq_split": report.freq_split,
-        "freq_direct": report.freq_direct,
-        "z_statistic": report.z_statistic,
-        "p_value": report.p_value,
-        "rejected": report.rejected,
-        "insufficient_sample": report.insufficient_sample,
-        "sample_size_estimate": report.sample_size_estimate,
-    }
+    # the seed is already in the metadata
+    payload = asdict(report)
+    del payload["seed"]
     columns = list(payload)
     rows = [[payload[c] for c in columns]]
     summary = f"p_value={report.p_value:.6g} rejected={str(report.rejected).lower()}"
-    return summary, columns, rows, {"detectability": _jsonable(payload)}
+    return summary, columns, rows, {"detectability": payload}
 
 
 def _run_steer(rule, seed, ensemble) -> _Result:
@@ -467,7 +456,7 @@ def _run_scan(rule, seed, grid_step, gap_tolerance) -> _Result:
         "" if cert.witness is None else _fmt_witness(cert.witness),
     ]]
     summary = f"max_gap={report.max_gap:.6g} certified={str(cert.certified).lower()}"
-    return summary, columns, rows, {"rigidity": report.to_dict(), "certification": cert.to_dict()}
+    return summary, columns, rows, {"rigidity": asdict(report), "certification": asdict(cert)}
 
 
 def _fmt_witness(witness) -> str:

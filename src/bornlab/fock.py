@@ -19,8 +19,6 @@ from .rules import PhiRule
 from .steering import check_weight_sum
 from .transition import TAU_RANGE_ATOL, tau_closed
 
-DEFAULT_REFERENCE_PADDING = 50
-
 
 @dataclass(frozen=True)
 class CoherentSpec:
@@ -110,22 +108,23 @@ def sigma_affinity_convergence(
     r: float,
     phi: StateVector,
     n_list: list[int],
-    reference_padding: int = DEFAULT_REFERENCE_PADDING,
 ) -> list[tuple[int, float, float]]:
     """Convergence of the ensemble probability under deepening geometric
     number-state mixtures.
 
     For each cutoff N the ensemble probability of ``phi`` under the
-    truncated thermal mixture {((1-r) r^n, |n>)}, n <= N, is compared to a
-    reference computed ``reference_padding`` levels deeper; the deviation
-    is guaranteed below the discarded tail weight r^(N+1) because member
-    probabilities never exceed 1. Returns (N, deviation, tail_bound)
+    truncated thermal mixture {((1-r) r^n, |n>)}, n <= N, is compared to
+    its value under the whole countable mixture. With D = ``phi.dim``,
+    every level n >= D has tau = 0, so that value is exactly
+    sum_{n<D} (1-r) r^n Phi(|phi_n|^2) + Phi(0) r^D. The deviation is
+    guaranteed below the discarded tail weight r^(N+1) because member
+    probabilities lie in [0, 1]. Returns (N, deviation, tail_bound)
     triples.
 
-    Time and memory are O(N) at N = the deepest cutoff plus the padding,
-    plus one prefix sum per listed cutoff: a number-state member's
-    transition probability is tau(|n>, phi) = |phi_n|^2, so no member
-    state is built. The values are those of ``prob_ensemble`` over
+    Time and memory are O(D), plus one prefix sum per listed cutoff: a
+    number-state member's transition probability is tau(|n>, phi) =
+    |phi_n|^2, so no member state is built. The partial sums, and the
+    reference's sum over n < D, are those of ``prob_ensemble`` over
     ``geometric_fock_ensemble`` bit for bit, with its checks and messages:
     the weights plus tail sum to 1, and each tau lies in [0, 1] before it
     is clamped. The CLI caps the cutoffs and the Fock index of the target
@@ -139,13 +138,12 @@ def sigma_affinity_convergence(
         raise ValueError("cutoffs must be nonnegative")
     if phi.dim < max(n_list) + 1:
         raise ValueError(f"target state lives in dimension {phi.dim}, below cutoff {max(n_list)}")
-    n_ref = max(n_list) + reference_padding
+    dim = phi.dim
     # the member weights as geometric_fock_ensemble writes them and
     # Ensemble stores them
-    weights = [float((1.0 - r) * r**n) for n in range(n_ref + 1)]
-    check_weight_sum(sum(weights) + r ** (n_ref + 1))
-    amps = np.zeros(n_ref + 1, dtype=complex)
-    amps[: min(phi.dim, n_ref + 1)] = phi.amplitudes[: n_ref + 1]
+    weights = [float((1.0 - r) * r**n) for n in range(dim)]
+    check_weight_sum(sum(weights) + r**dim)
+    amps = phi.amplitudes
     # |phi_n| as abs() of a complex scalar gives it, squared by pow() as the
     # scalar ** 2 of tau_closed does: an array's ** 2 multiplies, which
     # differs from pow() in the last bit
@@ -155,9 +153,10 @@ def sigma_affinity_convergence(
         raise ValueError(f"transition probability {float(tau[outside[0]])} outside [0, 1]")
     # the clamped tau is Phi's argument, in [0, 1] as phi_eval requires
     terms = [w * p for w, p in zip(weights, rule.eval(np.clip(tau, 0.0, 1.0)).tolist())]
+    # the levels n >= D, of total weight r^D, each contribute Phi(0)
+    reference = sum(terms) + rule.eval(0.0) * r**dim
     # the builtin sum of a prefix adds the same floats in the same order as
     # prob_ensemble; a running total would differ wherever sum compensates
-    reference = sum(terms)
     out = []
     for n in n_list:
         n = int(n)

@@ -2,10 +2,11 @@
 systems, purification, and seeded random sampling.
 
 All container types are immutable after construction and validate their
-defining invariants at construction time. Tolerances are global:
-``VALIDATION_ATOL`` for constructor checks, ``RECONSTRUCTION_ATOL`` for
-round-trip identities (eigensolver noise accumulates a few ulp per op,
-these leave headroom).
+defining invariants at construction time. They compare and hash by
+identity: the generated ``==`` and ``hash`` would compare and hash their
+arrays, which raises. Tolerances are global: ``VALIDATION_ATOL`` for
+constructor checks, ``RECONSTRUCTION_ATOL`` for round-trip identities
+(eigensolver noise accumulates a few ulp per op, these leave headroom).
 
 ``DensityMatrix`` and ``Effect`` check their spectrum against
 ``VALIDATION_ATOL`` once. From dimension ``_CHOLESKY_MIN_DIM`` up, a
@@ -92,7 +93,7 @@ def _cholesky_accepts(h: np.ndarray, *, upper: bool) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state: unit-norm complex amplitude vector."""
 
@@ -124,7 +125,7 @@ class StateVector:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Mixed state: Hermitian, positive semidefinite, unit trace.
 
@@ -163,7 +164,7 @@ class DensityMatrix:
         return DensityMatrix(psi.projector())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Effect:
     """Measurement element: Hermitian with spectrum in [0, 1]."""
 
@@ -221,7 +222,7 @@ class Effect:
         return effect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Complete measurement: effects of equal dimension summing to the identity."""
 
@@ -253,7 +254,7 @@ class Povm:
         return Povm((Effect.identity(dim),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteState:
     """Pure state of a composite AB system, stored as the dimA x dimB
     coefficient matrix of the tensor-product expansion."""

@@ -39,19 +39,6 @@ class RigidityReport:
     convexity_intervals: tuple[tuple[float, float, str], ...]
     affine_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "grid_step": self.grid_step,
-            "lambdas": list(self.lambdas),
-            "max_gap": self.max_gap,
-            "max_gap_witness": list(self.max_gap_witness),
-            "max_identity_deviation": self.max_identity_deviation,
-            "max_identity_deviation_at": self.max_identity_deviation_at,
-            "convexity_intervals": [list(iv) for iv in self.convexity_intervals],
-            "affine_residual": self.affine_residual,
-        }
-
 
 @dataclass(frozen=True)
 class CertificationResult:
@@ -70,21 +57,6 @@ class CertificationResult:
     deviation_bound: float
     derivation: str
     report: RigidityReport
-
-    def to_dict(self) -> dict:
-        witness = self.witness
-        if isinstance(witness, tuple):
-            witness = list(witness)
-        return {
-            "certified": self.certified,
-            "witness": witness,
-            "max_gap": self.max_gap,
-            "max_identity_deviation": self.max_identity_deviation,
-            "gap_tolerance": self.gap_tolerance,
-            "deviation_bound": self.deviation_bound,
-            "derivation": self.derivation,
-            "report": self.report.to_dict(),
-        }
 
 
 def _convexity_intervals(grid: np.ndarray, values: np.ndarray) -> tuple[tuple[float, float, str], ...]:

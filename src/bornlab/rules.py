@@ -20,7 +20,7 @@ from .steering import Ensemble
 from .transition import tau_closed
 
 ENDPOINT_ATOL = 1e-12
-DEFAULT_MONOTONE_GRID_STEP = 1e-3
+MONOTONE_GRID_STEP = 1e-3
 DEFAULT_TABLE_POINTS = 1025
 
 
@@ -147,7 +147,7 @@ class PhiRule:
         if kind.field:
             object.__setattr__(self, kind.field, value)
         object.__setattr__(self, "_form", form)
-        report = check_admissibility(self, DEFAULT_MONOTONE_GRID_STEP)
+        report = check_admissibility(self)
         object.__setattr__(self, "admissible", report.passed)
 
     # the generated __eq__ and __hash__ would compare and hash the table
@@ -215,15 +215,13 @@ class PhiRule:
         return PhiRule(kind, **({entry.field: spec[entry.key]} if entry.key else {}))
 
 
-def check_admissibility(rule: PhiRule, grid_step: float = DEFAULT_MONOTONE_GRID_STEP) -> AdmissibilityReport:
+def check_admissibility(rule: PhiRule) -> AdmissibilityReport:
     """Verify endpoint conditions and monotonicity on a finite grid.
 
     The grid check is a guardrail, not a proof; all built-in families are
     smooth enough that a 1e-3 grid resolves any genuine violation.
     """
-    if not 0.0 < grid_step <= 0.1:
-        raise ValueError("grid_step must lie in (0, 0.1]")
-    grid = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
+    grid = np.linspace(0.0, 1.0, int(round(1.0 / MONOTONE_GRID_STEP)) + 1)
     values = np.asarray(rule.eval(grid), dtype=float)
     boundary_ok = abs(values[0]) <= ENDPOINT_ATOL and abs(values[-1] - 1.0) <= ENDPOINT_ATOL
     drops = np.nonzero(np.diff(values) < -ENDPOINT_ATOL)[0]

@@ -1,12 +1,14 @@
-"""Transition probability between pure states, by closed form and by an
-independent constrained-optimization route.
+"""Transition probability between pure states, by closed form and by
+constrained optimization over the effects that accept the target.
 
 The operational quantity is the acceptance probability of the extremal
 effect that accepts the target state with certainty. Any effect E with
 E|phi> = |phi> and 0 <= E <= I decomposes as |phi><phi| (+) F on the
 orthogonal complement; the minimal one (F = 0) is the rank-1 projector and
-gives |<phi|psi>|^2. The optimizer extremizes over F numerically and serves
-as a cross-check that never consults the closed form.
+gives |<phi|psi>|^2. The optimizer takes the accepted part |<phi|psi>|^2
+from that closed form and minimizes only over F, so it checks the
+complement block and the constraints of the effect it ends on, not the
+closed form itself (ROADMAP.md, open item 1, plans an independent route).
 """
 
 from __future__ import annotations
@@ -16,12 +18,20 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import DensityMatrix, Effect, StateVector, hermitize
+from .linalg import DensityMatrix, Effect, StateVector, fidelity_to_pure, hermitize
 
 TauMethod = Literal["closed_form", "optimized"]
 
 # a transition probability may leave [0, 1] by this much before it is clamped
 TAU_RANGE_ATOL = 1e-9
+
+# the optimizer's guaranteed agreement with the closed form; it stops once
+# the projected step moves less than a thousandth of it, a wide margin
+TOLERANCE = 1e-6
+# the largest dimension the optimizer accepts; the CLI rejects larger tau
+# configs with exit 2
+MAX_DIM = 16
+MAX_ITERS = 5000
 
 
 @dataclass(frozen=True)
@@ -42,20 +52,6 @@ class TransitionResult:
         if not -TAU_RANGE_ATOL <= self.value <= 1.0 + TAU_RANGE_ATOL:
             raise ValueError(f"transition probability {self.value} outside [0, 1]")
         object.__setattr__(self, "value", float(min(1.0, max(0.0, self.value))))
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Projected-gradient settings for the optimization route.
-
-    ``tolerance`` is the guaranteed agreement with the closed form; the
-    iteration stops once the projected step moves less than a thousandth of
-    it, leaving a wide margin.
-    """
-
-    max_iters: int = 5000
-    tolerance: float = 1e-6
-    max_dim: int = 16
 
 
 class ConvergenceError(RuntimeError):
@@ -89,8 +85,7 @@ def tau_mixed(rho: DensityMatrix, phi: StateVector) -> float:
     """Affine extension to mixed inputs: trace(rho |phi><phi|)."""
     if rho.dim != phi.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {phi.dim}")
-    val = float(np.real(phi.amplitudes.conj() @ rho.matrix @ phi.amplitudes))
-    return min(1.0, max(0.0, val))
+    return min(1.0, max(0.0, fidelity_to_pure(rho, phi)))
 
 
 def _complement_basis(phi: StateVector) -> np.ndarray:
@@ -111,7 +106,7 @@ def _clip_spectrum(matrix: np.ndarray) -> np.ndarray:
 def tau_optimized(
     psi: StateVector,
     phi: StateVector,
-    config: OptimizerConfig | None = None,
+    max_iters: int = MAX_ITERS,
 ) -> TransitionResult:
     """Transition probability via constrained numerical minimization.
 
@@ -121,12 +116,11 @@ def tau_optimized(
     effect, whose value is the transition probability.
 
     Raises ConvergenceError (carrying the best value and residual) if the
-    step criterion is not met within ``config.max_iters``.
+    step criterion is not met within ``max_iters``.
     """
     _check_dims(psi, phi)
-    cfg = config or OptimizerConfig()
-    if psi.dim > cfg.max_dim:
-        raise ValueError(f"dimension {psi.dim} exceeds optimizer maximum {cfg.max_dim}")
+    if psi.dim > MAX_DIM:
+        raise ValueError(f"dimension {psi.dim} exceeds optimizer maximum {MAX_DIM}")
 
     basis = _complement_basis(phi)  # d x (d-1)
     accepted = abs(np.vdot(phi.amplitudes, psi.amplitudes)) ** 2
@@ -144,10 +138,10 @@ def tau_optimized(
     obj = float(np.real(np.vdot(psi_c, f @ psi_c)))
     step = 1.0 / weight
 
-    step_tol = cfg.tolerance * 1e-3
+    step_tol = TOLERANCE * 1e-3
     iterations = 0
     converged = False
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         trial = _clip_spectrum(f - step * grad)
         obj_trial = float(np.real(np.vdot(psi_c, trial @ psi_c)))
         move = float(np.linalg.norm(trial - f))

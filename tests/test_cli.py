@@ -233,7 +233,10 @@ class TestExitCodes:
             },
         }
         assert main(["--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
-        assert "kind" in capsys.readouterr().err
+        # a finite-tagged ensemble with a tail is one fault, reported once
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 1
+        assert err.startswith("config error: ensemble.tail_weight: must be 0")
 
     def test_numerical_failure_exits_three_with_artifact(self, tmp_path, capsys):
         inv = 2**-0.5
@@ -403,9 +406,9 @@ class TestParseOnce:
         # and a default is filled in only for a field that is absent
         params = {"psi": [1.0, 0.0], "phi": [[0.6, 0.0], [0.0, 0.8]], "max_iters": 7}
         config = validate(json.dumps({"command": "tau", "seed": 0, "parameters": params}))
-        assert sorted(config.args) == ["optimizer", "phi", "psi"]
+        assert sorted(config.args) == ["max_iters", "phi", "psi"]
         assert config.args["phi"].amplitudes.tolist() == [0.6 + 0j, 0.8j]
-        assert config.args["optimizer"].max_iters == 7
+        assert config.args["max_iters"] == 7
         config = validate(json.dumps({"command": "detect", "seed": 0, "parameters": {"p1": 0, "p2": 1, "lambda": 0.5, "n_samples": 9}}))
         assert config.args == {"p1": 0, "p2": 1, "lam": 0.5, "n_samples": 9, "alpha": 0.05}
         assert [type(config.args[k]) for k in ("p1", "p2", "lam")] == [int, int, float]

@@ -12,8 +12,8 @@ from bornlab.fock import (
     tau_coherent_analytic,
     truncation_convergence,
 )
-from bornlab.linalg import StateVector, embed_state
-from bornlab.rules import PhiRule, builtin_rules, prob_ensemble
+from bornlab.linalg import StateVector
+from bornlab.rules import PhiRule, builtin_rules, phi_eval, prob_ensemble
 from bornlab.steering import geometric_fock_ensemble
 from bornlab.transition import tau_closed
 
@@ -144,12 +144,22 @@ class TestSigmaAffinityConvergence:
             value = prob_ensemble(PhiRule.identity(), ensemble, StateVector.basis(41, 0)).value
             assert value == pytest.approx(1.0 - r, abs=1e-12)
 
-    def test_self_comparison_with_zero_padding_vanishes(self):
-        phi = StateVector.basis(16, 0)
-        triples = sigma_affinity_convergence(
-            PhiRule.power(2.0), 0.5, phi, [15], reference_padding=0
-        )
-        assert triples[0][1] <= 1e-14
+    def test_reference_is_the_whole_countable_mixture(self):
+        # tau_n = 1/200 for n < 200: the cutoff-5 sum is (1 - r^6)/200 and
+        # the whole mixture gives (1 - r^200)/200
+        r = 0.95
+        phi = StateVector(np.ones(200, dtype=complex) / math.sqrt(200.0))
+        [(n, deviation, tail)] = sigma_affinity_convergence(PhiRule.identity(), r, phi, [5])
+        assert (n, tail) == (5, r**6)
+        assert deviation == pytest.approx((r**6 - r**200) / 200, rel=0, abs=1e-15)
+
+    def test_reference_counts_phi_of_zero_on_every_deeper_level(self):
+        # Phi(0) = 0.2: the vacuum target gives (1 - r) + 0.2 r in the limit,
+        # and cutoff N misses 0.2 r^(N+1) of it
+        r = 0.95
+        rule = PhiRule.custom([0.2, 1.0])
+        for n, deviation, tail in sigma_affinity_convergence(rule, r, StateVector.basis(9, 0), [0, 3, 8]):
+            assert deviation == pytest.approx(0.2 * tail, rel=0, abs=1e-15)
 
     def test_all_builtin_rules_respect_tail_bound(self):
         phi = StateVector(np.ones(13, dtype=complex) / math.sqrt(13.0))
@@ -166,15 +176,15 @@ class TestSigmaAffinityConvergence:
             sigma_affinity_convergence(PhiRule.identity(), 1.2, StateVector.basis(11, 0), [5])
 
 
-def member_route(rule, r, phi, n_list, reference_padding=50):
+def member_route(rule, r, phi, n_list):
     """sigma_affinity_convergence by the definition: one basis-state ensemble
-    per cutoff, every member scored by prob_ensemble."""
-    n_ref = max(n_list) + reference_padding
-    dim = max(phi.dim, n_ref + 1)
-    target = embed_state(phi, dim)
-    reference = prob_ensemble(rule, geometric_fock_ensemble(r, n_ref, dim), target).value
+    per cutoff, every member scored by prob_ensemble. The reference is the
+    whole countable mixture: the ensemble of the D = phi.dim levels that
+    phi reaches, plus Phi(0) for the weight r^D of the levels from D on."""
+    dim = phi.dim
+    reference = prob_ensemble(rule, geometric_fock_ensemble(r, dim - 1), phi).value + phi_eval(rule, 0.0) * r**dim
     return [
-        (n, abs(prob_ensemble(rule, geometric_fock_ensemble(r, n, dim), target).value - reference), r ** (n + 1))
+        (n, abs(prob_ensemble(rule, geometric_fock_ensemble(r, n, dim), phi).value - reference), r ** (n + 1))
         for n in n_list
     ]
 
@@ -203,20 +213,20 @@ class TestSigmaAffinityRoute:
 
     @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
     @pytest.mark.parametrize(
-        "n_list,dim,padding",
+        "n_list,dim",
         [
-            ([0], 1, 50),  # cutoff 0, target far shorter than n_ref + 1
-            ([7], 8, 0),  # one cutoff, no padding: the reference is the cutoff
-            ([0, 3, 9, 20], 21, 50),
-            ([2, 5], 90, 50),  # target longer than n_ref + 1
-            ([1, 4, 30], 40, 7),
+            ([0], 1),  # cutoff 0 on a one-level target
+            ([7], 8),  # the deepest cutoff holds every level of the target
+            ([0, 3, 9, 20], 21),
+            ([2, 5], 90),  # target far longer than the deepest cutoff
+            ([1, 4, 30], 40),
         ],
     )
-    def test_triples_equal_the_member_route(self, rule, n_list, dim, padding):
-        rng = np.random.default_rng([dim, padding, *n_list])
+    def test_triples_equal_the_member_route(self, rule, n_list, dim):
+        rng = np.random.default_rng([dim, *n_list])
         for phi in (random_target(rng, dim), random_target(rng, dim, complex_entries=False)):
-            got = sigma_affinity_convergence(rule, 0.73, phi, n_list, padding)
-            assert got == member_route(rule, 0.73, phi, n_list, padding)
+            got = sigma_affinity_convergence(rule, 0.73, phi, n_list)
+            assert got == member_route(rule, 0.73, phi, n_list)
             assert [tuple(map(type, t)) for t in got] == [(int, float, float)] * len(n_list)
 
     @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
@@ -235,8 +245,7 @@ class TestSigmaAffinityRoute:
             r = float(rng.uniform(0.05, 0.95))
             n_list = sorted({int(n) for n in rng.integers(0, 60, int(rng.integers(1, 7)))})
             phi = random_target(rng, int(rng.integers(max(n_list) + 1, max(n_list) + 130)), case % 4 != 0)
-            padding = int(rng.choice([0, 1, 13, 50]))
-            assert sigma_affinity_convergence(rule, r, phi, n_list, padding) == member_route(rule, r, phi, n_list, padding)
+            assert sigma_affinity_convergence(rule, r, phi, n_list) == member_route(rule, r, phi, n_list)
 
     def test_moduli_that_pow_and_multiplication_square_differently(self):
         # tau_closed squares |<phi|n>| with pow(); multiplying the modulus by
@@ -247,7 +256,7 @@ class TestSigmaAffinityRoute:
         for h in split:
             phi = StateVector(np.array([math.sqrt(1.0 - h * h), h], dtype=complex))
             for rule in (PhiRule.identity(), PhiRule.power(2.0)):
-                assert sigma_affinity_convergence(rule, 0.5, phi, [0], 1) == member_route(rule, 0.5, phi, [0], 1)
+                assert sigma_affinity_convergence(rule, 0.5, phi, [0]) == member_route(rule, 0.5, phi, [0])
 
     def test_tau_past_one_raises_the_member_route_message(self):
         # within the state's norm tolerance, yet |phi_0|^2 = 1 + 1.8e-9
@@ -261,9 +270,10 @@ class TestSigmaAffinityRoute:
 
     @pytest.mark.parametrize("failing", ["reference", "cutoff"])
     def test_weight_sum_is_checked_for_the_reference_and_each_cutoff(self, monkeypatch, failing):
-        # find a ratio whose checked total (the reference's at n_ref = 53,
-        # or cutoff 3's) misses 1 by more than the other does, and set the
-        # tolerance between the two, so that only the checked one fails
+        # find a ratio whose checked total (the reference's, over the 54
+        # levels of the target, or cutoff 3's) misses 1 by more than the
+        # other does, and set the tolerance between the two, so that only
+        # the checked one fails
         def miss(r, n):
             return abs(sum(float((1.0 - r) * r**k) for k in range(n + 1)) + r ** (n + 1) - 1.0)
 
@@ -271,7 +281,7 @@ class TestSigmaAffinityRoute:
         rng = np.random.default_rng(5)
         r = next(r for r in rng.uniform(0.05, 0.95, 500) if miss(r, checked) > miss(r, other))
         monkeypatch.setattr(steering, "WEIGHT_SUM_ATOL", (miss(r, checked) + miss(r, other)) / 2)
-        phi = StateVector.basis(4, 1)
+        phi = StateVector.basis(54, 1)
         with pytest.raises(ValueError, match="weights plus tail sum to") as member:
             member_route(PhiRule.identity(), r, phi, [3])
         with pytest.raises(ValueError) as moduli:
@@ -279,7 +289,7 @@ class TestSigmaAffinityRoute:
         assert str(moduli.value) == str(member.value)
 
     def test_memory_is_linear_in_the_cutoff(self):
-        # the member route holds ~(N + 51)^2 complex numbers, ~1.6 GB here
+        # the member route holds ~(N + 1)^2 complex numbers, ~1.6 GB here
         n = 10**4
         phi = StateVector.basis(n + 1, 3)
         tracemalloc.start()

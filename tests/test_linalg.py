@@ -369,6 +369,29 @@ class TestHaarSampling:
         assert abs(samples.mean() - 1.0 / dim) <= 3.0 * se
 
 
+VALUE_TYPES = {
+    "StateVector": lambda: StateVector([1, 0]),
+    "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
+    "Effect": lambda: Effect(np.eye(2)),
+    "Effect.rank_one": lambda: Effect.rank_one([1, 0]),
+    "Povm": lambda: Povm.trivial(2),
+    "BipartiteState": lambda: BipartiteState(np.eye(2) * INV_SQRT2),
+}
+
+
+class TestIdentityEquality:
+    """The value types compare and hash by identity, never by their arrays."""
+
+    @pytest.mark.parametrize("build", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+    def test_eq_gives_a_bool_and_hash_works(self, build):
+        a, twin = build(), build()
+        assert (a == a) is True
+        assert (a == twin) is False
+        assert (a != twin) is True
+        assert hash(a) == hash(a)
+        assert len({a, twin, a}) == 2
+
+
 class TestHelpers:
     def test_make_rng_streams_are_independent(self):
         a = make_rng(5, stream=0).random(4)

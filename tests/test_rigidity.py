@@ -1,9 +1,20 @@
+import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from bornlab.rigidity import SCAN_LAMBDAS, _row_blocks, certify_identity, derived_bound, scan_gaps
+from bornlab.cli import main
+from bornlab.rigidity import (
+    SCAN_LAMBDAS,
+    CertificationResult,
+    RigidityReport,
+    _row_blocks,
+    certify_identity,
+    derived_bound,
+    scan_gaps,
+)
 from bornlab.rules import PhiRule
 from bornlab.signaling import jensen_gap
 
@@ -194,9 +205,17 @@ class TestCertification:
         with pytest.raises(ValueError):
             derived_bound(-1.0, 0.01)
 
-    def test_report_serialization_is_json_friendly(self):
-        result = certify_identity(PhiRule.power(2.0))
-        doc = result.to_dict()
-        assert doc["certified"] is False
-        assert doc["witness"] == [0.0, 1.0, 0.5]
-        assert doc["report"]["rule_id"] == "power(2)"
+    def test_report_serialization_is_json_friendly(self, tmp_path):
+        # the scan artifact writes both dataclasses field by field
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps({"command": "scan", "rule": {"kind": "power", "alpha": 2.0}, "seed": 0}))
+        out = tmp_path / "out.json"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == 0
+        doc = json.loads(out.read_text())
+        cert = doc["certification"]
+        assert cert["certified"] is False
+        assert cert["witness"] == [0.0, 1.0, 0.5]
+        assert cert["report"]["rule_id"] == "power(2)"
+        assert cert["report"] == doc["rigidity"]
+        assert set(cert) == {f.name for f in fields(CertificationResult)}
+        assert set(cert["report"]) == {f.name for f in fields(RigidityReport)}

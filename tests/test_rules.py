@@ -106,15 +106,15 @@ class TestEvaluationForms:
 
 class TestAdmissibility:
     def test_identity_passes(self):
-        report = check_admissibility(PhiRule.identity(), 1e-3)
+        report = check_admissibility(PhiRule.identity())
         assert report.passed and report.boundary_ok and report.monotone_ok
 
     def test_power_two_passes(self):
-        assert check_admissibility(PhiRule.power(2.0), 1e-3).passed
+        assert check_admissibility(PhiRule.power(2.0)).passed
 
     def test_decreasing_segment_fails_at_first_drop(self):
         rule = PhiRule.piecewise_affine([(0.0, 0.0), (0.4, 0.8), (0.7, 0.5), (1.0, 1.0)])
-        report = check_admissibility(rule, 1e-3)
+        report = check_admissibility(rule)
         assert not report.passed and not report.monotone_ok
         assert report.first_violation == pytest.approx(0.4, abs=1e-9)
         assert not rule.admissible
@@ -124,10 +124,6 @@ class TestAdmissibility:
         report = check_admissibility(rule)
         assert not report.passed and not report.boundary_ok
         assert report.first_violation == 0.0
-
-    def test_grid_step_range(self):
-        with pytest.raises(ValueError):
-            check_admissibility(PhiRule.identity(), 0.5)
 
     def test_invalid_constructions(self):
         with pytest.raises(ValueError):

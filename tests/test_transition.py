@@ -4,7 +4,6 @@ import pytest
 from bornlab.linalg import DensityMatrix, StateVector, haar_random_state
 from bornlab.transition import (
     ConvergenceError,
-    OptimizerConfig,
     TransitionResult,
     complementarity_check,
     qubit_orthogonal,
@@ -93,9 +92,8 @@ class TestOptimized:
             tau_optimized(psi, phi)
 
     def test_nonconvergence_carries_best_value(self):
-        config = OptimizerConfig(max_iters=1)
         with pytest.raises(ConvergenceError) as excinfo:
-            tau_optimized(PLUS, ZERO, config)
+            tau_optimized(PLUS, ZERO, max_iters=1)
         assert 0.0 <= excinfo.value.best_value <= 1.0
         assert excinfo.value.iterations == 1
 
