@@ -51,8 +51,6 @@ from .signaling import (
 )
 from .rigidity import CertificationResult, RigidityReport, certify_identity, scan_gaps
 from .fock import (
-    CoherentSpec,
-    coherent_vector,
     sigma_affinity_convergence,
     tau_coherent_analytic,
     truncation_convergence,
@@ -61,7 +59,6 @@ from .fock import (
 __all__ = [
     "BipartiteState",
     "CertificationResult",
-    "CoherentSpec",
     "DensityMatrix",
     "Effect",
     "Ensemble",
@@ -77,7 +74,6 @@ __all__ = [
     "build_two_level_scenario",
     "certify_identity",
     "check_admissibility",
-    "coherent_vector",
     "complementarity_check",
     "detectability",
     "geometric_fock_ensemble",

@@ -36,7 +36,8 @@ EXIT_NUMERICAL = 3
 # Largest cutoff in n_list and largest sigma_affinity phi.fock, sized from
 # time: listing every cutoff up to it costs well under 0.1 s (fock_converge
 # slices one coherent amplitude array per state; sigma_affinity sums a
-# prefix per cutoff)
+# prefix per cutoff). An amplitude-list phi has at most MAX_CUTOFF + 1
+# entries, the dimension that phi.fock reaches.
 MAX_CUTOFF = 1000
 
 class ConfigValidationError(ValueError):
@@ -200,11 +201,8 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
             continue
         weight = _number(entry[0], f"ensemble.members[{i}].weight", errors, "must be nonnegative", lambda v: v >= 0)
         members.append((weight, _parse_state(entry[1], f"ensemble.members[{i}].state", errors)))
-    if spec.get("kind", "finite") not in ("finite", "truncated_countable"):
-        errors.append("ensemble.kind: expected finite or truncated_countable")
-    # purify needs a unit-trace barycenter, so a steered ensemble of either
-    # kind has no tail; declared tails belong to prob_ensemble and
-    # sigma_affinity
+    # purify needs a unit-trace barycenter, so a steered ensemble has no
+    # tail; declared tails belong to prob_ensemble and sigma_affinity
     _number(
         spec.get("tail_weight", 0.0), "ensemble.tail_weight", errors,
         "must be 0: steer purifies a unit-trace barycenter", lambda v: v == 0,
@@ -249,6 +247,8 @@ def _parse_sigma_affinity(params: dict, errors: list[str]) -> dict:
                 phi = StateVector.basis(max(max(n_list), index) + 1, index)
             except ValueError as exc:
                 errors.append(f"phi.fock: {exc}")
+    elif isinstance(spec, list) and len(spec) > MAX_CUTOFF + 1:
+        errors.append(f"phi: {len(spec)} amplitudes exceed the {MAX_CUTOFF + 1} of the largest allowed level {MAX_CUTOFF}")
     elif isinstance(spec, list):
         phi = _parse_state(spec, "phi", errors)
         if phi is not None and n_list is not None and phi.dim < max(n_list) + 1:

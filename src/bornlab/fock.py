@@ -10,37 +10,12 @@ stability of ensemble probabilities under countable mixing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import StateVector
 from .rules import PhiRule
 from .steering import check_weight_sum
 from .transition import TAU_RANGE_ATOL, tau_closed
-
-
-@dataclass(frozen=True)
-class CoherentSpec:
-    """Coherent amplitude with a truncation deep enough to trust.
-
-    The guardrail |alpha|^2 <= N/4 keeps the discarded Poisson tail below
-    1e-6 for every spec that passes construction; probing shallower
-    truncations deliberately is possible through
-    ``truncation_convergence``, which takes raw amplitudes.
-    """
-
-    alpha: complex
-    truncation_n: int
-
-    def __post_init__(self):
-        if self.truncation_n < 1:
-            raise ValueError("truncation must be a positive integer")
-        if abs(self.alpha) ** 2 > self.truncation_n / 4.0:
-            raise ValueError(
-                f"|alpha|^2 = {abs(self.alpha) ** 2:g} exceeds truncation/4 = {self.truncation_n / 4.0:g}"
-            )
-        object.__setattr__(self, "alpha", complex(self.alpha))
 
 
 def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
@@ -50,15 +25,6 @@ def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     for n in range(n_max):
         amps[n + 1] = amps[n] * alpha / np.sqrt(n + 1.0)
     return amps
-
-
-def coherent_vector(spec: CoherentSpec) -> tuple[StateVector, float]:
-    """Truncated, renormalized coherent state and its pre-normalization
-    tail deficit 1 - sum |c_n|^2."""
-    raw = _coherent_amplitudes(spec.alpha, spec.truncation_n)
-    captured = float(np.real(np.vdot(raw, raw)))
-    deficit = max(0.0, 1.0 - captured)
-    return StateVector(raw / np.sqrt(captured)), deficit
 
 
 def tau_coherent_analytic(alpha: complex, beta: complex) -> float:
@@ -71,10 +37,9 @@ def truncation_convergence(
 ) -> list[tuple[int, float]]:
     """Truncation error of the coherent overlap at each cutoff.
 
-    Returns (N, |tau_truncated - tau_analytic|) pairs. Cutoffs may sit
-    below the CoherentSpec guardrail on purpose: the point is to watch the
-    error fall as the cutoff deepens (strictly, within a 1e-14 floating
-    point floor).
+    Returns (N, |tau_truncated - tau_analytic|) pairs. Shallow cutoffs are
+    allowed on purpose: the point is to watch the error fall as the cutoff
+    deepens (strictly, within a 1e-14 floating point floor).
     """
     if list(n_list) != sorted(set(int(n) for n in n_list)):
         raise ValueError("cutoff list must be strictly ascending")

@@ -159,10 +159,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @staticmethod
-    def from_pure(psi: StateVector) -> "DensityMatrix":
-        return DensityMatrix(psi.projector())
-
 
 @dataclass(frozen=True, eq=False)
 class Effect:
@@ -367,14 +363,3 @@ def fidelity_to_pure(rho: DensityMatrix, psi: StateVector) -> float:
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
     return float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))
-
-
-def embed_state(psi: StateVector, dim: int) -> StateVector:
-    """Zero-pad a state vector into a larger space."""
-    if dim < psi.dim:
-        raise ValueError(f"cannot embed dimension {psi.dim} into {dim}")
-    if dim == psi.dim:
-        return psi
-    amps = np.zeros(dim, dtype=complex)
-    amps[: psi.dim] = psi.amplitudes
-    return StateVector(amps)

@@ -21,7 +21,6 @@ from .transition import tau_closed
 
 ENDPOINT_ATOL = 1e-12
 MONOTONE_GRID_STEP = 1e-3
-DEFAULT_TABLE_POINTS = 1025
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class AdmissibilityReport:
     boundary_ok: bool
     monotone_ok: bool
     first_violation: float | None = None
-    message: str = ""
 
 
 def _require_finite_slopes(xs, ys, what: str) -> None:
@@ -115,24 +113,22 @@ def _lookup(kind) -> _Kind:
 
 @dataclass(frozen=True)
 class PhiRule:
-    """A probability distortion with admissibility metadata.
+    """A probability distortion.
 
     Kinds: ``identity``; ``power`` with exponent ``alpha``;
     ``piecewise_affine`` through sorted ``knots``; ``custom`` given by
     ``table`` values on a uniform grid over [0, 1] with linear
     interpolation; each evaluates as ``np.power`` (identity: exponent 1) or
-    as ``np.interp`` through nodes fixed at construction. ``admissible``
-    caches the endpoint and monotonicity check at construction;
-    inadmissible rules remain constructible so they can be scanned and
-    rejected. Two rules are equal, and hash alike, when they have the same
-    kind and bitwise-equal parameters.
+    as ``np.interp`` through nodes fixed at construction. Inadmissible
+    rules (see ``check_admissibility``) are constructible so they can be
+    scanned and rejected. Two rules are equal, and hash alike, when they
+    have the same kind and bitwise-equal parameters.
     """
 
     kind: str
     alpha: float | None = None
     knots: tuple[tuple[float, float], ...] | None = None
     table: np.ndarray | None = None
-    admissible: bool = field(init=False, default=False)
     # the exponent for np.power, or the (xs, ys) nodes for np.interp
     _form: float | tuple[np.ndarray, np.ndarray] = field(init=False, default=1.0, repr=False, compare=False)
 
@@ -147,8 +143,6 @@ class PhiRule:
         if kind.field:
             object.__setattr__(self, kind.field, value)
         object.__setattr__(self, "_form", form)
-        report = check_admissibility(self)
-        object.__setattr__(self, "admissible", report.passed)
 
     # the generated __eq__ and __hash__ would compare and hash the table
     # array itself, which raises
@@ -181,12 +175,6 @@ class PhiRule:
     @staticmethod
     def custom(values) -> "PhiRule":
         return PhiRule(kind="custom", table=values)
-
-    @staticmethod
-    def tabulate(fn: Callable[[np.ndarray], np.ndarray], points: int = DEFAULT_TABLE_POINTS) -> "PhiRule":
-        """Sample a function on a uniform grid into a custom rule."""
-        grid = np.linspace(0.0, 1.0, points)
-        return PhiRule.custom(np.asarray(fn(grid), dtype=float))
 
     # -- evaluation --------------------------------------------------------
 
@@ -227,19 +215,15 @@ def check_admissibility(rule: PhiRule) -> AdmissibilityReport:
     drops = np.nonzero(np.diff(values) < -ENDPOINT_ATOL)[0]
     monotone_ok = drops.size == 0
     first_violation = None
-    message = "pass"
     if not boundary_ok:
         first_violation = 0.0 if abs(values[0]) > ENDPOINT_ATOL else 1.0
-        message = f"endpoint value {values[0] if first_violation == 0.0 else values[-1]:.6g} at {first_violation:g}"
     elif not monotone_ok:
         first_violation = float(grid[drops[0]])
-        message = f"decreasing step at {first_violation:.6g}"
     return AdmissibilityReport(
         passed=boundary_ok and monotone_ok,
         boundary_ok=boundary_ok,
         monotone_ok=monotone_ok,
         first_violation=first_violation,
-        message=message,
     )
 
 

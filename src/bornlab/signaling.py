@@ -38,12 +38,14 @@ _NORMAL = NormalDist()
 
 @dataclass(frozen=True)
 class SteeringScenario:
-    """Two-level steering setup with both preparation measurements attached.
+    """Two-level steering setup with the split preparation's measurement
+    attached.
 
-    ``povm_split`` steers Bob into the two-member ensemble, ``povm_direct``
-    is the trivial measurement realizing direct preparation of the
-    barycenter. ``degenerate`` flags equal target probabilities, where the
-    split collapses to a single member and every gap vanishes identically.
+    ``povm_split`` steers Bob into the two-member ensemble; direct
+    preparation of the barycenter is the trivial measurement
+    ``Povm.trivial(2)``. ``degenerate`` flags equal target probabilities,
+    where the split collapses to a single member and every gap vanishes
+    identically.
     """
 
     p1: float
@@ -55,7 +57,6 @@ class SteeringScenario:
     omega: DensityMatrix
     purification: BipartiteState
     povm_split: Povm
-    povm_direct: Povm
     ensemble_split: Ensemble
     degenerate: bool
 
@@ -135,7 +136,6 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
     omega = barycenter(mixture)
     purification = purify(omega)
     povm_split = hjw_povm(purification, ensemble)
-    povm_direct = Povm.trivial(purification.dim_a)
     return SteeringScenario(
         p1=float(p1),
         p2=float(p2),
@@ -146,7 +146,6 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
         omega=omega,
         purification=purification,
         povm_split=povm_split,
-        povm_direct=povm_direct,
         ensemble_split=ensemble,
         degenerate=degenerate,
     )

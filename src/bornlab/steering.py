@@ -61,10 +61,6 @@ class Ensemble:
     def dim(self) -> int:
         return self.members[0][1].dim
 
-    @property
-    def kind(self) -> str:
-        return "finite" if self.tail_weight == 0.0 else "truncated_countable"
-
     @cached_property
     def barycenter(self) -> DensityMatrix:
         """Weighted sum of member projectors, built on first use and kept:

@@ -220,20 +220,14 @@ class TestExitCodes:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
 
-    def test_ensemble_kind_tag_consistency(self, tmp_path, capsys):
+    def test_steer_tail_is_one_fault(self, tmp_path, capsys):
         doc = {
             "command": "steer",
             "seed": 0,
-            "parameters": {
-                "ensemble": {
-                    "kind": "finite",
-                    "tail_weight": 0.25,
-                    "members": [[0.75, [1.0, 0.0]]],
-                }
-            },
+            "parameters": {"ensemble": {"tail_weight": 0.25, "members": [[0.75, [1.0, 0.0]]]}},
         }
         assert main(["--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
-        # a finite-tagged ensemble with a tail is one fault, reported once
+        # an ensemble with a tail is one fault, reported once
         err = capsys.readouterr().err
         assert err.count("config error:") == 1
         assert err.startswith("config error: ensemble.tail_weight: must be 0")
@@ -565,7 +559,11 @@ class TestEveryConfigEndsCleanly:
         assert run_doc(tmp_path, {"command": "jensen", "rule": spec, "parameters": TWO_LEVEL})[0] == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: rule: expected a JSON object\n"
 
-    def test_steer_tail_is_rejected_whatever_the_kind_tag(self, tmp_path, capsys):
+    def test_steer_ignores_a_kind_key(self, tmp_path, capsys):
+        # the ensemble's kind follows from its tail weight; a kind key is
+        # ignored like any other unrecognised key
+        ensemble = {"kind": "bogus", "members": [[1, [1, 0]]]}
+        assert run_doc(tmp_path, {"command": "steer", "parameters": {"ensemble": ensemble}}, "bogus")[0] == EXIT_OK
         ensemble = {"kind": "truncated_countable", "members": [[0.75, [1, 0]]], "tail_weight": 0.25}
         assert run_doc(tmp_path, {"command": "steer", "parameters": {"ensemble": ensemble}})[0] == EXIT_CONFIG
         assert "ensemble.tail_weight: must be 0" in capsys.readouterr().err
@@ -582,7 +580,8 @@ class TestEveryConfigEndsCleanly:
 
 
 class TestLevelCap:
-    """Cutoffs and the Fock index stop at MAX_CUTOFF: the time, not the
+    """Cutoffs and the Fock index stop at MAX_CUTOFF, and an amplitude-list
+    phi at the MAX_CUTOFF + 1 entries that level needs: the time, not the
     memory, of the worst config within it is the bound."""
 
     @pytest.mark.parametrize(
@@ -591,6 +590,7 @@ class TestLevelCap:
             ("sigma_affinity", {"r": 0.5, "n_list": [0, MAX_CUTOFF + 1]}, "n_list[1]"),
             ("sigma_affinity", {"r": 0.5, "n_list": [0, 5], "phi": {"fock": MAX_CUTOFF + 1}}, "phi.fock"),
             ("sigma_affinity", {"r": 0.5, "n_list": [10**4]}, "n_list[0]"),
+            ("sigma_affinity", {"r": 0.5, "n_list": [5], "phi": [1] + [0] * (MAX_CUTOFF + 1)}, "phi"),
             ("fock_converge", {"alpha": 0.5, "beta": 1.0, "n_list": [5, 10**6]}, "n_list[1]"),
         ],
     )
@@ -605,6 +605,7 @@ class TestLevelCap:
         "command,parameters",
         [
             ("sigma_affinity", {"r": 0.5, "n_list": [0, MAX_CUTOFF], "phi": {"fock": MAX_CUTOFF}}),
+            ("sigma_affinity", {"r": 0.5, "n_list": [5], "phi": [1] + [0] * MAX_CUTOFF}),
             ("fock_converge", {"alpha": 0.5, "beta": 1.0, "n_list": [5, MAX_CUTOFF]}),
         ],
     )
@@ -664,7 +665,7 @@ class TestBooleansAreNotNumbers:
 # one valid config per command, small enough that a mutant of it runs fast
 FUZZ_BASES = {
     "tau": {"psi": [0.6, [0.0, 0.8]], "phi": [[1, 0], [0, 1]], "max_iters": 50},
-    "steer": {"ensemble": {"members": [[0.5, [1, 0]], [0.25, [0.6, 0.8]], [0.25, [0, 1]]], "kind": "finite"}},
+    "steer": {"ensemble": {"members": [[0.5, [1, 0]], [0.25, [0.6, 0.8]], [0.25, [0, 1]]]}},
     "jensen": {"p1": 0.2, "p2": 0.9, "lambda": 0.3},
     "experiment": {"p1": 0.1, "p2": 0.7, "lambda": 0.6},
     "detect": {"p1": 0.2, "p2": 0.9, "lambda": 0.3, "n_samples": 500, "alpha": 0.05},

@@ -6,8 +6,6 @@ import pytest
 
 from bornlab import fock, linalg, steering
 from bornlab.fock import (
-    CoherentSpec,
-    coherent_vector,
     sigma_affinity_convergence,
     tau_coherent_analytic,
     truncation_convergence,
@@ -18,35 +16,21 @@ from bornlab.steering import geometric_fock_ensemble
 from bornlab.transition import tau_closed
 
 
-class TestCoherentSpec:
-    def test_guardrail_accepts_deep_truncation(self):
-        CoherentSpec(alpha=2.0, truncation_n=16)
+class TestTruncatedCoherent:
+    """The truncated coherent state that truncation_convergence builds."""
 
-    def test_guardrail_rejects_shallow_truncation(self):
-        with pytest.raises(ValueError, match="truncation"):
-            CoherentSpec(alpha=2.0, truncation_n=10)
+    @staticmethod
+    def state(alpha, n):
+        return fock._truncated_coherent(fock._coherent_amplitudes(alpha, n), alpha, n, "alpha")
 
-    def test_truncation_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CoherentSpec(alpha=0.1, truncation_n=0)
-
-
-class TestCoherentVector:
     def test_vacuum(self):
-        state, deficit = coherent_vector(CoherentSpec(alpha=0.0, truncation_n=5))
-        expected = np.zeros(6)
+        expected = np.zeros(6, dtype=complex)
         expected[0] = 1.0
-        assert np.array_equal(state.amplitudes, expected.astype(complex))
-        assert deficit == 0.0
-
-    def test_unit_amplitude_deep_cutoff_has_negligible_deficit(self):
-        state, deficit = coherent_vector(CoherentSpec(alpha=1.0, truncation_n=40))
-        assert deficit <= 1e-12
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+        assert np.array_equal(self.state(0.0, 5).amplitudes, expected)
 
     def test_poissonian_weights(self):
         alpha = 1.3
-        state, _ = coherent_vector(CoherentSpec(alpha=alpha, truncation_n=30))
+        state = self.state(alpha, 30)
         # independent oracle: |c_n|^2 proportional to the Poisson pmf
         n = np.arange(4)
         pmf = np.exp(-alpha**2) * alpha ** (2 * n) / np.array([math.factorial(k) for k in n])

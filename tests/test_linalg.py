@@ -12,7 +12,6 @@ from bornlab.linalg import (
     Effect,
     Povm,
     StateVector,
-    embed_state,
     fidelity_to_pure,
     haar_random_state,
     make_rng,
@@ -320,7 +319,7 @@ class TestPartialTrace:
 class TestPurify:
     def test_pure_state_gives_product_purification(self):
         psi = haar_random_state(3, 11)
-        purification = purify(DensityMatrix.from_pure(psi))
+        purification = purify(DensityMatrix(psi.projector()))
         schmidt = np.linalg.svd(purification.amplitudes, compute_uv=False)
         assert abs(schmidt[0] - 1.0) <= 1e-9
         # spurious directions carry weight (coefficient squared) at solver noise
@@ -400,14 +399,6 @@ class TestHelpers:
 
     def test_fidelity_to_pure(self):
         psi = StateVector.basis(2, 0)
-        assert fidelity_to_pure(DensityMatrix.from_pure(psi), psi) == pytest.approx(1.0)
+        assert fidelity_to_pure(DensityMatrix(psi.projector()), psi) == pytest.approx(1.0)
         assert fidelity_to_pure(DensityMatrix(np.eye(2) / 2), psi) == pytest.approx(0.5)
 
-    def test_embed_state_pads_with_zeros(self):
-        psi = StateVector(np.array([INV_SQRT2, INV_SQRT2]))
-        wide = embed_state(psi, 5)
-        assert wide.dim == 5
-        assert np.allclose(wide.amplitudes[:2], psi.amplitudes)
-        assert np.all(wide.amplitudes[2:] == 0)
-        with pytest.raises(ValueError):
-            embed_state(psi, 1)

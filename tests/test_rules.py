@@ -46,7 +46,7 @@ class TestEval:
         assert rule.eval(0.75) == pytest.approx(0.85)
 
     def test_custom_table_matches_sampled_function(self):
-        rule = PhiRule.tabulate(lambda p: p**3)
+        rule = PhiRule.custom(np.linspace(0.0, 1.0, 1025) ** 3)
         grid = np.linspace(0.0, 1.0, 57)
         assert np.max(np.abs(rule.eval(grid) - grid**3)) <= 1e-5
 
@@ -117,7 +117,6 @@ class TestAdmissibility:
         report = check_admissibility(rule)
         assert not report.passed and not report.monotone_ok
         assert report.first_violation == pytest.approx(0.4, abs=1e-9)
-        assert not rule.admissible
 
     def test_bad_endpoint_fails(self):
         rule = PhiRule.custom(np.linspace(0.1, 1.0, 11))
@@ -173,7 +172,7 @@ class TestAdmissibility:
             PhiRule.custom([0.0, 1e308, 1.0])
         with pytest.raises(ValueError, match="slope"):
             PhiRule.piecewise_affine([(0.0, 0.0), (1e-300, 1e10), (1.0, 1.0)])
-        assert not PhiRule.custom([0.0, 1e300, 1.0]).admissible
+        assert not check_admissibility(PhiRule.custom([0.0, 1e300, 1.0])).passed
 
 
 class TestProbPure:
@@ -298,7 +297,7 @@ class TestSerialization:
         assert "sqrt" not in PhiRule.power(0.5).describe()
         assert PhiRule.piecewise_affine(KNOTS).describe() == "piecewise_affine(4 knots)"
         assert PhiRule.custom([0.0, 0.2, 1.0]).describe() == "custom(3 points)"
-        assert PhiRule.tabulate(lambda p: p**2).describe() == "custom(1025 points)"
+        assert PhiRule.custom(np.linspace(0.0, 1.0, 1025) ** 2).describe() == "custom(1025 points)"
 
     def test_from_dict_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -349,5 +348,5 @@ class TestEquality:
 def test_builtin_rules_cover_acceptance_families():
     rules = builtin_rules()
     assert set(rules) == {"identity", "power(2)", "power(0.5)", "power(1.2)"}
-    assert all(rule.admissible for rule in rules.values())
+    assert all(check_admissibility(rule).passed for rule in rules.values())
     assert math.isclose(rules["power(2)"].eval(0.5), 0.25)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bornlab.linalg import Povm
 from bornlab.rules import PhiRule, builtin_rules
 from bornlab.signaling import (
     build_two_level_scenario,
@@ -113,7 +114,7 @@ class TestSteeringExperiment:
         for p1, p2, lam in [(0.0, 1.0, 0.5), (0.2, 0.7, 0.25)]:
             scenario = build_two_level_scenario(p1, p2, lam)
             distance = verify_marginal_invariance(
-                scenario.purification, scenario.povm_split, scenario.povm_direct
+                scenario.purification, scenario.povm_split, Povm.trivial(2)
             )
             assert distance <= 1e-10
 

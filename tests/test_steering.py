@@ -50,9 +50,9 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="dimension"):
             Ensemble(members=((0.5, ZERO), (0.5, StateVector.basis(3, 0))))
 
-    def test_kind_tracks_tail(self):
-        assert Ensemble(members=((1.0, ZERO),)).kind == "finite"
-        assert Ensemble(members=((0.75, ZERO),), tail_weight=0.25).kind == "truncated_countable"
+    def test_tail_weight_defaults_to_zero(self):
+        assert Ensemble(members=((1.0, ZERO),)).tail_weight == 0.0
+        assert Ensemble(members=((0.75, ZERO),), tail_weight=0.25).tail_weight == 0.25
 
 
 class TestBarycenter:

@@ -139,6 +139,6 @@ class TestMixedExtension:
     def test_pure_case_agrees_with_closed_form(self):
         psi = haar_random_state(3, 4)
         phi = haar_random_state(3, 5)
-        assert tau_mixed(DensityMatrix.from_pure(psi), phi) == pytest.approx(
+        assert tau_mixed(DensityMatrix(psi.projector()), phi) == pytest.approx(
             tau_closed(psi, phi).value, abs=1e-12
         )
