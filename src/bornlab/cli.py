@@ -39,6 +39,21 @@ EXIT_NUMERICAL = 3
 # prefix per cutoff). An amplitude-list phi has at most MAX_CUTOFF + 1
 # entries, the dimension that phi.fock reaches.
 MAX_CUTOFF = 1000
+# Largest detect n_samples: each arm draws one float per sample. At the cap
+# a CLI detect takes ~0.5 s and 200 MB peak RSS as a subprocess (2-vCPU VM;
+# ~0.2 s of it is interpreter and numpy start-up).
+MAX_SAMPLES = 10**7
+# Smallest scan grid_step: the grid and its rule values are O(1/grid_step)
+# in memory and the pair scan O(1/grid_step**2) in time. At the cap the
+# slowest built-in kind, a 1025-point custom table, takes ~0.8 s as a
+# subprocess; its certify_identity takes 0.45 s at 2e-4 and 1.5 s at 1e-4.
+MIN_GRID_STEP = 2e-4
+# Largest steer member dimension d, and largest members * d**2: the member
+# effects alone hold 16 * members * d**2 bytes, 64 MB at the cap. At the cap
+# d = 32 with 4096 members takes ~1.6 s and 190 MB peak RSS as a subprocess,
+# d = 128 with 256 members ~1.0 s and 170 MB.
+MAX_MEMBER_DIM = 128
+MAX_STEER_ENTRIES = 2**22
 
 class ConfigValidationError(ValueError):
     """All validation problems of one config, reported together."""
@@ -125,13 +140,18 @@ def _probability(params: dict, name: str, errors: list[str], *, exclusive: bool 
     return _number(params.get(name), name, errors, "must be a number in [0, 1]", lambda v: 0 <= v <= 1)
 
 
+def _at_most(value, cap: int, field: str, noun: str, errors: list[str]):
+    """``value`` unless it exceeds ``cap``; then None, with an error naming the field."""
+    if value is not None and value > cap:
+        errors.append(f"{field}: {value} exceeds the largest allowed {noun} {cap}")
+        return None
+    return value
+
+
 def _level(raw, field: str, errors: list[str]) -> int | None:
     """A cutoff or Fock index: an integer in [0, MAX_CUTOFF]."""
     value = _number(raw, field, errors, "must be a nonnegative integer", lambda v: v >= 0, integer=True)
-    if value is not None and value > MAX_CUTOFF:
-        errors.append(f"{field}: {value} exceeds the largest allowed level {MAX_CUTOFF}")
-        return None
-    return value
+    return _at_most(value, MAX_CUTOFF, field, "level", errors)
 
 
 def _cutoffs(raw, errors: list[str]) -> list[int] | None:
@@ -179,8 +199,11 @@ def _parse_two_level(params: dict, errors: list[str]) -> dict:
 def _parse_detect(params: dict, errors: list[str]) -> dict:
     return {
         **_parse_two_level(params, errors),
-        "n_samples": _number(
-            params.get("n_samples"), "n_samples", errors, "must be a positive integer", lambda v: v >= 1, integer=True
+        "n_samples": _at_most(
+            _number(
+                params.get("n_samples"), "n_samples", errors, "must be a positive integer", lambda v: v >= 1, integer=True
+            ),
+            MAX_SAMPLES, "n_samples", "sample count", errors,
         ),
         "alpha": _number(
             params.get("alpha", 0.05), "alpha", errors, "must lie strictly between 0 and 1", lambda v: 0 < v < 1
@@ -210,16 +233,23 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
     if len(errors) > before:
         return {}
     try:
-        return {"ensemble": Ensemble(members=tuple(members))}
+        ensemble = Ensemble(members=tuple(members))
     except ValueError as exc:
         errors.append(f"ensemble: {exc}")
         return {}
+    k, d = len(members), ensemble.dim
+    if d > MAX_MEMBER_DIM:
+        errors.append(f"ensemble.members: dimension {d} exceeds the largest allowed {MAX_MEMBER_DIM}")
+    elif k * d * d > MAX_STEER_ENTRIES:
+        errors.append(f"ensemble.members: {k} members of dimension {d} exceed members * dimension**2 = {MAX_STEER_ENTRIES}")
+    return {} if len(errors) > before else {"ensemble": ensemble}
 
 
 def _parse_scan(params: dict, errors: list[str]) -> dict:
     return {
         "grid_step": _number(
-            params.get("grid_step", 0.01), "grid_step", errors, "must lie in (0, 0.1]", lambda v: 0 < v <= 0.1
+            params.get("grid_step", 0.01), "grid_step", errors,
+            f"must lie in [{MIN_GRID_STEP}, 0.1]", lambda v: MIN_GRID_STEP <= v <= 0.1,
         ),
         "gap_tolerance": _number(
             params.get("gap_tolerance", 1e-10), "gap_tolerance", errors, "must be positive", lambda v: v > 0

@@ -148,6 +148,11 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     return Povm(tuple(effects))
 
 
+def _branch(state: BipartiteState, effect: Effect) -> np.ndarray:
+    """Bob's unnormalized state tr_A[(E x I)|Psi><Psi|] = M^T E^* conj(M)."""
+    return state.amplitudes.T @ effect.matrix.conj() @ state.amplitudes.conj()
+
+
 def steer(state: BipartiteState, povm_a: Povm) -> list[SteeringOutcome]:
     """Measure A and collect Bob's conditional preparations.
 
@@ -159,10 +164,9 @@ def steer(state: BipartiteState, povm_a: Povm) -> list[SteeringOutcome]:
     """
     if povm_a.dim != state.dim_a:
         raise ValueError(f"POVM dimension {povm_a.dim} differs from A side {state.dim_a}")
-    m_t, m_conj = state.amplitudes.T, state.amplitudes.conj()
     outcomes = []
     for index, effect in enumerate(povm_a.outcomes):
-        branch = m_t @ effect.matrix.conj() @ m_conj
+        branch = _branch(state, effect)
         prob = float(np.real(np.trace(branch)))
         if prob < NULL_OUTCOME_PROB:
             outcomes.append(SteeringOutcome(index, prob, None))
@@ -181,10 +185,9 @@ def verify_marginal_invariance(state: BipartiteState, povm1: Povm, povm2: Povm) 
     """
 
     def average_state(povm: Povm) -> np.ndarray:
-        m_t, m_conj = state.amplitudes.T, state.amplitudes.conj()
         acc = np.zeros((state.dim_b, state.dim_b), dtype=complex)
         for effect in povm.outcomes:
-            acc += m_t @ effect.matrix.conj() @ m_conj
+            acc += _branch(state, effect)
         return acc
 
     if povm1.dim != state.dim_a or povm2.dim != state.dim_a:

@@ -5,10 +5,10 @@ The operational quantity is the acceptance probability of the extremal
 effect that accepts the target state with certainty. Any effect E with
 E|phi> = |phi> and 0 <= E <= I decomposes as |phi><phi| (+) F on the
 orthogonal complement; the minimal one (F = 0) is the rank-1 projector and
-gives |<phi|psi>|^2. The optimizer takes the accepted part |<phi|psi>|^2
-from that closed form and minimizes only over F, so it checks the
-complement block and the constraints of the effect it ends on, not the
-closed form itself (ROADMAP.md, open item 1, plans an independent route).
+gives |<phi|psi>|^2. The optimizer minimizes <psi|E|psi> over the whole
+d x d effect, starting from E = I, and reads its value from the effect it
+ends on. Its first step still lands on the minimizer, so it is not yet an
+independent route (ROADMAP.md, open item 1, plans a dual certificate).
 """
 
 from __future__ import annotations
@@ -88,14 +88,6 @@ def tau_mixed(rho: DensityMatrix, phi: StateVector) -> float:
     return min(1.0, max(0.0, fidelity_to_pure(rho, phi)))
 
 
-def _complement_basis(phi: StateVector) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of phi, as columns."""
-    d = phi.dim
-    stacked = np.column_stack([phi.amplitudes, np.eye(d, dtype=complex)])
-    q, _ = np.linalg.qr(stacked)
-    return q[:, 1:d]
-
-
 def _clip_spectrum(matrix: np.ndarray) -> np.ndarray:
     """Project a Hermitian matrix onto the box 0 <= F <= I by eigenvalue clipping."""
     eigvals, eigvecs = np.linalg.eigh(hermitize(matrix))
@@ -110,10 +102,14 @@ def tau_optimized(
 ) -> TransitionResult:
     """Transition probability via constrained numerical minimization.
 
-    Parametrizes the feasible effects as |phi><phi| (+) F with Hermitian
-    0 <= F <= I on the orthogonal complement of phi, and runs projected
-    gradient descent with backtracking on <psi|E|psi> toward the minimal
-    effect, whose value is the transition probability.
+    Runs projected gradient on <psi|E|psi> over the effects C = {0 <= E <= I,
+    E|phi> = |phi>}, starting from E = I, which accepts everything. The
+    projection onto C is exact, P_C(X) = Phi + clip01(P X P) with
+    Phi = |phi><phi| and P = I - Phi, so each step is
+    E <- Phi + clip01(P E P - g g^dagger / |g|^2) with g = P psi. The
+    objective is linear, so E = P_C(E - s |psi><psi|) is the optimality
+    condition: the loop stops once a step moves E by at most a thousandth of
+    TOLERANCE. The value is <psi|E|psi> of the last iterate.
 
     Raises ConvergenceError (carrying the best value and residual) if the
     step criterion is not met within ``max_iters``.
@@ -122,62 +118,36 @@ def tau_optimized(
     if psi.dim > MAX_DIM:
         raise ValueError(f"dimension {psi.dim} exceeds optimizer maximum {MAX_DIM}")
 
-    basis = _complement_basis(phi)  # d x (d-1)
-    accepted = abs(np.vdot(phi.amplitudes, psi.amplitudes)) ** 2
-    psi_c = basis.conj().T @ psi.amplitudes  # complement component, unnormalized
-    weight = float(np.real(np.vdot(psi_c, psi_c)))
+    effect = np.eye(psi.dim, dtype=complex)
+    g = psi.amplitudes - phi.amplitudes * np.vdot(phi.amplitudes, psi.amplitudes)
+    weight = float(np.real(np.vdot(g, g)))
+    if weight < 1e-30:
+        # psi is parallel to phi: every feasible effect accepts it, E = I too
+        return _assemble_result(phi, effect, psi, 0)
 
-    m = basis.shape[1]
-    if m == 0 or weight < 1e-30:
-        # nothing to optimize over: E = |phi><phi| (+) F never sees psi
-        return _assemble_result(phi, basis, np.zeros((m, m), dtype=complex), psi, accepted, 0)
-
-    grad = np.outer(psi_c, psi_c.conj())
-
-    f = 0.5 * np.eye(m, dtype=complex)
-    obj = float(np.real(np.vdot(psi_c, f @ psi_c)))
-    step = 1.0 / weight
-
+    target = phi.projector()
+    perp = effect - target
+    step_grad = np.outer(g, g.conj()) / weight
     step_tol = TOLERANCE * 1e-3
     iterations = 0
-    converged = False
     for iterations in range(1, max_iters + 1):
-        trial = _clip_spectrum(f - step * grad)
-        obj_trial = float(np.real(np.vdot(psi_c, trial @ psi_c)))
-        move = float(np.linalg.norm(trial - f))
-        # sufficient-decrease safeguard (Armijo constant 1e-4, halving the
-        # step); the objective is linear in F so this nearly never fires
-        while obj_trial > obj - 1e-4 * move**2 / step and step > 1e-14:
-            step *= 0.5
-            trial = _clip_spectrum(f - step * grad)
-            obj_trial = float(np.real(np.vdot(psi_c, trial @ psi_c)))
-            move = float(np.linalg.norm(trial - f))
-        f, obj = trial, obj_trial
+        trial = target + _clip_spectrum(perp @ effect @ perp - step_grad)
+        move = float(np.linalg.norm(trial - effect))
+        effect = trial
         if move <= step_tol:
-            converged = True
-            break
+            return _assemble_result(phi, effect, psi, iterations)
 
-    value = accepted + float(np.real(np.vdot(psi_c, f @ psi_c)))
-    if not converged:
-        result = _assemble_result(phi, basis, f, psi, value, iterations)
-        raise ConvergenceError(
-            f"no convergence after {iterations} iterations (best value {result.value})",
-            best_value=result.value,
-            residual=result.residual,
-            iterations=iterations,
-        )
-    return _assemble_result(phi, basis, f, psi, value, iterations)
+    best = _assemble_result(phi, effect, psi, iterations)
+    raise ConvergenceError(
+        f"no convergence after {iterations} iterations (best value {best.value})",
+        best_value=best.value,
+        residual=best.residual,
+        iterations=iterations,
+    )
 
 
-def _assemble_result(
-    phi: StateVector,
-    basis: np.ndarray,
-    f: np.ndarray,
-    psi: StateVector,
-    value: float,
-    iterations: int,
-) -> TransitionResult:
-    effect = phi.projector() + basis @ f @ basis.conj().T
+def _assemble_result(phi: StateVector, effect: np.ndarray, psi: StateVector, iterations: int) -> TransitionResult:
+    value = float(np.real(np.vdot(psi.amplitudes, effect @ psi.amplitudes)))
     eigs = np.linalg.eigvalsh(hermitize(effect))
     fix_violation = float(np.max(np.abs(effect @ phi.amplitudes - phi.amplitudes)))
     residual = max(fix_violation, max(0.0, -float(eigs[0])), max(0.0, float(eigs[-1]) - 1.0))

@@ -10,6 +10,10 @@ from bornlab.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     MAX_CUTOFF,
+    MAX_MEMBER_DIM,
+    MAX_SAMPLES,
+    MAX_STEER_ENTRIES,
+    MIN_GRID_STEP,
     ConfigValidationError,
     _amplitude_array,
     _parse_state,
@@ -542,6 +546,9 @@ class TestEveryConfigEndsCleanly:
         ),
         ("detect", {**TWO_LEVEL, "n_samples": True}, EXIT_CONFIG, "n_samples: must be a positive integer"),
         ("sigma_affinity", {"r": 0.5, "n_list": [0, 5], "phi": {"fock": True}}, EXIT_CONFIG, "phi.fock: must be a nonnegative integer"),
+        ("detect", {**TWO_LEVEL, "n_samples": 10**15}, EXIT_CONFIG, "n_samples: 1000000000000000 exceeds"),
+        ("scan", {"grid_step": 1e-15}, EXIT_CONFIG, "grid_step: must lie in [0.0002, 0.1]"),
+        ("steer", {"ensemble": {"members": [[1, [1] + [0] * 99_999]]}}, EXIT_CONFIG, "ensemble.members: dimension 100000 exceeds"),
     ]
 
     @pytest.mark.parametrize("command,parameters,code,message", CASES)
@@ -607,6 +614,55 @@ class TestLevelCap:
             ("sigma_affinity", {"r": 0.5, "n_list": [0, MAX_CUTOFF], "phi": {"fock": MAX_CUTOFF}}),
             ("sigma_affinity", {"r": 0.5, "n_list": [5], "phi": [1] + [0] * MAX_CUTOFF}),
             ("fock_converge", {"alpha": 0.5, "beta": 1.0, "n_list": [5, MAX_CUTOFF]}),
+        ],
+    )
+    def test_the_cap_itself_is_accepted(self, tmp_path, command, parameters):
+        exit_code, out = run_doc(tmp_path, {"command": command, "seed": 0, "parameters": parameters})
+        assert exit_code == EXIT_OK
+        assert out.exists()
+
+
+def basis_members(dim, count):
+    """``count`` equal-weight members cycling through the basis of C^dim."""
+    return [[1 / count, [0] * (i % dim) + [1] + [0] * (dim - 1 - i % dim)] for i in range(count)]
+
+
+class TestSizeCaps:
+    """detect's n_samples, scan's grid_step and steer's member dimension and
+    members * dimension**2 are capped so that a config runs in about a
+    second: one past each cap exits 2 naming the field, the cap itself runs."""
+
+    MEMBERS_AT_DIM_CAP = MAX_STEER_ENTRIES // MAX_MEMBER_DIM**2
+
+    @pytest.mark.parametrize(
+        "command,parameters,message",
+        [
+            ("detect", {**TWO_LEVEL, "n_samples": MAX_SAMPLES + 1}, f"n_samples: {MAX_SAMPLES + 1} exceeds the largest allowed sample count"),
+            ("scan", {"grid_step": MIN_GRID_STEP * 0.999}, f"grid_step: must lie in [{MIN_GRID_STEP}, 0.1]"),
+            (
+                "steer",
+                {"ensemble": {"members": basis_members(MAX_MEMBER_DIM + 1, 1)}},
+                f"ensemble.members: dimension {MAX_MEMBER_DIM + 1} exceeds the largest allowed {MAX_MEMBER_DIM}",
+            ),
+            (
+                "steer",
+                {"ensemble": {"members": basis_members(MAX_MEMBER_DIM, MEMBERS_AT_DIM_CAP + 1)}},
+                f"ensemble.members: {MEMBERS_AT_DIM_CAP + 1} members of dimension {MAX_MEMBER_DIM} exceed",
+            ),
+        ],
+    )
+    def test_past_the_cap_exits_two_naming_the_field(self, tmp_path, capsys, command, parameters, message):
+        exit_code, out = run_doc(tmp_path, {"command": command, "seed": 0, "parameters": parameters})
+        assert exit_code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,parameters",
+        [
+            ("detect", {**TWO_LEVEL, "n_samples": MAX_SAMPLES}),
+            ("scan", {"grid_step": MIN_GRID_STEP}),
+            ("steer", {"ensemble": {"members": basis_members(MAX_MEMBER_DIM, MEMBERS_AT_DIM_CAP)}}),
         ],
     )
     def test_the_cap_itself_is_accepted(self, tmp_path, command, parameters):

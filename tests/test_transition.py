@@ -3,6 +3,7 @@ import pytest
 
 from bornlab.linalg import DensityMatrix, StateVector, haar_random_state
 from bornlab.transition import (
+    MAX_DIM,
     ConvergenceError,
     TransitionResult,
     complementarity_check,
@@ -75,7 +76,7 @@ class TestOptimized:
         assert result.residual <= 1e-10
         assert result.method == "optimized"
 
-    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("dim", [*range(2, 9), MAX_DIM])
     def test_matches_closed_form_on_random_pairs(self, dim):
         for seed in range(25):
             psi = haar_random_state(dim, seed)
@@ -84,6 +85,23 @@ class TestOptimized:
             optimized = tau_optimized(psi, phi)
             assert abs(optimized.value - closed) <= 1e-6
             assert optimized.residual <= 1e-8
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, MAX_DIM])
+    def test_two_eigendecompositions_per_call(self, dim, monkeypatch):
+        # one step to the minimizer and one that confirms it, with no line
+        # search in between
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for seed in range(25):
+            calls.clear()
+            result = tau_optimized(haar_random_state(dim, seed), haar_random_state(dim, seed + 10_000))
+            assert (len(calls), result.iterations) == (2, 2)
 
     def test_dimension_cap(self):
         psi = haar_random_state(17, 0)
