@@ -10,6 +10,7 @@ column orders, sorted JSON keys, 17-significant-digit reals.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import json
@@ -78,15 +79,20 @@ class ScenarioConfig:
 
 def _parse_complex(entry, field: str, errors: list[str]) -> complex:
     if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(isinstance(v, (int, float)) for v in entry):
-        return complex(entry[0], entry[1])
-    errors.append(f"{field}: expected a number or [re, im] pair, got {entry!r}")
-    return 0j
+        value = complex(entry)
+    elif isinstance(entry, (list, tuple)) and len(entry) == 2 and all(isinstance(v, (int, float)) for v in entry):
+        value = complex(entry[0], entry[1])
+    else:
+        errors.append(f"{field}: expected a number or [re, im] pair, got {entry!r}")
+        return 0j
+    if not cmath.isfinite(value):
+        errors.append(f"{field}: number overflows a float: only finite numbers are accepted")
+        return 0j
+    return value
 
 
 def _amplitude_array(raw: list) -> np.ndarray | None:
-    """Amplitudes of a list of numbers or of [re, im] pairs, in one
+    """Amplitudes of a list of finite numbers or of [re, im] pairs, in one
     conversion; None for any other list. The parts are assigned, not
     summed, so every amplitude equals ``complex(re, im)`` bit for bit."""
     try:
@@ -94,6 +100,8 @@ def _amplitude_array(raw: list) -> np.ndarray | None:
     except (ValueError, TypeError, OverflowError):
         return None
     if arr.dtype.kind not in "biuf" or not (arr.ndim == 1 or (arr.ndim == 2 and arr.shape[1] == 2)):
+        return None
+    if not np.isfinite(arr).all():
         return None
     amps = np.zeros(arr.shape[0], dtype=complex)
     if arr.ndim == 1:
@@ -125,9 +133,13 @@ def _parse_state(raw, field: str, errors: list[str]) -> StateVector | None:
 
 
 def _number(raw, field: str, errors: list[str], need: str, ok=lambda v: True, *, integer: bool = False):
-    """``raw`` if it is a number (an integer if ``integer``) for which ``ok``
-    holds; else None, with the error ``field: need``. JSON true and false
+    """``raw`` if it is a finite number (an integer if ``integer``) for
+    which ``ok`` holds; else None, with the error ``field: need``, or one
+    naming the overflow for a literal such as 1e999. JSON true and false
     arrive as Python bools, which are ints, and are rejected here."""
+    if isinstance(raw, float) and not math.isfinite(raw):
+        errors.append(f"{field}: number overflows a float: only finite numbers are accepted")
+        return None
     if isinstance(raw, int if integer else (int, float)) and not isinstance(raw, bool) and ok(raw):
         return raw
     errors.append(f"{field}: {need}")
@@ -292,13 +304,6 @@ def _reject_non_finite(token: str):
     raise ConfigValidationError([f"non-finite number {token}: only finite numbers are accepted"])
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigValidationError([f"number {text} overflows to {value}: only finite numbers are accepted"])
-    return value
-
-
 def _finite_int(text: str) -> int:
     # the length test comes first: past 4300 digits int() itself refuses
     if len(text) <= 310:
@@ -313,9 +318,7 @@ def validate(config_text: str) -> ScenarioConfig:
     """Parse and validate a config document; collects every error before
     failing so one round trip fixes them all."""
     try:
-        doc = json.loads(
-            config_text, parse_float=_finite_float, parse_int=_finite_int, parse_constant=_reject_non_finite
-        )
+        doc = json.loads(config_text, parse_int=_finite_int, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigValidationError([f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]) from exc
     if not isinstance(doc, dict):
@@ -516,8 +519,6 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     if isinstance(value, float) and value == float("inf"):
         return "inf"
     return value

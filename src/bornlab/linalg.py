@@ -184,11 +184,6 @@ class Effect:
         return self.matrix.shape[0]
 
     @staticmethod
-    def identity(dim: int) -> "Effect":
-        """The unit effect: accepts every normalized state with certainty."""
-        return Effect(np.eye(dim, dtype=complex))
-
-    @staticmethod
     def rank_one(vector) -> "Effect":
         """The effect v v^dagger, stored as ``hermitize(np.outer(v, v.conj()))``.
 
@@ -243,11 +238,6 @@ class Povm:
 
     def __len__(self) -> int:
         return len(self.outcomes)
-
-    @staticmethod
-    def trivial(dim: int) -> "Povm":
-        """One-outcome measurement {I}: asks nothing, disturbs nothing."""
-        return Povm((Effect.identity(dim),))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,9 @@
 """End-to-end steering-amplification experiment on a two-level system.
 
 Two preparations of the same marginal state: a split ensemble of two pure
-states, and the direct (trivially steered) preparation. A distorted
-probability rule assigns them different statistics for the same test
-effect; the difference is the Jensen gap of the distortion. The full
+states, and the direct, unsteered preparation. A distorted probability
+rule assigns them different statistics for the same test effect; the
+difference is the Jensen gap of the distortion. The full
 steering pipeline and the analytic gap formula are computed independently
 and compared, and a finite-sample simulation estimates how detectable the
 gap is.
@@ -41,11 +41,10 @@ class SteeringScenario:
     """Two-level steering setup with the split preparation's measurement
     attached.
 
-    ``povm_split`` steers Bob into the two-member ensemble; direct
-    preparation of the barycenter is the trivial measurement
-    ``Povm.trivial(2)``. ``degenerate`` flags equal target probabilities,
-    where the split collapses to a single member and every gap vanishes
-    identically.
+    ``povm_split`` steers Bob into the two-member ensemble; the direct
+    preparation of the barycenter needs no measurement. ``degenerate``
+    flags equal target probabilities, where the two members coincide and
+    every gap vanishes.
     """
 
     p1: float
@@ -57,7 +56,6 @@ class SteeringScenario:
     omega: DensityMatrix
     purification: BipartiteState
     povm_split: Povm
-    ensemble_split: Ensemble
     degenerate: bool
 
     def __post_init__(self):
@@ -65,9 +63,6 @@ class SteeringScenario:
             got = tau_closed(state, self.phi).value
             if abs(got - target) > SCENARIO_ATOL:
                 raise ValueError(f"scenario state has transition probability {got}, wanted {target}")
-        bary_defect = float(np.max(np.abs(barycenter(self.ensemble_split).matrix - self.omega.matrix)))
-        if bary_defect > SCENARIO_ATOL:
-            raise ValueError(f"split ensemble barycenter deviates from omega by {bary_defect}")
         marginal_defect = float(
             np.max(np.abs(partial_trace_a(self.purification).matrix - self.omega.matrix))
         )
@@ -115,8 +110,8 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
 
     The test state is |0> and the preparations are sqrt(p)|0> +
     sqrt(1-p)|1>, mixed with weight ``lam``. Equal p1 and p2 make the two
-    members identical; the split then short-circuits to the trivial
-    single-member ensemble and the scenario is flagged degenerate.
+    members identical; the scenario is then flagged degenerate, and the
+    split is steered like any other.
     """
     for name, p in (("p1", p1), ("p2", p2)):
         if not 0.0 <= p <= 1.0:
@@ -127,15 +122,11 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
     phi = StateVector.basis(2, 0)
     psi1 = _probability_amplitudes(p1)
     psi2 = _probability_amplitudes(p2)
-    # exact equality only: a forced-zero gap at nearly-equal probabilities
-    # would contradict the analytic gap of steep rules near p = 0
-    degenerate = p1 == p2
     mixture = Ensemble(members=((lam, psi1), (1.0 - lam, psi2)))
     # one ensemble for omega and the split: hjw_povm reuses its cached barycenter
-    ensemble = Ensemble(members=((1.0, psi1),)) if degenerate else mixture
     omega = barycenter(mixture)
     purification = purify(omega)
-    povm_split = hjw_povm(purification, ensemble)
+    povm_split = hjw_povm(purification, mixture)
     return SteeringScenario(
         p1=float(p1),
         p2=float(p2),
@@ -146,8 +137,7 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
         omega=omega,
         purification=purification,
         povm_split=povm_split,
-        ensemble_split=ensemble,
-        degenerate=degenerate,
+        degenerate=p1 == p2,
     )
 
 

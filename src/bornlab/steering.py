@@ -112,7 +112,8 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     state |psi><psi|. Solvability of that linear system is exactly the
     condition that psi lies in the support of the marginal. A projector
     onto the unused A directions is appended as a remainder outcome when
-    the marginal is rank-deficient, so the collection is complete.
+    the marginal is rank-deficient (a one-member ensemble's has rank one),
+    so the collection is complete.
 
     Raises ValueError if the ensemble barycenter does not match the
     purification's B marginal within ``RECONSTRUCTION_ATOL``, or if a
@@ -127,10 +128,6 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
         raise ValueError(f"ensemble barycenter deviates from purified marginal by {mismatch}")
 
     dim_a = purification.dim_a
-    if len(ensemble.members) == 1:
-        # rank-1 target: the identity already steers to the single member
-        return Povm.trivial(dim_a)
-
     m_t = purification.amplitudes.T
     # column i is sqrt(w_i) psi_i; all members are solved for at once
     rhs = np.stack([np.sqrt(w) * member.amplitudes for w, member in ensemble.members], axis=1)

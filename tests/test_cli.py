@@ -181,6 +181,18 @@ class TestRun:
         assert float(first[1]) == pytest.approx(0.5, abs=1e-10)
         assert float(first[3]) == pytest.approx(1.0, abs=1e-10)
 
+    def test_one_member_steer_artifact_has_a_remainder_row(self, tmp_path, capsys):
+        out = tmp_path / "steer.csv"
+        doc = {"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": [[1.0, [0.6, 0.8]]]}}}
+        assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        assert "outcomes=2" in capsys.readouterr().out
+        rows = [l for l in out.read_text(encoding="utf-8").splitlines() if l and not l.startswith("#")]
+        assert len(rows) == 3
+        member, remainder = (row.split(",") for row in rows[1:])
+        assert float(member[1]) == pytest.approx(1.0, abs=1e-12)
+        assert float(member[3]) == pytest.approx(1.0, abs=1e-12)
+        assert float(remainder[1]) <= 1e-12 and remainder[2:] == ["", ""]
+
     def test_fock_converge_artifact(self, tmp_path):
         doc = {
             "command": "fock_converge",
@@ -287,7 +299,26 @@ class TestNonFiniteJson:
     def test_overflowing_literal_is_a_config_error(self):
         with pytest.raises(ConfigValidationError) as excinfo:
             validate('{"command": "tau", "parameters": {"psi": [1e400, 0], "phi": [1, 0]}}')
-        assert "1e400" in excinfo.value.errors[0]
+        assert excinfo.value.errors[0].startswith("psi[0]: number overflows a float")
+
+    # each overflowing literal is rejected by the field that reads it
+    OVERFLOWS = [
+        ('{"command": "scan", "rule": {"kind": "power", "alpha": 2}, "parameters": {"gap_tolerance": 1e999}}', "gap_tolerance"),
+        ('{"command": "tau", "parameters": {"psi": [1e400, 0], "phi": [1, 0]}}', "psi[0]"),
+        ('{"command": "fock_converge", "parameters": {"alpha": [1e999, 0], "beta": 0, "n_list": [5]}}', "alpha"),
+        ('{"command": "steer", "parameters": {"ensemble": {"members": [[1e999, [1, 0]]]}}}', "ensemble.members[0].weight"),
+    ]
+
+    @pytest.mark.parametrize("text,field", OVERFLOWS, ids=[field for _, field in OVERFLOWS])
+    def test_overflowing_literal_exits_two_naming_its_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "overflow.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "artifact"
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: number overflows a float")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_custom_table_with_nan_exits_two(self, tmp_path, capsys):
         path = tmp_path / "nan.json"

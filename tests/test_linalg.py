@@ -373,7 +373,7 @@ VALUE_TYPES = {
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
     "Effect": lambda: Effect(np.eye(2)),
     "Effect.rank_one": lambda: Effect.rank_one([1, 0]),
-    "Povm": lambda: Povm.trivial(2),
+    "Povm": lambda: Povm((Effect(np.eye(2, dtype=complex)),)),
     "BipartiteState": lambda: BipartiteState(np.eye(2) * INV_SQRT2),
 }
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bornlab.linalg import Povm
+from bornlab.linalg import Effect, Povm
 from bornlab.rules import PhiRule, builtin_rules
 from bornlab.signaling import (
     build_two_level_scenario,
@@ -23,13 +23,6 @@ class TestScenarioConstruction:
         assert np.allclose(scenario.psi2.amplitudes, [1.0, 0.0])
         assert np.allclose(scenario.omega.matrix, np.eye(2) / 2, atol=1e-12)
         assert not scenario.degenerate
-
-    def test_degenerate_equal_probabilities(self):
-        scenario = build_two_level_scenario(0.3, 0.3, 0.5)
-        assert scenario.degenerate
-        assert len(scenario.ensemble_split.members) == 1
-        # omega is pure: the single projector
-        assert np.allclose(scenario.omega.matrix, scenario.psi1.projector(), atol=1e-12)
 
     @pytest.mark.parametrize("p1,p2,lam", [(0.1, 0.9, 0.25), (0.35, 0.6, 0.75), (0.0, 0.55, 0.5)])
     def test_construction_hits_requested_transition_probabilities(self, p1, p2, lam):
@@ -80,9 +73,21 @@ class TestSteeringExperiment:
         record = run_steering_experiment(PhiRule.power(2.0), scenario)
         assert abs(record.gap) <= 1e-10
 
+    def test_equal_probabilities_steer_to_no_gap(self):
+        # the two members coincide, so omega is their pure projector; the
+        # general steering route must find no gap for any rule, steep ones
+        # at p = 0 included
+        for p in (0.0, 0.25, 0.5, 1.0):
+            for lam in (0.25, 0.5, 0.75):
+                scenario = build_two_level_scenario(p, p, lam)
+                assert scenario.degenerate
+                assert np.allclose(scenario.omega.matrix, scenario.psi1.projector(), atol=1e-12)
+                for rule in builtin_rules().values():
+                    assert abs(run_steering_experiment(rule, scenario).gap) <= 1e-12
+
     def test_nearly_equal_probabilities_keep_their_analytic_gap(self):
         # steep rules have a sizable gap even at |p1 - p2| = 1e-12 near the
-        # origin; only exact equality may short-circuit to a zero gap
+        # origin; only exact equality flags a degenerate, gapless scenario
         scenario = build_two_level_scenario(0.0, 1e-12, 0.5)
         assert not scenario.degenerate
         record = run_steering_experiment(PhiRule.power(0.5), scenario)
@@ -114,7 +119,7 @@ class TestSteeringExperiment:
         for p1, p2, lam in [(0.0, 1.0, 0.5), (0.2, 0.7, 0.25)]:
             scenario = build_two_level_scenario(p1, p2, lam)
             distance = verify_marginal_invariance(
-                scenario.purification, scenario.povm_split, Povm.trivial(2)
+                scenario.purification, scenario.povm_split, Povm((Effect(np.eye(2, dtype=complex)),))
             )
             assert distance <= 1e-10
 

@@ -85,12 +85,20 @@ class TestBarycenter:
 
 
 class TestHjwPovm:
-    def test_single_member_target_is_trivial_measurement(self):
-        psi = haar_random_state(2, 5)
-        ensemble = Ensemble(members=((1.0, psi),))
-        povm = hjw_povm(purify(barycenter(ensemble)), ensemble)
-        assert len(povm) == 1
-        assert np.allclose(povm.outcomes[0].matrix, np.eye(2))
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_single_member_is_steered_with_a_remainder_outcome(self, dim):
+        # a one-member marginal has rank one, so the general solve appends
+        # the remainder outcome, which must carry no probability
+        for seed in range(5):
+            psi = haar_random_state(dim, seed)
+            ensemble = Ensemble(members=((1.0, psi),))
+            purification = purify(barycenter(ensemble))
+            povm = hjw_povm(purification, ensemble)
+            assert len(povm) == 2
+            member, remainder = steer(purification, povm)
+            assert abs(member.probability - 1.0) <= 1e-12
+            assert fidelity_to_pure(member.conditional_state, psi) >= 1.0 - 1e-12
+            assert remainder.probability <= 1e-12
 
     def test_steers_computational_decomposition(self):
         ensemble = Ensemble(members=((0.5, ZERO), (0.5, ONE)))
@@ -158,7 +166,7 @@ class TestSteer:
     def test_trivial_measurement_prepares_the_marginal(self):
         omega = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         purification = purify(omega)
-        outcomes = steer(purification, Povm.trivial(2))
+        outcomes = steer(purification, Povm((Effect(np.eye(2, dtype=complex)),)))
         assert len(outcomes) == 1
         assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(outcomes[0].conditional_state.matrix - omega.matrix)) <= 1e-10
@@ -185,7 +193,7 @@ class TestSteer:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            steer(BELL, Povm.trivial(3))
+            steer(BELL, Povm((Effect(np.eye(3, dtype=complex)),)))
 
 
 def sqrt_route(state, povm):
