@@ -77,17 +77,17 @@ class ScenarioConfig:
     warnings: tuple[str, ...] = ()
 
 
-def _parse_complex(entry, field: str, errors: list[str]) -> complex:
+def _parse_complex(entry, field: str, errors: list[str]) -> complex | None:
     if isinstance(entry, (int, float)):
         value = complex(entry)
     elif isinstance(entry, (list, tuple)) and len(entry) == 2 and all(isinstance(v, (int, float)) for v in entry):
         value = complex(entry[0], entry[1])
     else:
         errors.append(f"{field}: expected a number or [re, im] pair, got {entry!r}")
-        return 0j
+        return None
     if not cmath.isfinite(value):
         errors.append(f"{field}: number overflows a float: only finite numbers are accepted")
-        return 0j
+        return None
     return value
 
 
@@ -119,7 +119,10 @@ def _parse_state(raw, field: str, errors: list[str]) -> StateVector | None:
     amps = _amplitude_array(raw)
     if amps is None:
         # entry by entry, so that each malformed entry is named
-        amps = np.array([_parse_complex(v, f"{field}[{i}]", errors) for i, v in enumerate(raw)])
+        entries = [_parse_complex(v, f"{field}[{i}]", errors) for i, v in enumerate(raw)]
+        if None in entries:
+            return None
+        amps = np.array(entries)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(amps))
     if norm == math.inf:

@@ -47,6 +47,12 @@ def _reject_booleans(field: str, values) -> None:
         raise ValueError(f"{field}: expected numbers, got a boolean")
 
 
+def _no_parameter(param):
+    if param is not None:
+        raise ValueError("identity rule takes no parameter")
+    return None, 1.0
+
+
 def _exponent(alpha):
     _reject_booleans("alpha", [alpha])
     if alpha is None or not 0 < alpha < math.inf:
@@ -87,21 +93,20 @@ def _table(values):
 
 
 class _Kind(NamedTuple):
-    """A rule kind: the PhiRule field holding its parameter and the
-    parameter's key in a rule spec (None for identity), the check that
-    returns (stored parameter, evaluation form), and the describe() label."""
+    """A rule kind: its parameter's key in a rule spec (None for identity),
+    the check that returns (stored parameter, evaluation form), and the
+    describe() label."""
 
-    field: str | None
     key: str | None
     normalize: Callable
     label: Callable[[PhiRule], str]
 
 
 _KINDS = {
-    "identity": _Kind(None, None, lambda _: (None, 1.0), lambda r: "identity"),
-    "power": _Kind("alpha", "alpha", _exponent, lambda r: f"power({r.alpha:g})"),
-    "piecewise_affine": _Kind("knots", "knots", _knots, lambda r: f"piecewise_affine({len(r.knots)} knots)"),
-    "custom": _Kind("table", "values", _table, lambda r: f"custom({r.table.size} points)"),
+    "identity": _Kind(None, _no_parameter, lambda r: "identity"),
+    "power": _Kind("alpha", _exponent, lambda r: f"power({r.param:g})"),
+    "piecewise_affine": _Kind("knots", _knots, lambda r: f"piecewise_affine({len(r.param)} knots)"),
+    "custom": _Kind("values", _table, lambda r: f"custom({r.param.size} points)"),
 }
 
 
@@ -115,40 +120,36 @@ def _lookup(kind) -> _Kind:
 class PhiRule:
     """A probability distortion.
 
-    Kinds: ``identity``; ``power`` with exponent ``alpha``;
-    ``piecewise_affine`` through sorted ``knots``; ``custom`` given by
-    ``table`` values on a uniform grid over [0, 1] with linear
-    interpolation; each evaluates as ``np.power`` (identity: exponent 1) or
-    as ``np.interp`` through nodes fixed at construction. Inadmissible
-    rules (see ``check_admissibility``) are constructible so they can be
-    scanned and rejected. Two rules are equal, and hash alike, when they
-    have the same kind and bitwise-equal parameters.
+    ``param`` holds the kind's one parameter: None for ``identity``, the
+    exponent for ``power``, the sorted (x, y) knots for
+    ``piecewise_affine``, and for ``custom`` the values on a uniform grid
+    over [0, 1] with linear interpolation. Each evaluates as ``np.power``
+    (identity: exponent 1) or as ``np.interp`` through nodes fixed at
+    construction. Inadmissible rules (see ``check_admissibility``) are
+    constructible so they can be scanned and rejected. Two rules are
+    equal, and hash alike, when they have the same kind and bitwise-equal
+    parameters.
     """
 
     kind: str
-    alpha: float | None = None
-    knots: tuple[tuple[float, float], ...] | None = None
-    table: np.ndarray | None = None
+    param: float | tuple[tuple[float, float], ...] | np.ndarray | None = None
     # the exponent for np.power, or the (xs, ys) nodes for np.interp
     _form: float | tuple[np.ndarray, np.ndarray] = field(init=False, default=1.0, repr=False, compare=False)
 
     def __post_init__(self):
-        kind = _lookup(self.kind)
         try:
-            value, form = kind.normalize(getattr(self, kind.field) if kind.field else None)
+            param, form = _lookup(self.kind).normalize(self.param)
         except OverflowError as exc:
             # an integer past the float range passes the comparisons and
             # fails only when float() converts it
             raise ValueError(f"{self.kind} rule parameter too large for a float: {exc}") from exc
-        if kind.field:
-            object.__setattr__(self, kind.field, value)
+        object.__setattr__(self, "param", param)
         object.__setattr__(self, "_form", form)
 
     # the generated __eq__ and __hash__ would compare and hash the table
     # array itself, which raises
     def _key(self) -> tuple:
-        field = _KINDS[self.kind].field
-        return self.kind, field and np.asarray(getattr(self, field), dtype=float).tobytes()
+        return self.kind, None if self.param is None else np.asarray(self.param, dtype=float).tobytes()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -166,15 +167,15 @@ class PhiRule:
 
     @staticmethod
     def power(alpha: float) -> "PhiRule":
-        return PhiRule(kind="power", alpha=alpha)
+        return PhiRule(kind="power", param=alpha)
 
     @staticmethod
     def piecewise_affine(knots) -> "PhiRule":
-        return PhiRule(kind="piecewise_affine", knots=knots)
+        return PhiRule(kind="piecewise_affine", param=knots)
 
     @staticmethod
     def custom(values) -> "PhiRule":
-        return PhiRule(kind="custom", table=values)
+        return PhiRule(kind="custom", param=values)
 
     # -- evaluation --------------------------------------------------------
 
@@ -193,14 +194,14 @@ class PhiRule:
     # -- serialization (scenario config format) -----------------------------
 
     def to_dict(self) -> dict:
-        kind = _KINDS[self.kind]
-        return {"kind": self.kind} | ({kind.key: np.asarray(getattr(self, kind.field)).tolist()} if kind.key else {})
+        key = _KINDS[self.kind].key
+        return {"kind": self.kind} | ({key: np.asarray(self.param).tolist()} if key else {})
 
     @staticmethod
     def from_dict(spec: dict) -> "PhiRule":
         kind = spec.get("kind")
-        entry = _lookup(kind)
-        return PhiRule(kind, **({entry.field: spec[entry.key]} if entry.key else {}))
+        key = _lookup(kind).key
+        return PhiRule(kind, spec[key] if key else None)
 
 
 def check_admissibility(rule: PhiRule) -> AdmissibilityReport:

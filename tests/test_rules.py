@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ class TestAdmissibility:
             PhiRule.custom([0.5])
         with pytest.raises(ValueError):
             PhiRule(kind="mystery")
+
+    def test_a_rule_holds_one_parameter(self):
+        assert [f.name for f in fields(PhiRule) if f.init] == ["kind", "param"]
+        # a second, unchecked parameter can no longer ride along
+        with pytest.raises(TypeError):
+            PhiRule(kind="power", alpha=2.0, table=[math.nan, "x"])
+        assert PhiRule(kind="power", param=2.0) == PhiRule.power(2.0)
+
+    def test_identity_rejects_a_parameter(self):
+        with pytest.raises(ValueError, match="identity rule takes no parameter"):
+            PhiRule(kind="identity", param=-5)
+        # a rule spec's unknown keys are still ignored
+        assert PhiRule.from_dict({"kind": "identity", "alpha": -5}) == PhiRule.identity()
 
     @pytest.mark.parametrize("alpha", [math.inf, math.nan])
     def test_power_rejects_non_finite_exponent(self, alpha):

@@ -173,6 +173,12 @@ class TestDetectability:
         assert report.sample_size_estimate == pytest.approx(expected, rel=1e-6)
 
     def test_sample_size_is_two_sided(self):
-        # p = 0.55 against 0.5 at alpha = beta = 0.05: the two-sided estimate
-        # is ~2592.5 per arm; the one-sided z_{1-alpha} would give ~2159
-        assert required_sample_size(0.55, 0.5, 0.05, 0.05) == pytest.approx(2592.44, rel=1e-5)
+        # p = 0.55 against 0.5 at alpha = 0.05: the two-sided estimate is
+        # ~2592.5 per arm; the one-sided z_{1-alpha} would give ~2159
+        assert required_sample_size(0.55, 0.5, 0.05) == pytest.approx(2592.44, rel=1e-5)
+
+    def test_alpha_is_both_error_rates(self):
+        z_level = 2.5758293035489004  # 99.5th percentile of the standard normal
+        z_power = 2.3263478740408408  # 99th percentile of the standard normal
+        expected = (z_level + z_power) ** 2 * 0.525 * (1 - 0.525) * 2 / 0.05**2
+        assert required_sample_size(0.55, 0.5, 0.01) == pytest.approx(expected, rel=1e-9)
