@@ -49,10 +49,12 @@ MAX_SAMPLES = 10**7
 # slowest built-in kind, a 1025-point custom table, takes ~0.8 s as a
 # subprocess; its certify_identity takes 0.45 s at 2e-4 and 1.5 s at 1e-4.
 MIN_GRID_STEP = 2e-4
-# Largest steer member dimension d, and largest members * d**2: the member
-# effects alone hold 16 * members * d**2 bytes, 64 MB at the cap. At the cap
-# d = 32 with 4096 members takes ~1.6 s and 190 MB peak RSS as a subprocess,
-# d = 128 with 256 members ~1.0 s and 170 MB.
+# Largest steer member dimension d, and largest members * d**2: the
+# barycenter adds one d x d projector per member. The member effects and
+# their steered states hold only their vectors, members * d numbers each,
+# until a caller reads a matrix. At the cap d = 32 with 4096 members takes
+# ~1.1 s and 78 MB peak RSS as a subprocess, d = 128 with 256 members ~0.5 s
+# and 60 MB (2-vCPU VM).
 MAX_MEMBER_DIM = 128
 MAX_STEER_ENTRIES = 2**22
 

@@ -18,10 +18,13 @@ routes can disagree only for an eigenvalue within rounding of the bound
 (measured: at most 1.7e-15 away, at unit norm and dimension <= 64).
 
 A rank-one effect v v^dagger has spectrum {|v|^2, 0, ..., 0}, so
-``Effect.rank_one`` accepts it from its trace alone, with no
-factorization, and hands every rejection to the general constructor. The
-trace can disagree with the top eigenvalue only within about (d + 2) eps
-of the bound at dimension d.
+``Effect.rank_one`` accepts it from |v|^2 alone, with no factorization,
+and hands every rejection to the general constructor. |v|^2 can disagree
+with the stored matrix's top eigenvalue only within about (d + 2) eps of
+the bound at dimension d. Such an effect, and the pure conditional state
+that ``steer`` makes from its branch, hold the vector as ``factor`` and
+build their d x d ``matrix`` only when it is first read, so a measurement
+of k rank-one members holds O(d k) numbers until a caller reads a matrix.
 """
 
 from __future__ import annotations
@@ -125,9 +128,46 @@ class StateVector:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
+class _Factored:
+    """A value whose matrix may be held as v v^dagger by its vector ``factor``.
+
+    One made by ``_from_factor`` has no ``matrix`` until that is first read;
+    ``__getattr__`` then builds ``hermitize(np.outer(v, v.conj()))``,
+    read-only, and keeps it. One made by its constructor has its matrix
+    from the start and ``factor`` None.
+    """
+
+    factor: np.ndarray | None = None
+
+    @classmethod
+    def _from_factor(cls, vector: np.ndarray):
+        value = object.__new__(cls)
+        vector.setflags(write=False)
+        object.__setattr__(value, "factor", vector)
+        return value
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set
+        factor = self.factor
+        if name != "matrix" or factor is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        matrix = hermitize(np.outer(factor, factor.conj()))
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        return matrix
+
+    @property
+    def dim(self) -> int:
+        return (self.matrix if self.factor is None else self.factor).shape[0]
+
+
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Factored):
     """Mixed state: Hermitian, positive semidefinite, unit trace.
+
+    A pure state that ``steer`` makes from a rank-one branch b b^dagger is
+    held by its unit vector b / |b| as ``factor``: it is a state by
+    construction, so it takes no spectrum check.
 
     ``trace_target`` supports deliberately sub-normalized operators (the
     barycenter of a truncated countable ensemble carries only the retained
@@ -155,13 +195,9 @@ class DensityMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
-class Effect:
+class Effect(_Factored):
     """Measurement element: Hermitian with spectrum in [0, 1]."""
 
     matrix: np.ndarray
@@ -179,38 +215,30 @@ class Effect:
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @staticmethod
     def rank_one(vector) -> "Effect":
-        """The effect v v^dagger, stored as ``hermitize(np.outer(v, v.conj()))``.
+        """The effect v v^dagger, held by its ``factor`` v; its ``matrix``,
+        ``hermitize(np.outer(v, v.conj()))``, is built when first read.
 
-        Its spectrum is {|v|^2, 0, ..., 0}, so it is accepted when the
-        stored matrix's real trace, |v|^2 up to rounding, is at most
-        ``1 + VALIDATION_ATOL``. No lower check is needed: the eigenvalues
-        of the rounded matrix are >= about -2 eps |v|^2, far above
-        ``-VALIDATION_ATOL``. Otherwise ``Effect(matrix)`` decides, so a
-        non-finite vector or a top eigenvalue past the bound raises the
-        general constructor's message. At dimension d the trace lies within
-        about (d + 2) eps |v|^2 of the stored matrix's top eigenvalue, so
-        the two routes can disagree only that close to the bound (measured
-        against ``eigvalsh``, which adds its own rounding: at most 1.1e-15
-        apart over 15000 unit vectors at d = 2 to 64).
+        Its spectrum is {|v|^2, 0, ..., 0}, so it is accepted when |v|^2 is
+        at most ``1 + VALIDATION_ATOL``. No lower check is needed: the
+        eigenvalues of the rounded matrix are >= about -2 eps |v|^2, far
+        above ``-VALIDATION_ATOL``. Otherwise ``Effect(matrix)`` decides, so
+        a non-finite vector or a top eigenvalue past the bound raises the
+        general constructor's message. At dimension d, |v|^2 lies within
+        about (d + 2) eps |v|^2 of the matrix's top eigenvalue, so the two
+        routes can disagree only that close to the bound (measured against
+        ``eigvalsh``, which adds its own rounding: at most 1.1e-15 apart
+        over 15000 unit vectors at d = 2 to 64).
         """
         v = _as_complex_vector(vector)
-        # a non-finite or overflowing vector reaches Effect(matrix) below,
-        # which rejects it without a warning
+        if np.vdot(v, v).real <= 1.0 + VALIDATION_ATOL:
+            return Effect._from_factor(v)
+        # a non-finite or overflowing vector reaches Effect(matrix), which
+        # rejects it without a warning
         with np.errstate(invalid="ignore", over="ignore"):
             matrix = hermitize(np.outer(v, v.conj()))
-            norm_sq = matrix.trace().real
-        if not norm_sq <= 1.0 + VALIDATION_ATOL:
-            return Effect(matrix)
-        matrix.setflags(write=False)
-        effect = object.__new__(Effect)
-        object.__setattr__(effect, "matrix", matrix)
-        return effect
+        return Effect(matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +254,12 @@ class Povm:
         dim = outcomes[0].dim
         if any(e.dim != dim for e in outcomes):
             raise ValueError("POVM outcomes have mismatched dimensions")
-        total = sum(e.matrix for e in outcomes)
+        # the rank-one effects v v^dagger sum to F F^dagger, F's columns their factors
+        total = sum((e.matrix for e in outcomes if e.factor is None), np.zeros((dim, dim), dtype=complex))
+        factors = [e.factor for e in outcomes if e.factor is not None]
+        if factors:
+            f = np.stack(factors, axis=1)
+            total += f @ f.conj().T
         defect = float(np.max(np.abs(total - np.eye(dim))))
         if defect > POVM_SUM_ATOL:
             raise ValueError(f"POVM completeness defect {defect} exceeds {POVM_SUM_ATOL}")
@@ -349,7 +382,10 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 def fidelity_to_pure(rho: DensityMatrix, psi: StateVector) -> float:
-    """<psi| rho |psi>: fidelity between a mixed state and a pure target."""
+    """<psi| rho |psi>: fidelity between a mixed state and a pure target;
+    |<psi|u>|^2 for a state held by its unit vector u."""
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
+    if rho.factor is not None:
+        return float(abs(np.vdot(psi.amplitudes, rho.factor)) ** 2)
     return float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))

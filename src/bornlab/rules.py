@@ -201,7 +201,7 @@ class PhiRule:
     def from_dict(spec: dict) -> "PhiRule":
         kind = spec.get("kind")
         key = _lookup(kind).key
-        return PhiRule(kind, spec[key] if key else None)
+        return PhiRule(kind, spec.get(key) if key else None)
 
 
 def check_admissibility(rule: PhiRule) -> AdmissibilityReport:

@@ -141,14 +141,6 @@ def jensen_gap(rule: PhiRule, p1: float, p2: float, lam: float) -> float:
     return lam * phi_eval(rule, p1) + (1.0 - lam) * phi_eval(rule, p2) - phi_eval(rule, mixture)
 
 
-def _pure_state_of(conditional: DensityMatrix) -> StateVector:
-    """Principal eigenvector of a numerically rank-1 density matrix."""
-    eigvals, eigvecs = np.linalg.eigh(conditional.matrix)
-    if eigvals[-1] < 1.0 - 1e-8:
-        raise ValueError(f"conditional state is mixed (top eigenvalue {eigvals[-1]})")
-    return StateVector(eigvecs[:, -1] / np.linalg.norm(eigvecs[:, -1]))
-
-
 def run_steering_experiment(rule: PhiRule, scenario: SteeringScenario) -> ExperimentRecord:
     """Compare the two preparations' statistics for the test effect.
 
@@ -159,14 +151,18 @@ def run_steering_experiment(rule: PhiRule, scenario: SteeringScenario) -> Experi
     analytic Jensen gap; the two computations share no intermediate steps.
 
     A branch that ``steer`` leaves without a conditional state is null and
-    is skipped: ``steer`` alone decides nullity. The scenario is not
-    checked again here, since ``hjw_povm`` checked it when it was built.
+    is skipped: ``steer`` alone decides nullity. Every other branch must be
+    pure, held by its unit vector; a mixed one raises ValueError. The
+    scenario is not checked again here, since ``hjw_povm`` checked it when
+    it was built.
     """
     prob_split = 0.0
     for outcome in steer(scenario.purification, scenario.povm_split):
         if outcome.conditional_state is None:
             continue
-        member = _pure_state_of(outcome.conditional_state)
+        if outcome.conditional_state.factor is None:
+            raise ValueError(f"conditional state of outcome {outcome.outcome_index} is not pure")
+        member = StateVector(outcome.conditional_state.factor)
         prob_split += outcome.probability * prob_pure(rule, member, scenario.phi)
     prob_direct = phi_eval(rule, tau_mixed(scenario.omega, scenario.phi))
     gap = prob_split - prob_direct

@@ -107,13 +107,14 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     """Measurement on A whose branches steer B into the given ensemble.
 
     With coefficient matrix M of the purification, the rank-1 element for
-    member (w, psi) is built from the A-side vector solving
-    M^T x = sqrt(w) psi; its branch then has probability w and conditional
-    state |psi><psi|. Solvability of that linear system is exactly the
-    condition that psi lies in the support of the marginal. A projector
-    onto the unused A directions is appended as a remainder outcome when
-    the marginal is rank-deficient (a one-member ensemble's has rank one),
-    so the collection is complete.
+    member (w, psi) is v v^dagger with v = conj(x), x the A-side vector
+    solving M^T x = sqrt(w) psi. It is held by its factor v
+    (``Effect.rank_one``), so no d x d matrix is built. Its branch then has
+    probability w and conditional state |psi><psi|. Solvability of that
+    linear system is exactly the condition that psi lies in the support of
+    the marginal. A projector onto the unused A directions is appended as a
+    remainder outcome when the marginal is rank-deficient (a one-member
+    ensemble's has rank one), so the collection is complete.
 
     Raises ValueError if the ensemble barycenter does not match the
     purification's B marginal within ``RECONSTRUCTION_ATOL``, or if a
@@ -158,18 +159,34 @@ def steer(state: BipartiteState, povm_a: Povm) -> list[SteeringOutcome]:
     effect, so no square root of E_i is taken. Its real trace
     <Psi|(E_i x I)|Psi> is the branch probability, and the branch divided
     by that probability is the conditional state.
+
+    A rank-one effect v v^dagger (one with a ``factor``, as every member
+    effect of ``hjw_povm``) has the branch b b^dagger with b = M^T conj(v).
+    All such b are the columns of one product M^T conj(F), F's columns the
+    factors. The probability is |b|^2, and the conditional state is pure,
+    held by its unit vector b / |b|, so no d x d branch is formed or
+    checked. Other effects take the general route through ``_branch``.
     """
     if povm_a.dim != state.dim_a:
         raise ValueError(f"POVM dimension {povm_a.dim} differs from A side {state.dim_a}")
+    factors = [e.factor for e in povm_a.outcomes if e.factor is not None]
+    columns = iter((state.amplitudes.T @ np.stack(factors, axis=1).conj()).T if factors else ())
     outcomes = []
     for index, effect in enumerate(povm_a.outcomes):
-        branch = _branch(state, effect)
-        prob = float(np.real(np.trace(branch)))
+        if effect.factor is None:
+            branch = _branch(state, effect)
+            prob = float(np.real(np.trace(branch)))
+        else:
+            b = next(columns)
+            prob = float(np.vdot(b, b).real)
         if prob < NULL_OUTCOME_PROB:
             outcomes.append(SteeringOutcome(index, prob, None))
             continue
-        conditional = branch / prob
-        outcomes.append(SteeringOutcome(index, prob, DensityMatrix(hermitize(conditional))))
+        if effect.factor is None:
+            conditional = DensityMatrix(hermitize(branch / prob))
+        else:
+            conditional = DensityMatrix._from_factor(b / np.sqrt(prob))
+        outcomes.append(SteeringOutcome(index, prob, conditional))
     return outcomes
 
 

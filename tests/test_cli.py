@@ -624,6 +624,18 @@ class TestEveryConfigEndsCleanly:
         assert run_doc(tmp_path, {"command": "jensen", "rule": spec, "parameters": TWO_LEVEL})[0] == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: rule: expected a JSON object\n"
 
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("power", "power rule needs a positive finite exponent"),
+            ("piecewise_affine", "piecewise rule needs at least two knots"),
+            ("custom", "custom rule needs tabulated values"),
+        ],
+    )
+    def test_rule_without_its_parameter_names_it(self, tmp_path, capsys, kind, message):
+        assert run_doc(tmp_path, {"command": "jensen", "rule": {"kind": kind}, "parameters": TWO_LEVEL})[0] == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: rule: {message}\n"
+
     def test_steer_ignores_a_kind_key(self, tmp_path, capsys):
         # the ensemble's kind follows from its tail weight; a kind key is
         # ignored like any other unrecognised key

@@ -53,6 +53,13 @@ class TestConstruction:
         half = Effect(np.diag([0.5, 0.5]))
         with pytest.raises(ValueError, match="completeness"):
             Povm((half,))
+        # rank-one effects are summed from their factors, alone or with others
+        zero, one = Effect.rank_one([1, 0]), Effect.rank_one([0, 1])
+        with pytest.raises(ValueError, match="completeness defect 1.0 "):
+            Povm((zero,))
+        with pytest.raises(ValueError, match="completeness defect 0.5 "):
+            Povm((zero, half))
+        assert len(Povm((zero, one))) == len(Povm((zero, Effect(np.diag([0.0, 1.0]))))) == 2
 
     def test_bipartite_requires_unit_frobenius_norm(self):
         with pytest.raises(ValueError, match="norm"):
@@ -199,12 +206,13 @@ class TestSpectrumCheck:
                     build(m)
 
     def test_cli_steer_at_dim_32_takes_two_eigendecompositions(self, tmp_path, monkeypatch):
-        # purify's eigh and hjw_povm's remainder decision; the barycenter,
-        # the purified marginal and the 64 conditional states are checked by
-        # Cholesky, and the rank-one member effects take no factorization
+        # purify's eigh and hjw_povm's remainder decision; the barycenter
+        # and the purified marginal are checked by Cholesky, and neither the
+        # rank-one member effects nor their 64 pure conditional states take
+        # a factorization
         members = [(1 / 64, haar_random_state(32, seed).amplitudes) for seed in range(64)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 66, "eigh": 1, "eigvalsh": 1}
+        assert counts == {"cholesky": 2, "eigh": 1, "eigvalsh": 1}
 
 
 class TestRankOneEffect:
@@ -236,7 +244,10 @@ class TestRankOneEffect:
         v = haar_random_state(dim, 4).amplitudes * 0.9
         effect = Effect.rank_one(v)
         want = linalg.hermitize(np.outer(v, v.conj()))
+        # held by its factor; the matrix is built on the first read below
         assert type(effect) is Effect and effect.dim == dim
+        assert "matrix" not in vars(effect)
+        assert effect.factor.tobytes() == v.tobytes()
         assert effect.matrix.dtype == want.dtype
         assert effect.matrix.tobytes() == want.tobytes()
         assert not effect.matrix.flags.writeable
@@ -269,12 +280,13 @@ class TestRankOneEffect:
                 Effect.rank_one(bad)
 
     def test_cli_steer_of_a_rank_deficient_ensemble_at_dim_32(self, tmp_path, monkeypatch):
-        # 2 + 48 states and the remainder effect's two factorizations (its
-        # branch has probability 0 and no state); no member effect factorizes
+        # the barycenter, the marginal and the remainder effect's two
+        # factorizations (its branch has probability 0 and no state); no
+        # member effect or pure conditional state factorizes
         basis, _ = np.linalg.qr(make_rng(3).standard_normal((32, 16)) + 0j)
         members = [(1 / 48, basis @ haar_random_state(16, seed).amplitudes) for seed in range(48)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 52, "eigh": 1, "eigvalsh": 1}
+        assert counts == {"cholesky": 4, "eigh": 1, "eigvalsh": 1}
 
 
 class TestTensor:

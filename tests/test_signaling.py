@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,14 @@ class TestSteeringExperiment:
                 scenario.purification, scenario.povm_split, Povm((Effect(np.eye(2, dtype=complex)),))
             )
             assert distance <= 1e-10
+
+    def test_a_branch_with_no_pure_state_is_a_named_error(self):
+        # the split read through general effects: each branch is a d x d
+        # matrix with no unit vector to read the member from
+        scenario = build_two_level_scenario(0.2, 0.7, 0.25)
+        general = Povm(tuple(Effect(e.matrix) for e in scenario.povm_split.outcomes))
+        with pytest.raises(ValueError, match="conditional state of outcome 0 is not pure"):
+            run_steering_experiment(PhiRule.power(2.0), dataclasses.replace(scenario, povm_split=general))
 
 
 class TestDetectability:

@@ -9,6 +9,7 @@ from bornlab.linalg import (
     StateVector,
     fidelity_to_pure,
     haar_random_state,
+    make_rng,
     purify,
     random_povm,
 )
@@ -230,6 +231,66 @@ class TestSteerMatchesSquareRootRoute:
         for outcome, (prob, conditional) in zip(outcomes, sqrt_route(state, povm)):
             assert outcome.probability == pytest.approx(prob, abs=1e-12)
             assert np.max(np.abs(outcome.conditional_state.matrix - conditional)) <= 1e-12
+
+
+def deficient_ensemble(dim: int, n_members: int, seed: int) -> Ensemble:
+    """Haar members of a random subspace of dimension max(1, dim // 2)."""
+    rank = max(1, dim // 2)
+    rng = make_rng(seed, stream=3)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
+    weights = rng.dirichlet(np.ones(n_members))
+    return Ensemble(
+        members=tuple(
+            (float(w), StateVector(basis @ haar_random_state(rank, seed * 31 + i).amplitudes))
+            for i, w in enumerate(weights)
+        )
+    )
+
+
+class TestFactoredRouteMatchesGeneralRoute:
+    """steer's one-product route for rank-one effects against the d x d
+    ``_branch`` route it replaced, taken by the same effects rebuilt by the
+    general constructor."""
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    @pytest.mark.parametrize("shape", ["full_rank", "rank_deficient", "one_member"])
+    def test_hjw_effects(self, dim, shape, random_ensemble):
+        ensemble = {
+            "full_rank": lambda: random_ensemble(dim, 2 * dim, dim),
+            "rank_deficient": lambda: deficient_ensemble(dim, dim + 1, dim),
+            "one_member": lambda: Ensemble(members=((1.0, haar_random_state(dim, dim)),)),
+        }[shape]()
+        purification = purify(barycenter(ensemble))
+        # one target per member, and one more for a remainder outcome
+        targets = [member for _, member in ensemble.members] + [ensemble.members[0][1]]
+        self._compare(purification, hjw_povm(purification, ensemble), targets)
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_rank_one_and_general_effects_in_one_measurement(self, dim, random_bipartite):
+        # the first effect of a random POVM split into its rank-one spectral pieces
+        general = random_povm(dim, 3, dim)
+        eigvals, eigvecs = np.linalg.eigh(general.outcomes[0].matrix)
+        pieces = [Effect.rank_one(np.sqrt(max(val, 0.0)) * eigvecs[:, i]) for i, val in enumerate(eigvals)]
+        povm = Povm((*pieces, *general.outcomes[1:]))
+        targets = [haar_random_state(dim, 500 + i) for i in range(len(povm))]
+        self._compare(random_bipartite(dim, dim, dim), povm, targets)
+
+    @staticmethod
+    def _compare(state, povm, targets):
+        factored = steer(state, povm)
+        general = steer(state, Povm(tuple(Effect(e.matrix) for e in povm.outcomes)))
+        assert len(factored) == len(general) == len(povm) <= len(targets)
+        for effect, a, b, psi in zip(povm.outcomes, factored, general, targets):
+            assert a.probability == pytest.approx(b.probability, abs=1e-12)
+            if b.conditional_state is None:
+                assert a.conditional_state is None
+                continue
+            assert (a.conditional_state.factor is None) == (effect.factor is None)
+            assert b.conditional_state.factor is None
+            assert np.max(np.abs(a.conditional_state.matrix - b.conditional_state.matrix)) <= 1e-12
+            assert fidelity_to_pure(a.conditional_state, psi) == pytest.approx(
+                fidelity_to_pure(b.conditional_state, psi), abs=1e-12
+            )
 
 
 class TestMarginalInvariance:
