@@ -53,8 +53,8 @@ MIN_GRID_STEP = 2e-4
 # barycenter adds one d x d projector per member. The member effects and
 # their steered states hold only their vectors, members * d numbers each,
 # until a caller reads a matrix. At the cap d = 32 with 4096 members takes
-# ~1.1 s and 78 MB peak RSS as a subprocess, d = 128 with 256 members ~0.5 s
-# and 60 MB (2-vCPU VM).
+# ~1.0 s and 79 MB peak RSS as a subprocess, d = 128 with 256 members ~0.5 s
+# and 68 MB (2-vCPU VM).
 MAX_MEMBER_DIM = 128
 MAX_STEER_ENTRIES = 2**22
 
@@ -222,8 +222,10 @@ def _parse_detect(params: dict, errors: list[str]) -> dict:
             ),
             MAX_SAMPLES, "n_samples", "sample count", errors,
         ),
+        # at or below 2**-53 the level quantile's 1 - alpha/2 rounds to 1
         "alpha": _number(
-            params.get("alpha", 0.05), "alpha", errors, "must lie strictly between 0 and 1", lambda v: 0 < v < 1
+            params.get("alpha", 0.05), "alpha", errors,
+            "must lie strictly between 2**-53 and 1", lambda v: 2.0**-53 < v < 1,
         ),
     }
 

@@ -10,6 +10,8 @@ stability of ensemble probabilities under countable mixing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import StateVector
@@ -18,10 +20,19 @@ from .steering import check_weight_sum
 from .transition import TAU_RANGE_ATOL, tau_closed
 
 
+def _squared_modulus(z: complex) -> float:
+    """|z|^2, or inf where the float square overflows (|z| past ~1.34e154):
+    the Gaussian factors below are then 0, as they are from |z| ~ 38.6 up."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     # iterative ratio c_{n+1} = c_n * alpha / sqrt(n+1): no factorial overflow
     amps = np.zeros(n_max + 1, dtype=complex)
-    amps[0] = np.exp(-abs(alpha) ** 2 / 2.0)
+    amps[0] = np.exp(-_squared_modulus(alpha) / 2.0)
     for n in range(n_max):
         amps[n + 1] = amps[n] * alpha / np.sqrt(n + 1.0)
     return amps
@@ -29,7 +40,7 @@ def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
 
 def tau_coherent_analytic(alpha: complex, beta: complex) -> float:
     """Transition probability between ideal coherent states: exp(-|a-b|^2)."""
-    return float(np.exp(-abs(complex(alpha) - complex(beta)) ** 2))
+    return float(np.exp(-_squared_modulus(complex(alpha) - complex(beta))))
 
 
 def truncation_convergence(

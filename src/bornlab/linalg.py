@@ -8,17 +8,12 @@ arrays, which raises. Tolerances are global: ``VALIDATION_ATOL`` for
 constructor checks, ``RECONSTRUCTION_ATOL`` for round-trip identities
 (eigensolver noise accumulates a few ulp per op, these leave headroom).
 
-``DensityMatrix`` and ``Effect`` check their spectrum against
-``VALIDATION_ATOL`` once. From dimension ``_CHOLESKY_MIN_DIM`` up, a
-Cholesky factorization of ``h + VALIDATION_ATOL*I`` (and, for an effect,
-of ``(1 + VALIDATION_ATOL)*I - h``) that succeeds proves the bound up to
-rounding and accepts. Below that dimension, and whenever a factorization
-fails, ``eigvalsh`` decides and names the offending eigenvalue. The two
-routes can disagree only for an eigenvalue within rounding of the bound
-(measured: at most 1.7e-15 away, at unit norm and dimension <= 64).
+``DensityMatrix`` and ``Effect`` check their spectrum once, by
+``eigvalsh`` against ``VALIDATION_ATOL``, and a rejection names the
+offending eigenvalue.
 
 A rank-one effect v v^dagger has spectrum {|v|^2, 0, ..., 0}, so
-``Effect.rank_one`` accepts it from |v|^2 alone, with no factorization,
+``Effect.rank_one`` accepts it from |v|^2 alone, with no eigendecomposition,
 and hands every rejection to the general constructor. |v|^2 can disagree
 with the stored matrix's top eigenvalue only within about (d + 2) eps of
 the bound at dimension d. Such an effect, and the pure conditional state
@@ -36,10 +31,6 @@ import numpy as np
 VALIDATION_ATOL = 1e-9
 RECONSTRUCTION_ATOL = 1e-8
 POVM_SUM_ATOL = 1e-8
-
-# From this dimension up, one shifted Cholesky costs well under an eigvalsh
-# and two cost no more (timings in CHANGES.md); below it eigvalsh is cheaper.
-_CHOLESKY_MIN_DIM = 16
 
 #: Identifier of the seeded generator scheme. Outputs are bit-reproducible
 #: for a fixed (seed, stream) across runs as long as this scheme is unchanged.
@@ -60,13 +51,6 @@ def _as_complex_vector(values) -> np.ndarray:
     return arr
 
 
-def _as_complex_matrix(values) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ValueError("expected a nonempty square matrix")
-    return arr
-
-
 # an infinite entry makes inf - inf: the defect is then NaN, which fails the
 # caller's check without a warning
 @np.errstate(invalid="ignore")
@@ -79,21 +63,18 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().T) / 2
 
 
-def _cholesky_accepts(h: np.ndarray, *, upper: bool) -> bool:
-    """True when shifted Cholesky factorizations prove that the Hermitian
-    ``h`` has spectrum >= -VALIDATION_ATOL and, with ``upper``, also
-    <= 1 + VALIDATION_ATOL. False below ``_CHOLESKY_MIN_DIM`` or when a
-    factorization fails; the caller's ``eigvalsh`` then decides."""
-    if h.shape[0] < _CHOLESKY_MIN_DIM:
-        return False
-    eye = np.eye(h.shape[0])
-    try:
-        np.linalg.cholesky(h + VALIDATION_ATOL * eye)
-        if upper:
-            np.linalg.cholesky((1.0 + VALIDATION_ATOL) * eye - h)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _checked_spectrum(values, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The square matrix of ``values`` and the ascending spectrum of its
+    Hermitian part, after rejecting a hermiticity defect beyond
+    ``VALIDATION_ATOL``; ``name`` starts the message."""
+    arr = np.array(values, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise ValueError("expected a nonempty square matrix")
+    defect = _hermiticity_defect(arr)
+    if not defect <= VALIDATION_ATOL:
+        raise ValueError(f"{name} hermiticity defect {defect}")
+    # hermitizing an exactly Hermitian matrix gives the same bits
+    return arr, np.linalg.eigvalsh(arr if defect == 0.0 else hermitize(arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,16 +160,9 @@ class DensityMatrix(_Factored):
     trace_target: InitVar[float] = 1.0
 
     def __post_init__(self, trace_target: float):
-        arr = _as_complex_matrix(self.matrix)
-        defect = _hermiticity_defect(arr)
-        if not defect <= VALIDATION_ATOL:
-            raise ValueError(f"density matrix hermiticity defect {defect}")
-        # hermitizing an exactly Hermitian matrix gives the same bits
-        h = arr if defect == 0.0 else hermitize(arr)
-        if not _cholesky_accepts(h, upper=False):
-            eigs = np.linalg.eigvalsh(h)
-            if not eigs[0] >= -VALIDATION_ATOL:
-                raise ValueError(f"density matrix has negative eigenvalue {eigs[0]}")
+        arr, eigs = _checked_spectrum(self.matrix, "density matrix")
+        if not eigs[0] >= -VALIDATION_ATOL:
+            raise ValueError(f"density matrix has negative eigenvalue {eigs[0]}")
         tr = float(np.trace(arr).real)
         if not abs(tr - trace_target) <= VALIDATION_ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from {trace_target}")
@@ -203,15 +177,9 @@ class Effect(_Factored):
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_matrix(self.matrix)
-        defect = _hermiticity_defect(arr)
-        if not defect <= VALIDATION_ATOL:
-            raise ValueError(f"effect hermiticity defect {defect}")
-        h = arr if defect == 0.0 else hermitize(arr)
-        if not _cholesky_accepts(h, upper=True):
-            eigs = np.linalg.eigvalsh(h)
-            if not (eigs[0] >= -VALIDATION_ATOL and eigs[-1] <= 1.0 + VALIDATION_ATOL):
-                raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] outside [0, 1]")
+        arr, eigs = _checked_spectrum(self.matrix, "effect")
+        if not (eigs[0] >= -VALIDATION_ATOL and eigs[-1] <= 1.0 + VALIDATION_ATOL):
+            raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] outside [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 

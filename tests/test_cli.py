@@ -596,6 +596,9 @@ class TestEveryConfigEndsCleanly:
         ("tau", {"psi": [1] * 17, "phi": [1] + [0] * 16}, EXIT_CONFIG, "psi/phi: 17 amplitudes exceed the optimizer's maximum dimension 16"),
         ("sigma_affinity", {"r": 0.5, "n_list": [0, 5, 10], "phi": [1, 0, 0]}, EXIT_CONFIG, "phi: 3 amplitudes"),
         ("fock_converge", {"alpha": 40, "beta": 0, "n_list": [5, 10]}, EXIT_NUMERICAL, "fock_converge: coherent amplitude alpha"),
+        # past ~1.34e154 the float square |alpha|^2 overflows
+        ("fock_converge", {"alpha": 1.4e154, "beta": 0, "n_list": [1]}, EXIT_NUMERICAL, "fock_converge: coherent amplitude alpha"),
+        ("fock_converge", {"alpha": 0, "beta": [0, 1.4e154], "n_list": [1]}, EXIT_NUMERICAL, "fock_converge: coherent amplitude beta"),
         (
             "experiment",
             {"p1": 0.47389107179562673, "p2": 0.47317635290876503, "lambda": 0.18210216565177664},
@@ -605,6 +608,8 @@ class TestEveryConfigEndsCleanly:
         ("detect", {**TWO_LEVEL, "n_samples": True}, EXIT_CONFIG, "n_samples: must be a positive integer"),
         ("sigma_affinity", {"r": 0.5, "n_list": [0, 5], "phi": {"fock": True}}, EXIT_CONFIG, "phi.fock: must be a nonnegative integer"),
         ("detect", {**TWO_LEVEL, "n_samples": 10**15}, EXIT_CONFIG, "n_samples: 1000000000000000 exceeds"),
+        # at alpha = 1e-16, 1 - alpha/2 rounds to 1
+        ("detect", {**TWO_LEVEL, "n_samples": 10, "alpha": 1e-16}, EXIT_CONFIG, "alpha: must lie strictly between 2**-53 and 1"),
         ("scan", {"grid_step": 1e-15}, EXIT_CONFIG, "grid_step: must lie in [0.0002, 0.1]"),
         ("steer", {"ensemble": {"members": [[1, [1] + [0] * 99_999]]}}, EXIT_CONFIG, "ensemble.members: dimension 100000 exceeds"),
     ]
@@ -618,6 +623,16 @@ class TestEveryConfigEndsCleanly:
         assert err.startswith(prefix + message), err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_detect_alpha_range_ends_at_2_to_the_minus_53(self, tmp_path):
+        # 2**-53 is the largest alpha for which 1 - alpha/2 rounds to 1
+        def run(alpha):
+            parameters = {"p1": 0.2, "p2": 0.7, "lambda": 0.4, "n_samples": 100, "alpha": alpha}
+            doc = {"command": "detect", "rule": {"kind": "power", "alpha": 2.0}, "seed": 0, "parameters": parameters}
+            return run_doc(tmp_path, doc)[0]
+
+        assert run(2.0**-53) == EXIT_CONFIG
+        assert run(float(np.nextafter(2.0**-53, 1.0))) == EXIT_OK
 
     @pytest.mark.parametrize("spec", [[1], "power", None, 2.0])
     def test_rule_that_is_not_an_object(self, tmp_path, capsys, spec):

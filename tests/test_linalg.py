@@ -152,13 +152,11 @@ def cli_steer_counts(tmp_path, monkeypatch, members) -> dict:
 
 
 class TestSpectrumCheck:
-    # From _CHOLESKY_MIN_DIM up, a shifted Cholesky decides before eigvalsh.
-    # It may disagree with eigvalsh only for an eigenvalue within rounding of
-    # the bound; measured over 5040 matrices at d = 16, 32, 64 the widest
-    # disagreement was 1.7e-15 from it, inside this band of dim * eps. Every
-    # matrix placed here lies outside the band, so the two must agree.
+    # Each matrix placed here has one eigenvalue just inside or just outside
+    # a bound, and more than a band of dim * eps from it, so rounding cannot
+    # decide: the constructors must accept exactly the spectra within bounds.
     @pytest.mark.parametrize("dim", [16, 32, 64])
-    def test_agrees_with_eigvalsh_outside_the_rounding_band(self, dim):
+    def test_accepts_exactly_the_placed_spectra_within_bounds(self, dim):
         band = dim * np.finfo(float).eps
         for seed in range(5):
             for exponent in range(6, 14):
@@ -170,10 +168,8 @@ class TestSpectrumCheck:
                         high_ok = eigs[-1] <= 1.0 + VALIDATION_ATOL
                         margin = eigs[0] + VALIDATION_ATOL if end == "low" else eigs[-1] - 1.0 - VALIDATION_ATOL
                         assert abs(margin) > band
-                        assert linalg._cholesky_accepts(h, upper=True) == (low_ok and high_ok)
                         assert constructs(Effect, h) == (low_ok and high_ok)
                         if end == "low":
-                            assert linalg._cholesky_accepts(h, upper=False) == low_ok
                             trace = float(np.trace(h).real)
                             assert constructs(DensityMatrix, h, trace) == low_ok
 
@@ -205,14 +201,13 @@ class TestSpectrumCheck:
                 with pytest.raises(ValueError, match="hermiticity"):
                     build(m)
 
-    def test_cli_steer_at_dim_32_takes_two_eigendecompositions(self, tmp_path, monkeypatch):
-        # purify's eigh and hjw_povm's remainder decision; the barycenter
-        # and the purified marginal are checked by Cholesky, and neither the
-        # rank-one member effects nor their 64 pure conditional states take
-        # a factorization
+    def test_cli_steer_at_dim_32_takes_four_eigendecompositions(self, tmp_path, monkeypatch):
+        # purify's eigh, the barycenter's and the purified marginal's checks,
+        # and hjw_povm's remainder decision; neither the rank-one member
+        # effects nor their 64 pure conditional states take an eigendecomposition
         members = [(1 / 64, haar_random_state(32, seed).amplitudes) for seed in range(64)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 2, "eigh": 1, "eigvalsh": 1}
+        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 3}
 
 
 class TestRankOneEffect:
@@ -280,13 +275,14 @@ class TestRankOneEffect:
                 Effect.rank_one(bad)
 
     def test_cli_steer_of_a_rank_deficient_ensemble_at_dim_32(self, tmp_path, monkeypatch):
-        # the barycenter, the marginal and the remainder effect's two
-        # factorizations (its branch has probability 0 and no state); no
-        # member effect or pure conditional state factorizes
+        # purify's eigh, the barycenter's, the marginal's and the remainder
+        # effect's checks (its branch has probability 0 and no state), and
+        # hjw_povm's remainder decision; no member effect or pure
+        # conditional state takes an eigendecomposition
         basis, _ = np.linalg.qr(make_rng(3).standard_normal((32, 16)) + 0j)
         members = [(1 / 48, basis @ haar_random_state(16, seed).amplitudes) for seed in range(48)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 4, "eigh": 1, "eigvalsh": 1}
+        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 4}
 
 
 class TestTensor:
