@@ -66,7 +66,7 @@ class ConfigValidationError(ValueError):
         self.errors = list(errors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     command: str
     rule: PhiRule
@@ -321,9 +321,12 @@ def _finite_int(text: str) -> int:
     raise ConfigValidationError([f"number {shown} overflows a float: only finite numbers are accepted"])
 
 
-def validate(config_text: str) -> ScenarioConfig:
+def validate(
+    config_text: str, seed: int | None = None, output_path: str | None = None, output_format: str | None = None
+) -> ScenarioConfig:
     """Parse and validate a config document; collects every error before
-    failing so one round trip fixes them all."""
+    failing so one round trip fixes them all. A ``seed``, ``output_path`` or
+    ``output_format`` that is not None replaces the document's value before that field is read."""
     try:
         doc = json.loads(config_text, parse_int=_finite_int, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
@@ -339,12 +342,12 @@ def validate(config_text: str) -> ScenarioConfig:
     if entry is None:
         errors.append(f"command: expected one of {', '.join(_COMMANDS)}, got {command!r}")
 
-    seed = doc.get("seed")
+    seed = doc.get("seed") if seed is None else seed
     if seed is None:
         warnings.append("seed: missing, defaulting to 0")
         seed = 0
     else:
-        seed = _number(seed, "seed", errors, "must be an integer", integer=True)
+        seed = _number(seed, "seed", errors, "must be a nonnegative integer", lambda v: v >= 0, integer=True)
 
     rule = None
     spec = doc.get("rule", {"kind": "identity"})
@@ -360,10 +363,10 @@ def validate(config_text: str) -> ScenarioConfig:
     if not isinstance(output, dict):
         errors.append("output: expected an object with path/format")
         output = {}
-    output_format = output.get("format", entry[2] if entry else "csv")
+    output_format = output.get("format", entry[2] if entry else "csv") if output_format is None else output_format
     if output_format not in ("csv", "json"):
         errors.append(f"output.format: expected csv or json, got {output_format!r}")
-    output_path = output.get("path", f"{command}.{output_format}")
+    output_path = output.get("path", f"{command}.{output_format}") if output_path is None else output_path
     if not isinstance(output_path, str) or not output_path:
         errors.append("output.path: expected a nonempty string")
 
@@ -575,7 +578,7 @@ def run(config: ScenarioConfig, quiet: bool = False) -> int:
 def _write_artifact(
     config: ScenarioConfig, metadata: dict, columns: list[str], rows: list[list], nested: dict | None
 ) -> None:
-    if config.output_format == "csv":
+    if config.output_format != "json":
         _write_csv(config.output_path, metadata, columns, rows)
     else:
         payload = nested if nested is not None else {
@@ -594,9 +597,9 @@ def _parser() -> argparse.ArgumentParser:
         description="Run a transition-probability / steering / rigidity scenario from a JSON config.",
     )
     parser.add_argument("--config", required=True, help="path to the JSON scenario config")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--out", default=None, help="override the artifact output path")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="override the artifact format")
+    parser.add_argument("--seed", type=int, default=None, help="replace the config's seed")
+    parser.add_argument("--out", default=None, help="replace the config's output.path")
+    parser.add_argument("--format", default=None, help="replace the config's output.format: csv or json")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 
@@ -611,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        config = validate(text)
+        config = validate(text, seed=args.seed, output_path=args.out, output_format=args.format)
     except ConfigValidationError as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)
@@ -619,16 +622,10 @@ def main(argv: list[str] | None = None) -> int:
 
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.output_path = args.out
-    if args.format is not None:
-        config.output_format = args.format
-
     try:
         return run(config, quiet=args.quiet)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # open() raises ValueError for a path with a NUL byte or a lone surrogate
         print(f"config error: output.path: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

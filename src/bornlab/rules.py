@@ -40,11 +40,14 @@ def _require_finite_slopes(xs, ys, what: str) -> None:
         raise ValueError(f"{what} values rise too steeply: an interpolation slope overflows")
 
 
-def _reject_booleans(field: str, values) -> None:
-    """JSON true/false arrive as Python bools, which float() reads as 1 and
-    0; a rule parameter must be written as a number."""
-    if bool in map(type, values):
-        raise ValueError(f"{field}: expected numbers, got a boolean")
+def _reject_non_numbers(field: str, values) -> None:
+    """float() reads JSON true/false, which arrive as Python bools, as 1 and
+    0, and a string such as "0.5" as a number; a rule parameter must be
+    written as a number."""
+    for value in values:
+        if isinstance(value, (bool, str)):
+            noun = "a boolean" if isinstance(value, bool) else "a string"
+            raise ValueError(f"{field}: expected numbers, got {noun}")
 
 
 def _no_parameter(param):
@@ -54,18 +57,21 @@ def _no_parameter(param):
 
 
 def _exponent(alpha):
-    _reject_booleans("alpha", [alpha])
+    _reject_non_numbers("alpha", [alpha])
     if alpha is None or not 0 < alpha < math.inf:
         raise ValueError("power rule needs a positive finite exponent")
     return float(alpha), float(alpha)
 
 
 def _knots(knots):
-    raw = () if knots is None else tuple(knots)
-    if len(raw) < 2:
+    try:
+        pairs = () if knots is None else tuple((x, y) for x, y in knots)
+    except (TypeError, ValueError):
+        raise ValueError("knots: expected a list of [x, y] pairs") from None
+    if len(pairs) < 2:
         raise ValueError("piecewise rule needs at least two knots")
-    knots = tuple((float(x), float(y)) for x, y in raw)
-    _reject_booleans("knots", (v for knot in raw for v in knot))
+    _reject_non_numbers("knots", (v for pair in pairs for v in pair))
+    knots = tuple((float(x), float(y)) for x, y in pairs)
     if not all(math.isfinite(v) for knot in knots for v in knot):
         raise ValueError("knot coordinates must be finite")
     xs, ys = (list(column) for column in zip(*knots))
@@ -78,12 +84,12 @@ def _knots(knots):
 
 
 def _table(values):
-    if values is None:
+    if not np.iterable(values):
         raise ValueError("custom rule needs tabulated values")
+    _reject_non_numbers("values", values)
     table = np.array(values, dtype=float)
     if table.ndim != 1 or table.size < 2:
         raise ValueError("custom table must be a 1-D array of >= 2 values")
-    _reject_booleans("values", values)
     if not np.isfinite(table).all():
         raise ValueError("custom table values must be finite")
     grid = np.linspace(0.0, 1.0, table.size)

@@ -22,7 +22,6 @@ from .linalg import (
     Povm,
     StateVector,
     hermitize,
-    partial_trace_a,
 )
 
 WEIGHT_SUM_ATOL = 1e-10
@@ -122,25 +121,22 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     """
     if ensemble.dim != purification.dim_b:
         raise ValueError("ensemble dimension differs from the purified system")
-    marginal = partial_trace_a(purification).matrix
-    target = barycenter(ensemble).matrix
-    mismatch = float(np.max(np.abs(marginal - target)))
+    m_t = purification.amplitudes.T
+    # B's marginal M^T conj(M), unchecked: a Gram matrix is positive, and
+    # its trace is the squared norm of M, which BipartiteState checks is 1
+    mismatch = float(np.max(np.abs(m_t @ m_t.conj().T - barycenter(ensemble).matrix)))
     if mismatch > RECONSTRUCTION_ATOL:
         raise ValueError(f"ensemble barycenter deviates from purified marginal by {mismatch}")
 
-    dim_a = purification.dim_a
-    m_t = purification.amplitudes.T
     # column i is sqrt(w_i) psi_i; all members are solved for at once
     rhs = np.stack([np.sqrt(w) * member.amplitudes for w, member in ensemble.members], axis=1)
     x = np.linalg.lstsq(m_t, rhs, rcond=1e-9)[0]
     support_defect = float(np.max(np.linalg.norm(m_t @ x - rhs, axis=0)))
     if support_defect > SUPPORT_ATOL:
-        raise ValueError(
-            f"ensemble member leaves the marginal's support (defect {support_defect})"
-        )
+        raise ValueError(f"ensemble member leaves the marginal's support (defect {support_defect})")
     w_vecs = x.conj()
     effects = [Effect.rank_one(w_vec) for w_vec in w_vecs.T]
-    remainder = hermitize(np.eye(dim_a, dtype=complex) - w_vecs @ w_vecs.conj().T)
+    remainder = hermitize(np.eye(purification.dim_a, dtype=complex) - w_vecs @ w_vecs.conj().T)
     if float(np.max(np.linalg.eigvalsh(remainder))) > 1e-10:
         effects.append(Effect(remainder))
     return Povm(tuple(effects))

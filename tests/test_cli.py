@@ -510,8 +510,10 @@ class TestParseOnce:
 
     def test_experiment_checks_the_scenario_once(self, tmp_path, monkeypatch):
         # hjw_povm alone compares the purification's marginal with omega,
-        # and each of the two branches reads one transition probability;
-        # every bornlab module that binds a name gets the counting wrapper
+        # from the coefficient matrix and without building a checked
+        # DensityMatrix, and each of the two branches reads one transition
+        # probability; every bornlab module that binds a name gets the
+        # counting wrapper
         originals = {"partial_trace_a": linalg.partial_trace_a, "tau_closed": transition.tau_closed}
         calls = dict.fromkeys(originals, 0)
         modules = [m for name, m in sys.modules.items() if name == "bornlab" or name.startswith("bornlab.")]
@@ -531,7 +533,7 @@ class TestParseOnce:
         doc = {"command": "experiment", "seed": 0, "parameters": {"p1": 0.2, "p2": 0.7, "lambda": 0.4}}
         exit_code, _ = run_doc(tmp_path, doc)
         assert exit_code == EXIT_OK
-        assert calls == {"partial_trace_a": 1, "tau_closed": 2}
+        assert calls == {"partial_trace_a": 0, "tau_closed": 2}
 
 
 class TestParserBuiltOnce:
@@ -670,6 +672,77 @@ class TestEveryConfigEndsCleanly:
         assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: output.path: ")
 
+    @pytest.mark.parametrize("path", ["x\u0000y", "x\ud800.csv"])
+    def test_output_path_that_open_refuses_exits_two(self, tmp_path, capsys, monkeypatch, path):
+        # open() raises ValueError, not OSError, for a NUL byte or a lone surrogate
+        monkeypatch.chdir(tmp_path)
+        doc = {"command": "jensen", "seed": 0, "parameters": TWO_LEVEL, "output": {"path": path}}
+        assert main(["--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output.path: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rule,message",
+        [
+            ({"kind": "power", "alpha": "2"}, "alpha: expected numbers, got a string"),
+            ({"kind": "piecewise_affine", "knots": [[0, 0], ["0.5", "0.7"], [1, 1]]}, "knots: expected numbers, got a string"),
+            ({"kind": "piecewise_affine", "knots": [[0, 0], [1, 1, 5]]}, "knots: expected a list of [x, y] pairs"),
+            ({"kind": "custom", "values": ["0", "0.25", "1"]}, "values: expected numbers, got a string"),
+        ],
+    )
+    def test_rule_parameter_that_is_not_a_number_names_its_key(self, tmp_path, capsys, rule, message):
+        assert run_doc(tmp_path, {"command": "jensen", "rule": rule, "parameters": TWO_LEVEL})[0] == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: rule: {message}\n"
+
+
+class TestFlagsAreConfigFields:
+    """--seed, --out and --format replace the config's seed, output.path and
+    output.format before those fields are read, and are checked like them."""
+
+    @pytest.mark.parametrize("from_flag", [True, False])
+    def test_negative_seed_exits_two_naming_the_field(self, tmp_path, capsys, from_flag):
+        doc = {"command": "detect", "seed": 0 if from_flag else -1, "parameters": {**TWO_LEVEL, "n_samples": 10}}
+        flags = ["--seed", "-1"] if from_flag else []
+        assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "d.json"), *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: seed: must be a nonnegative integer\n"
+        assert not (tmp_path / "d.json").exists()
+
+    def test_unknown_format_exits_two_naming_the_field(self, tmp_path, capsys):
+        path = write_config(tmp_path, jensen_doc(tmp_path / "j.csv"))
+        assert main(["--config", str(path), "--format", "xml"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: output.format: expected csv or json, got 'xml'\n"
+
+    def test_seed_flag_on_a_seedless_config_warns_nothing(self, tmp_path, capsys):
+        out = tmp_path / "j.csv"
+        doc = jensen_doc(out)
+        del doc["seed"]
+        assert main(["--config", str(write_config(tmp_path, doc)), "--seed", "7", "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert "# seed=7" in out.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize(
+        "command,parameters,fmt",
+        [("jensen", TWO_LEVEL, "json"), ("detect", {**TWO_LEVEL, "n_samples": 10}, "csv")],
+    )
+    def test_default_path_follows_the_format_flag(self, tmp_path, monkeypatch, command, parameters, fmt):
+        monkeypatch.chdir(tmp_path)
+        doc = {"command": command, "seed": 0, "parameters": parameters}
+        assert main(["--config", str(write_config(tmp_path, doc)), "--format", fmt, "--quiet"]) == EXIT_OK
+        written = sorted(p.name for p in tmp_path.iterdir() if p.name != "config.json")
+        assert written == [f"{command}.{fmt}"]
+        text = (tmp_path / f"{command}.{fmt}").read_text(encoding="utf-8")
+        if fmt == "json":
+            assert json.loads(text)["metadata"]["command"] == command
+        else:
+            assert text.startswith("# tool_version=")
+
+    def test_flags_reach_the_validated_config_which_is_frozen(self):
+        text = json.dumps({"command": "jensen", "parameters": TWO_LEVEL})
+        config = validate(text, seed=5, output_path="a.out", output_format="json")
+        assert (config.seed, config.output_path, config.output_format, config.warnings) == (5, "a.out", "json", ())
+        with pytest.raises(AttributeError):
+            config.seed = 6
+
 
 class TestLevelCap:
     """Cutoffs and the Fock index stop at MAX_CUTOFF, and an amplitude-list
@@ -795,7 +868,7 @@ class TestBooleansAreNotNumbers:
         assert capsys.readouterr().err == f"config error: rule: {field}: expected numbers, got a boolean\n"
 
     def test_boolean_seed(self):
-        with pytest.raises(ConfigValidationError, match="seed: must be an integer"):
+        with pytest.raises(ConfigValidationError, match="seed: must be a nonnegative integer"):
             validate(json.dumps({"command": "jensen", "seed": True, "parameters": TWO_LEVEL}))
 
     def test_amplitude_lists_still_accept_booleans(self):

@@ -201,13 +201,14 @@ class TestSpectrumCheck:
                 with pytest.raises(ValueError, match="hermiticity"):
                     build(m)
 
-    def test_cli_steer_at_dim_32_takes_four_eigendecompositions(self, tmp_path, monkeypatch):
-        # purify's eigh, the barycenter's and the purified marginal's checks,
-        # and hjw_povm's remainder decision; neither the rank-one member
-        # effects nor their 64 pure conditional states take an eigendecomposition
+    def test_cli_steer_at_dim_32_takes_three_eigendecompositions(self, tmp_path, monkeypatch):
+        # purify's eigh, the barycenter's check and hjw_povm's remainder
+        # decision; the purified marginal is compared unchecked, and neither
+        # the rank-one member effects nor their 64 pure conditional states
+        # take an eigendecomposition
         members = [(1 / 64, haar_random_state(32, seed).amplitudes) for seed in range(64)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 3}
+        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 2}
 
 
 class TestRankOneEffect:
@@ -275,14 +276,14 @@ class TestRankOneEffect:
                 Effect.rank_one(bad)
 
     def test_cli_steer_of_a_rank_deficient_ensemble_at_dim_32(self, tmp_path, monkeypatch):
-        # purify's eigh, the barycenter's, the marginal's and the remainder
-        # effect's checks (its branch has probability 0 and no state), and
-        # hjw_povm's remainder decision; no member effect or pure
-        # conditional state takes an eigendecomposition
+        # purify's eigh, the barycenter's and the remainder effect's checks
+        # (its branch has probability 0 and no state), and hjw_povm's
+        # remainder decision; no member effect or pure conditional state
+        # takes an eigendecomposition
         basis, _ = np.linalg.qr(make_rng(3).standard_normal((32, 16)) + 0j)
         members = [(1 / 48, basis @ haar_random_state(16, seed).amplitudes) for seed in range(48)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 4}
+        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 3}
 
 
 class TestTensor:

@@ -180,6 +180,30 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="too large for a float"):
             build(10**400)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: PhiRule.power("2"), "alpha: expected numbers, got a string"),
+            (lambda: PhiRule.piecewise_affine([(0, 0), ("0.5", 0.7), (1, 1)]), "knots: expected numbers, got a string"),
+            (lambda: PhiRule.custom(["0", "0.5", "1"]), "values: expected numbers, got a string"),
+            (lambda: PhiRule.custom(np.array(["0", "0.5", "1"])), "values: expected numbers, got a string"),
+            (lambda: PhiRule.custom("0.5"), "values: expected numbers, got a string"),
+            (lambda: PhiRule.piecewise_affine([(0, 0), (1, 1, 5)]), "knots: expected a list of [x, y] pairs"),
+            (lambda: PhiRule.piecewise_affine([(0, 0), 1]), "knots: expected a list of [x, y] pairs"),
+        ],
+    )
+    def test_a_parameter_that_is_not_numbers_names_its_key(self, build, message):
+        # float() would read "0.5" as a number
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    def test_numpy_parameters_are_numbers(self):
+        knots = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]])
+        assert PhiRule.piecewise_affine(knots) == PhiRule.piecewise_affine(knots.tolist())
+        assert PhiRule.custom(knots[:, 1]) == PhiRule.custom([0.0, 0.25, 1.0])
+        assert PhiRule.power(np.float64(2.0)) == PhiRule.power(2.0)
+
     def test_overflowing_interpolation_slope_is_rejected(self):
         # finite values whose interpolation would give NaN between the points
         with pytest.raises(ValueError, match="slope"):
