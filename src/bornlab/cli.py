@@ -15,6 +15,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -45,9 +46,11 @@ MAX_CUTOFF = 1000
 # ~0.2 s of it is interpreter and numpy start-up).
 MAX_SAMPLES = 10**7
 # Smallest scan grid_step: the grid and its rule values are O(1/grid_step)
-# in memory and the pair scan O(1/grid_step**2) in time. At the cap the
-# slowest built-in kind, a 1025-point custom table, takes ~0.8 s as a
-# subprocess; its certify_identity takes 0.45 s at 2e-4 and 1.5 s at 1e-4.
+# in memory and the pair scan O(1/grid_step**2) in time at worst. The
+# slowest built-in kind is the identity, whose gaps are all 0, so the scan
+# skips none of its pairs: at the cap it takes ~0.5 s as a subprocess, and
+# its certify_identity 0.21-0.25 s at 2e-4 and 0.76 s at 1e-4 (2-vCPU VM;
+# a 1025-point custom table takes 0.10 s and 0.30 s).
 MIN_GRID_STEP = 2e-4
 # Largest steer member dimension d, and largest members * d**2: the
 # barycenter adds one d x d projector per member. The member effects and
@@ -618,6 +621,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigValidationError as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)
+        return EXIT_CONFIG
+    # the default <command>.<format>, run beside its config, can name the config
+    if os.path.exists(config.output_path) and os.path.samefile(config.output_path, args.config):
+        print(f"config error: output.path: {config.output_path!r} is the config file", file=sys.stderr)
         return EXIT_CONFIG
 
     for warning in config.warnings:

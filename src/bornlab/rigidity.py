@@ -9,6 +9,14 @@ bound ``tol * n^2 / 4`` at grid resolution 1/n. The scan therefore turns a
 gap tolerance into a quantified identity certificate, and any rejection
 carries the witnessing triple, which is precisely a steering experiment
 that would signal.
+
+The scan is exact but skips pairs that provably cannot hold the maximum
+(Piyavskii 1972; Shubert 1972). If Phi' lies in [lo, hi] on [p1, p2], the
+gap at weight lambda is lambda (1 - lambda) (p2 - p1) times the difference
+of two mean slopes of Phi, so its size is at most
+lambda (1 - lambda) (p2 - p1) (hi - lo). A pair whose bound, plus a
+rounding margin, stays below the largest gap already found is never
+evaluated; every reported field is the one the exhaustive scan gives.
 """
 
 from __future__ import annotations
@@ -99,13 +107,33 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     against the columns j > start of the block, with the entries j <= i
     masked out. A block holds at most ``_BLOCK_PAIRS`` entries (one row
     when a row is wider), so memory is O(n + _BLOCK_PAIRS) whatever
-    ``grid_step`` is, while time still grows as n^2. ``max_gap`` is the
-    largest absolute gap. Its witness is the first pair, in row-major
-    (p1, p2) order, that reaches it for the first mixing weight in
-    ``SCAN_LAMBDAS`` order that does; a rule keeps its values and slopes
-    finite, so no gap is NaN. ``affine_residual`` measures the
-    distance to the straight line through the rule's own endpoint values,
-    which for an admissible rule is the identity line.
+    ``grid_step`` is. ``max_gap`` is the largest absolute gap. Its witness
+    is the first pair, in row-major (p1, p2) order, that reaches it for the
+    first mixing weight in ``SCAN_LAMBDAS`` order that does; a rule keeps
+    its values and slopes finite, so no gap is NaN. ``affine_residual``
+    measures the distance to the straight line through the rule's own
+    endpoint values, which for an admissible rule is the identity line.
+
+    Time is n^2 only in the worst case. With [lo_b, hi_b] =
+    ``rule.slope_bounds`` on [grid[start], 1], every pair of block b has
+    gap <= lambda (1 - lambda) (grid[j] - grid[start]) spread_b + margin_b,
+    where spread_b = hi_b - lo_b and
+
+        margin_b = 64 eps (1 + max |Phi(grid)| + max(|lo_b|, |hi_b|)).
+
+    The margin covers rounding: a computed Phi differs from the exact one
+    by a few eps (|Phi| + |slope|), and |Phi| on the block's columns is at
+    most max |Phi(grid)| + max(|lo_b|, |hi_b|); the rounded mix point moves
+    at most a few eps, which moves Phi by a few eps max(|lo_b|, |hi_b|);
+    the weighted sum, the subtraction and the column cut below round by a
+    few eps of the same terms. While ``max_gap`` > margin_b, the leading
+    columns with grid[j] - grid[start] < (max_gap - margin_b) /
+    (lambda (1 - lambda) spread_b) are skipped, and the whole block when
+    that cut passes n or spread_b is 0. Every skipped pair is strictly
+    below a gap already found, so it can neither be the maximum nor tie
+    with it, and the report is the exhaustive scan's, bit for bit. The
+    identity's gaps are all exactly 0, never above a margin, so it is the
+    n^2 worst case.
     """
     if not 0.0 < grid_step <= 0.1:
         raise ValueError("grid_step must lie in (0, 0.1]")
@@ -114,23 +142,35 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     values = np.asarray(rule.eval(grid), dtype=float)
 
     blocks = _row_blocks(n)
-    # block entry (t, c) is the pair (start + t, start + 1 + c); c < t is no pair
+    # block entry (t, c) is the pair (start + t, first + c); first + c <= start + t is no pair
     below = np.tri(max(stop - start for start, stop in blocks), k=-1, dtype=bool)
+    lo, hi = rule.slope_bounds(grid[[start for start, _ in blocks]])
+    spreads = (hi - lo).tolist()
+    scale = 1.0 + np.max(np.abs(values)) + np.maximum(np.abs(lo), np.abs(hi))
+    margins = (64.0 * np.finfo(float).eps * scale).tolist()
     max_gap = -1.0
     witness = (0.0, 0.0, 0.0)
     for lam in SCAN_LAMBDAS:
-        for start, stop in blocks:
-            p1, p2 = grid[start:stop, None], grid[start + 1 :]
-            v1, v2 = values[start:stop, None], values[start + 1 :]
+        for (start, stop), spread, margin in zip(blocks, spreads, margins):
+            first = start + 1
+            if max_gap > margin:
+                if spread == 0.0:
+                    continue
+                reach = (max_gap - margin) / (lam * (1.0 - lam) * spread)
+                first = max(first, int(np.searchsorted(grid, grid[start] + reach)))
+                if first > n:
+                    continue
+            p1, p2 = grid[start:stop, None], grid[first:]
+            v1, v2 = values[start:stop, None], values[first:]
             mix = lam * p1 + (1.0 - lam) * p2
             gaps = np.abs(lam * v1 + (1.0 - lam) * v2 - np.asarray(rule.eval(mix), dtype=float))
-            rows = stop - start
-            gaps[:, :rows][below[:rows, :rows]] = -np.inf
+            rows, skipped = stop - start, first - start - 1
+            gaps[:, : max(rows - skipped, 0)][below[:rows, skipped:rows]] = -np.inf
             k = int(np.argmax(gaps))
             if gaps.flat[k] > max_gap:
-                t, c = divmod(k, n - start)
+                t, c = divmod(k, n + 1 - first)
                 max_gap = float(gaps.flat[k])
-                witness = (float(grid[start + t]), float(grid[start + 1 + c]), float(lam))
+                witness = (float(grid[start + t]), float(grid[first + c]), float(lam))
 
     deviation = np.abs(values - grid)
     dev_at = int(np.argmax(deviation))

@@ -42,12 +42,17 @@ def _require_finite_slopes(xs, ys, what: str) -> None:
 
 def _reject_non_numbers(field: str, values) -> None:
     """float() reads JSON true/false, which arrive as Python bools, as 1 and
-    0, and a string such as "0.5" as a number; a rule parameter must be
-    written as a number."""
+    0, a string such as "0.5" as a number, and null as NaN; a rule parameter
+    must be written as a number. An array of a numeric dtype or a list of
+    ints and floats passes without a look at each entry; otherwise the
+    first entry that is not a number is named by its JSON type."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" or set(map(type, values)) <= {int, float}:
+        return
+    nouns = {bool: "a boolean", str: "a string", type(None): "null", list: "an array", tuple: "an array", dict: "an object"}
     for value in values:
-        if isinstance(value, (bool, str)):
-            noun = "a boolean" if isinstance(value, bool) else "a string"
-            raise ValueError(f"{field}: expected numbers, got {noun}")
+        for kind, noun in nouns.items():
+            if isinstance(value, kind):
+                raise ValueError(f"{field}: expected numbers, got {noun}")
 
 
 def _no_parameter(param):
@@ -57,7 +62,8 @@ def _no_parameter(param):
 
 
 def _exponent(alpha):
-    _reject_non_numbers("alpha", [alpha])
+    if alpha is not None:
+        _reject_non_numbers("alpha", [alpha])
     if alpha is None or not 0 < alpha < math.inf:
         raise ValueError("power rule needs a positive finite exponent")
     return float(alpha), float(alpha)
@@ -70,7 +76,7 @@ def _knots(knots):
         raise ValueError("knots: expected a list of [x, y] pairs") from None
     if len(pairs) < 2:
         raise ValueError("piecewise rule needs at least two knots")
-    _reject_non_numbers("knots", (v for pair in pairs for v in pair))
+    _reject_non_numbers("knots", [v for pair in pairs for v in pair])
     knots = tuple((float(x), float(y)) for x, y in pairs)
     if not all(math.isfinite(v) for knot in knots for v in knot):
         raise ValueError("knot coordinates must be finite")
@@ -193,6 +199,31 @@ class PhiRule:
         return out if out.ndim else float(out)
 
     __call__ = eval
+
+    def slope_bounds(self, starts):
+        """Arrays lo, hi with lo[k] <= Phi' <= hi[k] on [starts[k], 1], for
+        starts in [0, 1]: the suffix extremes of the node slopes for an
+        interpolated rule, alpha * a^(alpha - 1) and alpha for a power (hi
+        is inf at a = 0 when alpha < 1), and (1, 1) for the identity."""
+        starts = np.asarray(starts, dtype=float)
+        form = self._form
+        if not isinstance(form, tuple):
+            with np.errstate(divide="ignore"):
+                edge = form * np.power(starts, form - 1.0)
+            tip = np.full_like(edge, form)
+            return (edge, tip) if form >= 1.0 else (tip, edge)
+        xs, ys = form
+        slopes = np.diff(ys) / np.diff(xs)
+        # np.interp holds the end values outside [xs[0], xs[-1]], so Phi' is
+        # 0 where piecewise knots stop within ENDPOINT_ATOL of 0 or 1
+        if xs[0] > 0.0:
+            xs, slopes = np.r_[0.0, xs], np.r_[0.0, slopes]
+        if xs[-1] < 1.0:
+            slopes = np.r_[slopes, 0.0]
+        segment = np.minimum(np.searchsorted(xs, starts, side="right") - 1, slopes.size - 1)
+        lo = np.minimum.accumulate(slopes[::-1])[::-1]
+        hi = np.maximum.accumulate(slopes[::-1])[::-1]
+        return lo[segment], hi[segment]
 
     def describe(self) -> str:
         return _KINDS[self.kind].label(self)

@@ -688,6 +688,15 @@ class TestEveryConfigEndsCleanly:
             ({"kind": "piecewise_affine", "knots": [[0, 0], ["0.5", "0.7"], [1, 1]]}, "knots: expected numbers, got a string"),
             ({"kind": "piecewise_affine", "knots": [[0, 0], [1, 1, 5]]}, "knots: expected a list of [x, y] pairs"),
             ({"kind": "custom", "values": ["0", "0.25", "1"]}, "values: expected numbers, got a string"),
+            ({"kind": "power", "alpha": [2]}, "alpha: expected numbers, got an array"),
+            ({"kind": "power", "alpha": {"value": 2}}, "alpha: expected numbers, got an object"),
+            ({"kind": "piecewise_affine", "knots": [[0, 0], [0.5, [2, 3]], [1, 1]]}, "knots: expected numbers, got an array"),
+            ({"kind": "piecewise_affine", "knots": [[0, 0], [0.5, None], [1, 1]]}, "knots: expected numbers, got null"),
+            ({"kind": "custom", "values": [0, None, 1]}, "values: expected numbers, got null"),
+            ({"kind": "custom", "values": [0, [0.5], 1]}, "values: expected numbers, got an array"),
+            ({"kind": "custom", "values": [0, {}, 1]}, "values: expected numbers, got an object"),
+            # a null parameter is a missing one
+            ({"kind": "power", "alpha": None}, "power rule needs a positive finite exponent"),
         ],
     )
     def test_rule_parameter_that_is_not_a_number_names_its_key(self, tmp_path, capsys, rule, message):
@@ -735,6 +744,25 @@ class TestFlagsAreConfigFields:
             assert json.loads(text)["metadata"]["command"] == command
         else:
             assert text.startswith("# tool_version=")
+
+    @pytest.mark.parametrize(
+        "name,doc,flags",
+        [
+            ("jensen.json", {"command": "jensen", "parameters": TWO_LEVEL}, ["--format", "json"]),
+            ("detect.json", {"command": "detect", "parameters": {**TWO_LEVEL, "n_samples": 10}}, []),
+            ("jensen.json", jensen_doc("out.csv"), ["--out", "./jensen.json"]),
+            ("run.json", {"command": "jensen", "parameters": TWO_LEVEL, "output": {"path": "run.json"}}, []),
+        ],
+    )
+    def test_output_path_naming_the_config_exits_two(self, tmp_path, monkeypatch, capsys, name, doc, flags):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, doc, name)
+        before = config.read_bytes()
+        assert main(["--config", name, *flags, "--quiet"]) == EXIT_CONFIG
+        path = flags[-1] if "--out" in flags else name
+        assert capsys.readouterr().err == f"config error: output.path: {path!r} is the config file\n"
+        assert config.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_flags_reach_the_validated_config_which_is_frozen(self):
         text = json.dumps({"command": "jensen", "parameters": TWO_LEVEL})

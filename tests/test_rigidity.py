@@ -64,6 +64,14 @@ STREAM_RULES = {
     "rough(11)": PhiRule.custom(np.random.default_rng(11).random(11)),
     "rough(101)": PhiRule.custom(np.random.default_rng(101).random(101)),
     "rough(1025)": PhiRule.custom(np.random.default_rng(1025).random(1025)),
+    # rules that stress the pruning bound: large slopes of both signs,
+    # slopes all below zero, a gap near the rounding margin, and power
+    # slopes that are unbounded (alpha < 1) or vanish (alpha > 1) at 0
+    "signed(37)": PhiRule.custom(np.random.default_rng(37).uniform(-1e3, 1e3, 37)),
+    "decreasing(101)": PhiRule.custom(np.sort(np.random.default_rng(5).random(101))[::-1]),
+    "kink(1e-12)": PhiRule.piecewise_affine([(0.0, 0.0), (0.37, 0.37 + 1e-12), (1.0, 1.0)]),
+    "power(1.5)": PhiRule.power(1.5),
+    "power(0.3)": PhiRule.power(0.3),
 }
 
 
@@ -110,6 +118,35 @@ class TestStreamedScan:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+def count_eval_points(monkeypatch, rule, grid_step):
+    """Points at which ``scan_gaps`` evaluates the rule."""
+    points = []
+    evaluate = PhiRule.eval
+
+    def counting(self, p):
+        points.append(np.size(p))
+        return evaluate(self, p)
+
+    monkeypatch.setattr(PhiRule, "eval", counting)
+    scan_gaps(rule, grid_step)
+    return sum(points)
+
+
+class TestPruning:
+    N = 500
+
+    def test_power_two_skips_most_pairs(self, monkeypatch):
+        exhaustive = 3 * self.N * (self.N + 1) // 2 + self.N + 1
+        assert count_eval_points(monkeypatch, PhiRule.power(2.0), 1 / self.N) <= 0.4 * exhaustive
+
+    def test_identity_skips_nothing(self, monkeypatch):
+        # every identity gap is 0, never above the rounding margin; each
+        # block is evaluated as its whole rectangle, masked entries included
+        n = self.N
+        rectangles = sum((stop - start) * (n - start) for start, stop in _row_blocks(n))
+        assert count_eval_points(monkeypatch, PhiRule.identity(), 1 / n) == n + 1 + 3 * rectangles
 
 
 class TestScanGaps:

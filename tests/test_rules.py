@@ -105,6 +105,49 @@ class TestEvaluationForms:
         assert same_bits([custom(p) for p in self.POINTS[:200]], [piecewise(p) for p in self.POINTS[:200]])
 
 
+class TestSlopeBounds:
+    STARTS = np.linspace(0.0, 1.0, 41)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            PhiRule.identity(),
+            PhiRule.power(2.0),
+            PhiRule.power(0.3),
+            PhiRule.power(1.5),
+            PhiRule.piecewise_affine(KNOTS),
+            # knots that stop short of 0 and 1 leave flat ends
+            PhiRule.piecewise_affine([(1e-12, 0.0), (0.5, 0.8), (1.0 - 1e-12, 1.0)]),
+            PhiRule.custom(CUSTOM_VALUES),
+            PhiRule.custom(np.random.default_rng(4).uniform(-1e3, 1e3, 37)),
+        ],
+        ids=lambda rule: rule.describe(),
+    )
+    def test_bounds_bracket_difference_quotients(self, rule):
+        lo, hi = rule.slope_bounds(self.STARTS)
+        assert lo.shape == hi.shape == self.STARTS.shape
+        assert np.all(lo <= hi)
+        form = rule._form
+        nodes = form[0] if isinstance(form, tuple) else []
+        for a, low, high in zip(self.STARTS, lo, hi):
+            points = np.unique(np.concatenate([np.linspace(a, 1.0, 2001), [x for x in nodes if x >= a], [1.0]]))
+            values = np.asarray(rule.eval(points), dtype=float)
+            steps = np.diff(points)
+            slopes = np.diff(values) / steps
+            # rounding of the two values, over the step between them
+            slack = 1e-12 * (1.0 + np.abs(slopes)) + 8 * np.finfo(float).eps * np.max(np.abs(values)) / steps
+            assert np.all(slopes >= low - slack) and np.all(slopes <= high + slack), (a, low, high)
+
+    def test_power_bounds_are_its_derivative_at_the_ends(self):
+        starts = np.array([0.0, 0.25, 1.0])
+        lo, hi = PhiRule.power(2.0).slope_bounds(starts)
+        assert lo.tolist() == [0.0, 0.5, 2.0] and hi.tolist() == [2.0, 2.0, 2.0]
+        lo, hi = PhiRule.power(0.5).slope_bounds(starts)
+        assert lo.tolist() == [0.5, 0.5, 0.5] and hi.tolist() == [math.inf, 1.0, 0.5]
+        lo, hi = PhiRule.identity().slope_bounds(starts)
+        assert lo.tolist() == hi.tolist() == [1.0, 1.0, 1.0]
+
+
 class TestAdmissibility:
     def test_identity_passes(self):
         report = check_admissibility(PhiRule.identity())
@@ -188,6 +231,9 @@ class TestAdmissibility:
             (lambda: PhiRule.custom(["0", "0.5", "1"]), "values: expected numbers, got a string"),
             (lambda: PhiRule.custom(np.array(["0", "0.5", "1"])), "values: expected numbers, got a string"),
             (lambda: PhiRule.custom("0.5"), "values: expected numbers, got a string"),
+            (lambda: PhiRule.power([2]), "alpha: expected numbers, got an array"),
+            (lambda: PhiRule.custom([0, None, 1]), "values: expected numbers, got null"),
+            (lambda: PhiRule.custom(np.array([0, None, 1])), "values: expected numbers, got null"),
             (lambda: PhiRule.piecewise_affine([(0, 0), (1, 1, 5)]), "knots: expected a list of [x, y] pairs"),
             (lambda: PhiRule.piecewise_affine([(0, 0), 1]), "knots: expected a list of [x, y] pairs"),
         ],
@@ -203,6 +249,9 @@ class TestAdmissibility:
         assert PhiRule.piecewise_affine(knots) == PhiRule.piecewise_affine(knots.tolist())
         assert PhiRule.custom(knots[:, 1]) == PhiRule.custom([0.0, 0.25, 1.0])
         assert PhiRule.power(np.float64(2.0)) == PhiRule.power(2.0)
+        assert PhiRule.custom(np.array([0, 1, 4], dtype=np.int32)) == PhiRule.custom([0.0, 1.0, 4.0])
+        assert PhiRule.custom(np.array([0, 1], dtype=np.float32)) == PhiRule.custom([0.0, 1.0])
+        assert PhiRule.custom(list(knots[:, 1])) == PhiRule.custom([0.0, 0.25, 1.0])
 
     def test_overflowing_interpolation_slope_is_rejected(self):
         # finite values whose interpolation would give NaN between the points
