@@ -26,7 +26,7 @@ from .linalg import (
 from .rules import PhiRule, check_admissibility, phi_eval, prob_ensemble, prob_pure
 from .steering import (
     Ensemble,
-    SteeringOutcome,
+    SteeringResult,
     barycenter,
     geometric_fock_ensemble,
     hjw_povm,
@@ -67,7 +67,7 @@ __all__ = [
     "Povm",
     "RigidityReport",
     "StateVector",
-    "SteeringOutcome",
+    "SteeringResult",
     "SteeringScenario",
     "TransitionResult",
     "barycenter",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .fock import sigma_affinity_convergence, tau_coherent_analytic, truncation_convergence
-from .linalg import StateVector, fidelity_to_pure, purify
+from .linalg import StateVector, purify
 from .rigidity import certify_identity
 from .rules import PhiRule
 from .signaling import build_two_level_scenario, detectability, jensen_gap, run_steering_experiment
@@ -52,12 +52,12 @@ MAX_SAMPLES = 10**7
 # its certify_identity 0.21-0.25 s at 2e-4 and 0.76 s at 1e-4 (2-vCPU VM;
 # a 1025-point custom table takes 0.10 s and 0.30 s).
 MIN_GRID_STEP = 2e-4
-# Largest steer member dimension d, and largest members * d**2: the
-# barycenter adds one d x d projector per member. The member effects and
-# their steered states hold only their vectors, members * d numbers each,
-# until a caller reads a matrix. At the cap d = 32 with 4096 members takes
-# ~1.0 s and 79 MB peak RSS as a subprocess, d = 128 with 256 members ~0.5 s
-# and 68 MB (2-vCPU VM).
+# Largest steer member dimension d, and largest members * d**2: the work of
+# the one barycenter product over all members and of hjw_povm's solve for
+# all of them at once. The members, the measurement's rank-one outcomes and
+# the steered states are each one members x d array. At the cap d = 32 with
+# 4096 members takes ~0.6 s and 67 MB peak RSS as a subprocess, d = 128
+# with 256 members ~0.45 s and 62 MB (2-vCPU VM).
 MAX_MEMBER_DIM = 128
 MAX_STEER_ENTRIES = 2**22
 
@@ -96,28 +96,33 @@ def _parse_complex(entry, field: str, errors: list[str]) -> complex | None:
     return value
 
 
-def _amplitude_array(raw: list) -> np.ndarray | None:
+def _amplitude_array(raw: list, ndim: int = 1) -> np.ndarray | None:
     """Amplitudes of a list of finite numbers or of [re, im] pairs, in one
-    conversion; None for any other list. The parts are assigned, not
-    summed, so every amplitude equals ``complex(re, im)`` bit for bit."""
+    conversion; None for any other list. With ``ndim`` 2, ``raw`` is a list
+    of such lists, all of one form and length, and the result has one row
+    each. The parts are assigned, not summed, so every amplitude equals
+    ``complex(re, im)`` bit for bit."""
     try:
         arr = np.array(raw)
     except (ValueError, TypeError, OverflowError):
         return None
-    if arr.dtype.kind not in "biuf" or not (arr.ndim == 1 or (arr.ndim == 2 and arr.shape[1] == 2)):
+    if arr.dtype.kind not in "biuf" or not (arr.ndim == ndim or (arr.ndim == ndim + 1 and arr.shape[-1] == 2)):
         return None
-    if not np.isfinite(arr).all():
+    if arr.shape[ndim - 1] == 0 or not np.isfinite(arr).all():
         return None
-    amps = np.zeros(arr.shape[0], dtype=complex)
-    if arr.ndim == 1:
+    amps = np.zeros(arr.shape[:ndim], dtype=complex)
+    if arr.ndim == ndim:
         amps.real = arr
     else:
-        amps.real = arr[:, 0]
-        amps.imag = arr[:, 1]
+        amps.real = arr[..., 0]
+        amps.imag = arr[..., 1]
     return amps
 
 
-def _parse_state(raw, field: str, errors: list[str]) -> StateVector | None:
+def _unit_amplitudes(raw, field: str, errors: list[str]) -> np.ndarray | None:
+    """The amplitude list ``raw`` divided by its norm; None, with errors
+    naming ``field`` or its malformed entries, if it is not a nonempty list
+    of numbers with a nonzero norm."""
     if not isinstance(raw, list) or not raw:
         errors.append(f"{field}: expected a nonempty amplitude list")
         return None
@@ -137,7 +142,29 @@ def _parse_state(raw, field: str, errors: list[str]) -> StateVector | None:
     if norm < 1e-12:
         errors.append(f"{field}: amplitude list has zero norm")
         return None
-    return StateVector(amps / norm)
+    return amps / norm
+
+
+def _parse_state(raw, field: str, errors: list[str]) -> StateVector | None:
+    amps = _unit_amplitudes(raw, field, errors)
+    return None if amps is None else StateVector(amps)
+
+
+def _unit_rows(members: list) -> np.ndarray | None:
+    """The amplitudes of every [weight, amplitudes] member as rows, each
+    divided by its norm, from one conversion; None unless each member is
+    such a pair, all amplitude lists convert together and every norm is
+    finite and nonzero. The per-member route decides every other case."""
+    if not all(isinstance(entry, list) and len(entry) == 2 for entry in members):
+        return None
+    amps = _amplitude_array([entry[1] for entry in members], ndim=2)
+    if amps is None:
+        return None
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(amps, axis=1)
+    if not ((1e-12 <= norms) & (norms < math.inf)).all():
+        return None
+    return amps / norms[:, None]
 
 
 def _number(raw, field: str, errors: list[str], need: str, ok=lambda v: True, *, integer: bool = False):
@@ -238,14 +265,16 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
     if not isinstance(spec, dict) or not isinstance(spec.get("members"), list) or not spec["members"]:
         errors.append("ensemble.members: required nonempty list of [weight, amplitudes]")
         return {}
+    rows = _unit_rows(spec["members"])
     before = len(errors)
-    members = []
+    weights, states = [], []
     for i, entry in enumerate(spec["members"]):
         if not isinstance(entry, list) or len(entry) != 2:
             errors.append(f"ensemble.members[{i}]: expected [weight, amplitudes]")
             continue
-        weight = _number(entry[0], f"ensemble.members[{i}].weight", errors, "must be nonnegative", lambda v: v >= 0)
-        members.append((weight, _parse_state(entry[1], f"ensemble.members[{i}].state", errors)))
+        weights.append(_number(entry[0], f"ensemble.members[{i}].weight", errors, "must be nonnegative", lambda v: v >= 0))
+        if rows is None:
+            states.append(_unit_amplitudes(entry[1], f"ensemble.members[{i}].state", errors))
     # purify needs a unit-trace barycenter, so a steered ensemble has no
     # tail; declared tails belong to prob_ensemble and sigma_affinity
     _number(
@@ -255,11 +284,11 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
     if len(errors) > before:
         return {}
     try:
-        ensemble = Ensemble(members=tuple(members))
+        ensemble = Ensemble(weights, states if rows is None else rows)
     except ValueError as exc:
         errors.append(f"ensemble: {exc}")
         return {}
-    k, d = len(members), ensemble.dim
+    k, d = ensemble.amplitudes.shape
     if d > MAX_MEMBER_DIM:
         errors.append(f"ensemble.members: dimension {d} exceeds the largest allowed {MAX_MEMBER_DIM}")
     elif k * d * d > MAX_STEER_ENTRIES:
@@ -468,24 +497,17 @@ def _run_detect(rule, seed, p1, p2, lam, n_samples, alpha) -> _Result:
 
 def _run_steer(rule, seed, ensemble) -> _Result:
     purification = purify(barycenter(ensemble))
-    povm = hjw_povm(purification, ensemble)
-    outcomes = steer(purification, povm)
+    result = steer(purification, hjw_povm(purification, ensemble))
+    k = len(ensemble.weights)
+    probabilities, weights = result.probabilities.tolist(), ensemble.weights.tolist()
+    # |<psi_i|u_i>|^2 of each member with its unit conditional vector
+    overlaps = np.abs(np.sum(ensemble.amplitudes.conj() * result.vectors, axis=1)) ** 2
+    fidelities = np.where(result.null[:k], None, overlaps).tolist()
     columns = ["outcome", "probability", "target_weight", "fidelity_to_target"]
-    rows = []
-    max_weight_err = 0.0
-    for outcome in outcomes:
-        if outcome.outcome_index < len(ensemble.members):
-            weight, member = ensemble.members[outcome.outcome_index]
-            fidelity = (
-                fidelity_to_pure(outcome.conditional_state, member)
-                if outcome.conditional_state is not None
-                else None
-            )
-            max_weight_err = max(max_weight_err, abs(outcome.probability - weight))
-            rows.append([outcome.outcome_index, outcome.probability, weight, fidelity])
-        else:
-            rows.append([outcome.outcome_index, outcome.probability, None, None])
-    summary = f"outcomes={len(outcomes)} max_weight_error={max_weight_err:.3g}"
+    rows = [[i, probabilities[i], weights[i], fidelities[i]] for i in range(k)]
+    rows += [[i, probabilities[i], None, None] for i in range(k, len(result))]
+    max_weight_err = float(np.max(np.abs(result.probabilities[:k] - ensemble.weights)))
+    summary = f"outcomes={len(result)} max_weight_error={max_weight_err:.3g}"
     return summary, columns, rows, None
 
 

@@ -12,14 +12,14 @@ constructor checks, ``RECONSTRUCTION_ATOL`` for round-trip identities
 ``eigvalsh`` against ``VALIDATION_ATOL``, and a rejection names the
 offending eigenvalue.
 
-A rank-one effect v v^dagger has spectrum {|v|^2, 0, ..., 0}, so
-``Effect.rank_one`` accepts it from |v|^2 alone, with no eigendecomposition,
-and hands every rejection to the general constructor. |v|^2 can disagree
-with the stored matrix's top eigenvalue only within about (d + 2) eps of
-the bound at dimension d. Such an effect, and the pure conditional state
-that ``steer`` makes from its branch, hold the vector as ``factor`` and
-build their d x d ``matrix`` only when it is first read, so a measurement
-of k rank-one members holds O(d k) numbers until a caller reads a matrix.
+A rank-one effect v v^dagger has spectrum {|v|^2, 0, ..., 0}. A ``Povm``
+holds its rank-one outcomes by their vectors, the columns of one d x k
+``factors`` matrix F, and accepts a column from |v|^2 alone, with no
+eigendecomposition; a column past the bound goes to the general ``Effect``
+constructor, which decides and names the rejection. |v|^2 can disagree with
+the top eigenvalue of the rounded v v^dagger only within about (d + 2) eps
+of the bound at dimension d. No d x d matrix is built for such an outcome,
+so a measurement of k rank-one outcomes holds O(d k) numbers.
 """
 
 from __future__ import annotations
@@ -63,16 +63,20 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().T) / 2
 
 
-def _checked_spectrum(values, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _checked_spectrum(values, name: str, spectrum=None) -> tuple[np.ndarray, np.ndarray]:
     """The square matrix of ``values`` and the ascending spectrum of its
     Hermitian part, after rejecting a hermiticity defect beyond
-    ``VALIDATION_ATOL``; ``name`` starts the message."""
+    ``VALIDATION_ATOL``; ``name`` starts the message. A ``spectrum`` that
+    the caller has already taken by ``eigvalsh`` is returned in place of a
+    second decomposition."""
     arr = np.array(values, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
     defect = _hermiticity_defect(arr)
     if not defect <= VALIDATION_ATOL:
         raise ValueError(f"{name} hermiticity defect {defect}")
+    if spectrum is not None:
+        return arr, spectrum
     # hermitizing an exactly Hermitian matrix gives the same bits
     return arr, np.linalg.eigvalsh(arr if defect == 0.0 else hermitize(arr))
 
@@ -109,46 +113,9 @@ class StateVector:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-class _Factored:
-    """A value whose matrix may be held as v v^dagger by its vector ``factor``.
-
-    One made by ``_from_factor`` has no ``matrix`` until that is first read;
-    ``__getattr__`` then builds ``hermitize(np.outer(v, v.conj()))``,
-    read-only, and keeps it. One made by its constructor has its matrix
-    from the start and ``factor`` None.
-    """
-
-    factor: np.ndarray | None = None
-
-    @classmethod
-    def _from_factor(cls, vector: np.ndarray):
-        value = object.__new__(cls)
-        vector.setflags(write=False)
-        object.__setattr__(value, "factor", vector)
-        return value
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute that is not set
-        factor = self.factor
-        if name != "matrix" or factor is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        matrix = hermitize(np.outer(factor, factor.conj()))
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        return matrix
-
-    @property
-    def dim(self) -> int:
-        return (self.matrix if self.factor is None else self.factor).shape[0]
-
-
 @dataclass(frozen=True, eq=False)
-class DensityMatrix(_Factored):
+class DensityMatrix:
     """Mixed state: Hermitian, positive semidefinite, unit trace.
-
-    A pure state that ``steer`` makes from a rank-one branch b b^dagger is
-    held by its unit vector b / |b| as ``factor``: it is a state by
-    construction, so it takes no spectrum check.
 
     ``trace_target`` supports deliberately sub-normalized operators (the
     barycenter of a truncated countable ensemble carries only the retained
@@ -169,76 +136,100 @@ class DensityMatrix(_Factored):
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
 
 @dataclass(frozen=True, eq=False)
-class Effect(_Factored):
-    """Measurement element: Hermitian with spectrum in [0, 1]."""
+class Effect:
+    """Measurement element: Hermitian with spectrum in [0, 1].
+
+    ``spectrum`` is for a caller that has already taken the ascending
+    ``eigvalsh`` spectrum of this exactly Hermitian matrix: it is checked in
+    place of a second decomposition.
+    """
 
     matrix: np.ndarray
+    spectrum: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        arr, eigs = _checked_spectrum(self.matrix, "effect")
+    def __post_init__(self, spectrum: np.ndarray | None):
+        arr, eigs = _checked_spectrum(self.matrix, "effect", spectrum)
         if not (eigs[0] >= -VALIDATION_ATOL and eigs[-1] <= 1.0 + VALIDATION_ATOL):
             raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] outside [0, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
-    @staticmethod
-    def rank_one(vector) -> "Effect":
-        """The effect v v^dagger, held by its ``factor`` v; its ``matrix``,
-        ``hermitize(np.outer(v, v.conj()))``, is built when first read.
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
-        Its spectrum is {|v|^2, 0, ..., 0}, so it is accepted when |v|^2 is
-        at most ``1 + VALIDATION_ATOL``. No lower check is needed: the
-        eigenvalues of the rounded matrix are >= about -2 eps |v|^2, far
-        above ``-VALIDATION_ATOL``. Otherwise ``Effect(matrix)`` decides, so
-        a non-finite vector or a top eigenvalue past the bound raises the
-        general constructor's message. At dimension d, |v|^2 lies within
-        about (d + 2) eps |v|^2 of the matrix's top eigenvalue, so the two
-        routes can disagree only that close to the bound (measured against
-        ``eigvalsh``, which adds its own rounding: at most 1.1e-15 apart
-        over 15000 unit vectors at d = 2 to 64).
-        """
-        v = _as_complex_vector(vector)
-        if np.vdot(v, v).real <= 1.0 + VALIDATION_ATOL:
-            return Effect._from_factor(v)
-        # a non-finite or overflowing vector reaches Effect(matrix), which
-        # rejects it without a warning
-        with np.errstate(invalid="ignore", over="ignore"):
-            matrix = hermitize(np.outer(v, v.conj()))
-        return Effect(matrix)
+
+def _check_factor_columns(factors: np.ndarray) -> None:
+    """Raise unless each column v of ``factors`` is an effect v v^dagger.
+
+    Its spectrum is {|v|^2, 0, ..., 0}, so it is accepted when |v|^2 is at
+    most ``1 + VALIDATION_ATOL``. No lower check is needed: the eigenvalues
+    of the rounded matrix are >= about -2 eps |v|^2, far above
+    ``-VALIDATION_ATOL``. Any other column goes to ``Effect``, so a
+    non-finite column or a top eigenvalue past the bound raises the general
+    constructor's message. At dimension d, |v|^2 lies within about
+    (d + 2) eps |v|^2 of the matrix's top eigenvalue, so the two routes can
+    disagree only that close to the bound (measured against ``eigvalsh``,
+    which adds its own rounding: at most 1.1e-15 apart over 15000 unit
+    vectors at d = 2 to 64).
+    """
+    # a non-finite or overflowing column reaches Effect(matrix), which
+    # rejects it without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        squared = (factors.real**2 + factors.imag**2).sum(axis=0)
+        for j in np.flatnonzero(~(squared <= 1.0 + VALIDATION_ATOL)):
+            v = factors[:, j]
+            Effect(hermitize(np.outer(v, v.conj())))
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Complete measurement: effects of equal dimension summing to the identity."""
+    """Complete measurement: effects of equal dimension summing to the identity.
 
-    outcomes: tuple[Effect, ...]
+    Its outcomes are, in order, the rank-one effects v v^dagger held by
+    their vectors v, the columns of the d x k matrix ``factors`` (none if it
+    is not given), and then the general ``effects``. Completeness sums the
+    rank-one outcomes as one product F F^dagger.
+    """
+
+    effects: tuple[Effect, ...] = ()
+    factors: np.ndarray | None = None
 
     def __post_init__(self):
-        outcomes = tuple(self.outcomes)
-        if not outcomes:
+        effects = tuple(self.effects)
+        if self.factors is None:
+            f = np.zeros((effects[0].dim if effects else 0, 0), dtype=complex)
+        else:
+            f = np.array(self.factors, dtype=complex)
+        if f.ndim != 2:
+            raise ValueError("POVM factors must be a d x k matrix")
+        if f.size == 0 and not effects:
             raise ValueError("POVM needs at least one outcome")
-        dim = outcomes[0].dim
-        if any(e.dim != dim for e in outcomes):
+        if any(e.dim != f.shape[0] for e in effects):
             raise ValueError("POVM outcomes have mismatched dimensions")
-        # the rank-one effects v v^dagger sum to F F^dagger, F's columns their factors
-        total = sum((e.matrix for e in outcomes if e.factor is None), np.zeros((dim, dim), dtype=complex))
-        factors = [e.factor for e in outcomes if e.factor is not None]
-        if factors:
-            f = np.stack(factors, axis=1)
-            total += f @ f.conj().T
+        _check_factor_columns(f)
+        dim = f.shape[0]
+        total = sum((e.matrix for e in effects), np.zeros((dim, dim), dtype=complex))
+        total += f @ f.conj().T
         defect = float(np.max(np.abs(total - np.eye(dim))))
         if defect > POVM_SUM_ATOL:
             raise ValueError(f"POVM completeness defect {defect} exceeds {POVM_SUM_ATOL}")
-        object.__setattr__(self, "outcomes", outcomes)
+        f.setflags(write=False)
+        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "factors", f)
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0].dim
+        return self.factors.shape[0]
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return self.factors.shape[1] + len(self.effects)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,8 +325,7 @@ def random_povm(dim: int, n_outcomes: int, seed: int, stream: int = 0) -> Povm:
     total = hermitize(sum(blocks))
     eigvals, eigvecs = np.linalg.eigh(total)
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
-    effects = [Effect(hermitize(inv_sqrt @ g @ inv_sqrt)) for g in blocks]
-    return Povm(tuple(effects))
+    return Povm(tuple(Effect(hermitize(inv_sqrt @ g @ inv_sqrt)) for g in blocks))
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -350,10 +340,7 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 def fidelity_to_pure(rho: DensityMatrix, psi: StateVector) -> float:
-    """<psi| rho |psi>: fidelity between a mixed state and a pure target;
-    |<psi|u>|^2 for a state held by its unit vector u."""
+    """<psi| rho |psi>: fidelity between a mixed state and a pure target."""
     if rho.dim != psi.dim:
         raise ValueError("dimension mismatch")
-    if rho.factor is not None:
-        return float(abs(np.vdot(psi.amplitudes, rho.factor)) ** 2)
     return float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))

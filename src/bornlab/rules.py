@@ -42,13 +42,19 @@ def _require_finite_slopes(xs, ys, what: str) -> None:
 
 def _reject_non_numbers(field: str, values) -> None:
     """float() reads JSON true/false, which arrive as Python bools, as 1 and
-    0, a string such as "0.5" as a number, and null as NaN; a rule parameter
-    must be written as a number. An array of a numeric dtype or a list of
-    ints and floats passes without a look at each entry; otherwise the
-    first entry that is not a number is named by its JSON type."""
+    0 (and so it reads numpy booleans), a string such as "0.5" as a number,
+    and null as NaN; a rule parameter must be written as a number. An array
+    of a numeric dtype or a list of ints and floats passes without a look at
+    each entry; otherwise the first entry that is not a number is named by
+    its JSON type. A JSON object in place of the list is named as one,
+    not by its keys."""
+    if isinstance(values, dict):
+        raise ValueError(f"{field}: expected numbers, got an object")
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" or set(map(type, values)) <= {int, float}:
         return
-    nouns = {bool: "a boolean", str: "a string", type(None): "null", list: "an array", tuple: "an array", dict: "an object"}
+    nouns = {
+        (bool, np.bool_): "a boolean", str: "a string", type(None): "null", (list, tuple): "an array", dict: "an object",
+    }
     for value in values:
         for kind, noun in nouns.items():
             if isinstance(value, kind):
@@ -71,7 +77,11 @@ def _exponent(alpha):
 
 def _knots(knots):
     try:
-        pairs = () if knots is None else tuple((x, y) for x, y in knots)
+        entries = [] if knots is None else list(knots)
+        # a JSON object would be unpacked by its keys
+        if isinstance(knots, dict) or any(isinstance(entry, dict) for entry in entries):
+            raise TypeError
+        pairs = tuple((x, y) for x, y in entries)
     except (TypeError, ValueError):
         raise ValueError("knots: expected a list of [x, y] pairs") from None
     if len(pairs) < 2:
@@ -295,10 +305,11 @@ class EnsembleProbability:
 def prob_ensemble(rule: PhiRule, ensemble: Ensemble, phi: StateVector) -> EnsembleProbability:
     """Probability under an ensemble preparation: weighted member
     probabilities, tail reported as an error bar."""
-    if ensemble.members and ensemble.members[0][1].dim != phi.dim:
+    if ensemble.dim != phi.dim:
         raise ValueError("ensemble and effect target dimensions differ")
     per_member = tuple(
-        (weight, prob_pure(rule, member, phi)) for weight, member in ensemble.members
+        (weight, prob_pure(rule, StateVector(amplitudes), phi))
+        for weight, amplitudes in zip(ensemble.weights.tolist(), ensemble.amplitudes)
     )
     value = float(sum(w * p for w, p in per_member))
     return EnsembleProbability(

@@ -109,7 +109,7 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
     phi = StateVector.basis(2, 0)
     psi1 = _probability_amplitudes(p1)
     psi2 = _probability_amplitudes(p2)
-    mixture = Ensemble(members=((lam, psi1), (1.0 - lam, psi2)))
+    mixture = Ensemble([lam, 1.0 - lam], [psi1.amplitudes, psi2.amplitudes])
     # one ensemble for omega and the split: hjw_povm reuses its cached barycenter
     omega = barycenter(mixture)
     purification = purify(omega)
@@ -150,20 +150,20 @@ def run_steering_experiment(rule: PhiRule, scenario: SteeringScenario) -> Experi
     mixed-state transition probability. Their difference is compared to the
     analytic Jensen gap; the two computations share no intermediate steps.
 
-    A branch that ``steer`` leaves without a conditional state is null and
-    is skipped: ``steer`` alone decides nullity. Every other branch must be
-    pure, held by its unit vector; a mixed one raises ValueError. The
+    A null branch (``SteeringResult.null``) is skipped: ``steer`` alone
+    decides nullity. Every other branch must be pure, a rank-one outcome
+    held by its unit vector; a live general effect raises ValueError. The
     scenario is not checked again here, since ``hjw_povm`` checked it when
     it was built.
     """
+    result = steer(scenario.purification, scenario.povm_split)
+    k = len(result.vectors)
     prob_split = 0.0
-    for outcome in steer(scenario.purification, scenario.povm_split):
-        if outcome.conditional_state is None:
-            continue
-        if outcome.conditional_state.factor is None:
-            raise ValueError(f"conditional state of outcome {outcome.outcome_index} is not pure")
-        member = StateVector(outcome.conditional_state.factor)
-        prob_split += outcome.probability * prob_pure(rule, member, scenario.phi)
+    for index in np.flatnonzero(~result.null).tolist():
+        if index >= k:
+            raise ValueError(f"conditional state of outcome {index} is not pure")
+        member = StateVector(result.vectors[index])
+        prob_split += float(result.probabilities[index]) * prob_pure(rule, member, scenario.phi)
     prob_direct = phi_eval(rule, tau_mixed(scenario.omega, scenario.phi))
     gap = prob_split - prob_direct
     analytic = jensen_gap(rule, scenario.p1, scenario.p2, scenario.lam)

@@ -16,11 +16,11 @@ import numpy as np
 
 from .linalg import (
     RECONSTRUCTION_ATOL,
+    VALIDATION_ATOL,
     BipartiteState,
     DensityMatrix,
     Effect,
     Povm,
-    StateVector,
     hermitize,
 )
 
@@ -29,50 +29,75 @@ SUPPORT_ATOL = 1e-8
 NULL_OUTCOME_PROB = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
     """Weighted pure-state decomposition, finite or truncated-countable.
 
-    A truncated-countable ensemble declares the discarded tail weight
-    explicitly; weights plus tail must account for all probability.
+    Member i has weight ``weights[i]`` and the unit amplitude vector
+    ``amplitudes[i]``; both arrays are read-only, and every row's norm is
+    checked once, against ``VALIDATION_ATOL``. A truncated-countable
+    ensemble declares the discarded tail weight explicitly; weights plus
+    tail must account for all probability.
+
+    ``members``, a sequence of (weight, ``StateVector``) pairs, is read into
+    the same two arrays; ``perfbench/layers.py`` builds its ensembles so.
     """
 
-    members: tuple[tuple[float, StateVector], ...]
-    tail_weight: float = 0.0
+    weights: np.ndarray
+    amplitudes: np.ndarray
+    tail_weight: float
 
-    def __post_init__(self):
-        members = tuple((float(w), s) for w, s in self.members)
-        if not members:
+    def __init__(self, weights=None, amplitudes=None, tail_weight: float = 0.0, *, members=None):
+        if members is not None:
+            weights = [w for w, _ in members]
+            amplitudes = [s.amplitudes for _, s in members]
+        weights = np.array(weights, dtype=float)
+        if weights.ndim != 1 or weights.size == 0:
             raise ValueError("ensemble needs at least one member")
         # written as `not ... <=` so that a NaN weight fails them
-        if not all(-1e-12 <= w for w, _ in members):
+        if not (-1e-12 <= weights).all():
             raise ValueError("ensemble weights must be nonnegative")
-        if not -1e-12 <= self.tail_weight:
+        tail_weight = float(tail_weight)
+        if not -1e-12 <= tail_weight:
             raise ValueError("tail weight must be nonnegative")
-        check_weight_sum(sum(w for w, _ in members) + self.tail_weight)
-        dim = members[0][1].dim
-        if any(s.dim != dim for _, s in members):
-            raise ValueError("ensemble members have mismatched dimensions")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "tail_weight", float(self.tail_weight))
+        # the builtin sum, in member order, as sigma_affinity_convergence adds them
+        check_weight_sum(sum(weights.tolist()) + tail_weight)
+        try:
+            amps = np.array(amplitudes, dtype=complex)
+        except ValueError:
+            # rows of different lengths make no array
+            raise ValueError("ensemble members have mismatched dimensions") from None
+        if amps.ndim != 2 or amps.shape[0] != weights.size or amps.shape[1] == 0:
+            raise ValueError(f"ensemble amplitudes of shape {amps.shape}: expected one nonempty row per weight")
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(amps, axis=1)
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= VALIDATION_ATOL))
+        if off.size:
+            raise ValueError(
+                f"ensemble member {off[0]} has norm {norms[off[0]]}, deviating from 1 beyond {VALIDATION_ATOL}"
+            )
+        weights.setflags(write=False)
+        amps.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "tail_weight", tail_weight)
 
     @property
     def dim(self) -> int:
-        return self.members[0][1].dim
+        return self.amplitudes.shape[1]
 
     @cached_property
     def barycenter(self) -> DensityMatrix:
         """Weighted sum of member projectors, built on first use and kept:
         the ensemble is immutable, and so is the returned matrix.
 
-        For a truncated-countable ensemble the sum carries only the retained
-        weight; its trace defect equals the declared tail weight and is left
-        visible rather than renormalized away.
+        With A the amplitude rows and w the weights it is the one product
+        (A^T w) conj(A). For a truncated-countable ensemble the sum carries
+        only the retained weight; its trace defect equals the declared tail
+        weight and is left visible rather than renormalized away.
         """
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for weight, member in self.members:
-            acc += weight * member.projector()
-        return DensityMatrix(hermitize(acc), trace_target=1.0 - self.tail_weight)
+        a = self.amplitudes
+        return DensityMatrix(hermitize((a.T * self.weights) @ a.conj()), trace_target=1.0 - self.tail_weight)
 
 
 def check_weight_sum(total: float) -> None:
@@ -83,17 +108,31 @@ def check_weight_sum(total: float) -> None:
         raise ValueError(f"weights plus tail sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
-class SteeringOutcome:
-    """One measurement branch: its probability and Bob's conditional state.
+@dataclass(frozen=True, eq=False)
+class SteeringResult:
+    """Bob's conditional preparations under one measurement of Alice's, in
+    the measurement's outcome order: its k rank-one outcomes, then its
+    general effects.
 
-    Outcomes with probability below ``NULL_OUTCOME_PROB`` carry no
-    conditional state (None): there is nothing to normalize.
+    ``probabilities`` holds every outcome's probability. Row i of the
+    k x d ``vectors`` is the unit vector of rank-one outcome i's pure
+    conditional state, and ``states`` holds the conditional state of each
+    general effect. An outcome with probability below ``NULL_OUTCOME_PROB``
+    is null: there is nothing to normalize, so its row is zero and its
+    state None.
     """
 
-    outcome_index: int
-    probability: float
-    conditional_state: DensityMatrix | None
+    probabilities: np.ndarray
+    vectors: np.ndarray
+    states: tuple[DensityMatrix | None, ...]
+
+    def __len__(self) -> int:
+        return self.probabilities.size
+
+    @property
+    def null(self) -> np.ndarray:
+        """Whether each outcome is null."""
+        return self.probabilities < NULL_OUTCOME_PROB
 
 
 def barycenter(ensemble: Ensemble) -> DensityMatrix:
@@ -107,13 +146,14 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
 
     With coefficient matrix M of the purification, the rank-1 element for
     member (w, psi) is v v^dagger with v = conj(x), x the A-side vector
-    solving M^T x = sqrt(w) psi. It is held by its factor v
-    (``Effect.rank_one``), so no d x d matrix is built. Its branch then has
-    probability w and conditional state |psi><psi|. Solvability of that
-    linear system is exactly the condition that psi lies in the support of
-    the marginal. A projector onto the unused A directions is appended as a
-    remainder outcome when the marginal is rank-deficient (a one-member
-    ensemble's has rank one), so the collection is complete.
+    solving M^T x = sqrt(w) psi. The v are the columns of the measurement's
+    ``factors``, so no d x d matrix is built for them. Branch i then has
+    probability w_i and conditional state |psi_i><psi_i|. Solvability of
+    that linear system is exactly the condition that psi lies in the support
+    of the marginal. A projector onto the unused A directions is appended as
+    a remainder outcome when the marginal is rank-deficient (a one-member
+    ensemble's has rank one), so the collection is complete; the spectrum
+    that decides this is the one its ``Effect`` checks.
 
     Raises ValueError if the ensemble barycenter does not match the
     purification's B marginal within ``RECONSTRUCTION_ATOL``, or if a
@@ -129,17 +169,15 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
         raise ValueError(f"ensemble barycenter deviates from purified marginal by {mismatch}")
 
     # column i is sqrt(w_i) psi_i; all members are solved for at once
-    rhs = np.stack([np.sqrt(w) * member.amplitudes for w, member in ensemble.members], axis=1)
+    rhs = (np.sqrt(ensemble.weights)[:, None] * ensemble.amplitudes).T
     x = np.linalg.lstsq(m_t, rhs, rcond=1e-9)[0]
     support_defect = float(np.max(np.linalg.norm(m_t @ x - rhs, axis=0)))
     if support_defect > SUPPORT_ATOL:
         raise ValueError(f"ensemble member leaves the marginal's support (defect {support_defect})")
-    w_vecs = x.conj()
-    effects = [Effect.rank_one(w_vec) for w_vec in w_vecs.T]
-    remainder = hermitize(np.eye(purification.dim_a, dtype=complex) - w_vecs @ w_vecs.conj().T)
-    if float(np.max(np.linalg.eigvalsh(remainder))) > 1e-10:
-        effects.append(Effect(remainder))
-    return Povm(tuple(effects))
+    factors = x.conj()
+    remainder = hermitize(np.eye(purification.dim_a, dtype=complex) - factors @ factors.conj().T)
+    spectrum = np.linalg.eigvalsh(remainder)
+    return Povm((Effect(remainder, spectrum),) if spectrum[-1] > 1e-10 else (), factors)
 
 
 def _branch(state: BipartiteState, effect: Effect) -> np.ndarray:
@@ -147,7 +185,13 @@ def _branch(state: BipartiteState, effect: Effect) -> np.ndarray:
     return state.amplitudes.T @ effect.matrix.conj() @ state.amplitudes.conj()
 
 
-def steer(state: BipartiteState, povm_a: Povm) -> list[SteeringOutcome]:
+def _rank_one_branches(state: BipartiteState, povm: Povm) -> np.ndarray:
+    """Row i is b_i^T, where Bob's branch of the rank-one outcome v_i v_i^dagger
+    is b_i b_i^dagger with b_i = M^T conj(v_i): all rows are one product."""
+    return povm.factors.conj().T @ state.amplitudes
+
+
+def steer(state: BipartiteState, povm_a: Povm) -> SteeringResult:
     """Measure A and collect Bob's conditional preparations.
 
     With coefficient matrix M of the state, branch i is Bob's unnormalized
@@ -156,34 +200,27 @@ def steer(state: BipartiteState, povm_a: Povm) -> list[SteeringOutcome]:
     <Psi|(E_i x I)|Psi> is the branch probability, and the branch divided
     by that probability is the conditional state.
 
-    A rank-one effect v v^dagger (one with a ``factor``, as every member
-    effect of ``hjw_povm``) has the branch b b^dagger with b = M^T conj(v).
-    All such b are the columns of one product M^T conj(F), F's columns the
-    factors. The probability is |b|^2, and the conditional state is pure,
-    held by its unit vector b / |b|, so no d x d branch is formed or
-    checked. Other effects take the general route through ``_branch``.
+    A rank-one outcome v v^dagger (a column of the measurement's
+    ``factors``, as every member outcome of ``hjw_povm``) has the branch
+    b b^dagger with b = M^T conj(v), so all of them come from one product.
+    The probability is |b|^2, and the conditional state is pure, held by
+    its unit vector b / |b|, so no d x d branch is formed or checked. General
+    effects take the route through ``_branch``.
     """
     if povm_a.dim != state.dim_a:
         raise ValueError(f"POVM dimension {povm_a.dim} differs from A side {state.dim_a}")
-    factors = [e.factor for e in povm_a.outcomes if e.factor is not None]
-    columns = iter((state.amplitudes.T @ np.stack(factors, axis=1).conj()).T if factors else ())
-    outcomes = []
-    for index, effect in enumerate(povm_a.outcomes):
-        if effect.factor is None:
-            branch = _branch(state, effect)
-            prob = float(np.real(np.trace(branch)))
-        else:
-            b = next(columns)
-            prob = float(np.vdot(b, b).real)
-        if prob < NULL_OUTCOME_PROB:
-            outcomes.append(SteeringOutcome(index, prob, None))
-            continue
-        if effect.factor is None:
-            conditional = DensityMatrix(hermitize(branch / prob))
-        else:
-            conditional = DensityMatrix._from_factor(b / np.sqrt(prob))
-        outcomes.append(SteeringOutcome(index, prob, conditional))
-    return outcomes
+    rows = _rank_one_branches(state, povm_a)
+    probabilities = (rows.real**2 + rows.imag**2).sum(axis=1)
+    live = probabilities >= NULL_OUTCOME_PROB
+    vectors = np.zeros_like(rows)
+    np.divide(rows, np.sqrt(probabilities)[:, None], out=vectors, where=live[:, None])
+    general, states = [], []
+    for effect in povm_a.effects:
+        branch = _branch(state, effect)
+        prob = float(np.real(np.trace(branch)))
+        general.append(prob)
+        states.append(DensityMatrix(hermitize(branch / prob)) if prob >= NULL_OUTCOME_PROB else None)
+    return SteeringResult(np.concatenate([probabilities, general]), vectors, tuple(states))
 
 
 def verify_marginal_invariance(state: BipartiteState, povm1: Povm, povm2: Povm) -> float:
@@ -191,12 +228,14 @@ def verify_marginal_invariance(state: BipartiteState, povm1: Povm, povm2: Povm) 
     measurement choices; zero (to solver precision) for any complete pair.
 
     Each average is the sum of the unnormalized branches M^T E_i^* conj(M),
-    one per effect, as in ``steer``; no square root of an effect is taken.
+    one per outcome, as in ``steer``; the rank-one branches b_i b_i^dagger
+    are summed as one product, and no square root of an effect is taken.
     """
 
     def average_state(povm: Povm) -> np.ndarray:
-        acc = np.zeros((state.dim_b, state.dim_b), dtype=complex)
-        for effect in povm.outcomes:
+        rows = _rank_one_branches(state, povm)
+        acc = rows.T @ rows.conj()
+        for effect in povm.effects:
             acc += _branch(state, effect)
         return acc
 
@@ -219,7 +258,5 @@ def geometric_fock_ensemble(r: float, truncation_n: int, dim: int | None = None)
     space = truncation_n + 1 if dim is None else dim
     if space < truncation_n + 1:
         raise ValueError(f"dimension {space} cannot hold number states up to {truncation_n}")
-    members = tuple(
-        ((1.0 - r) * r**n, StateVector.basis(space, n)) for n in range(truncation_n + 1)
-    )
-    return Ensemble(members=members, tail_weight=r ** (truncation_n + 1))
+    weights = [(1.0 - r) * r**n for n in range(truncation_n + 1)]
+    return Ensemble(weights, np.eye(truncation_n + 1, space, dtype=complex), tail_weight=r ** (truncation_n + 1))

@@ -16,11 +16,7 @@ def random_ensemble():
     def make(dim: int, n_members: int, seed: int) -> Ensemble:
         rng = make_rng(seed, stream=77)
         weights = rng.dirichlet(np.ones(n_members))
-        members = tuple(
-            (float(w), haar_random_state(dim, seed * 1009 + i))
-            for i, w in enumerate(weights)
-        )
-        return Ensemble(members=members)
+        return Ensemble(weights, [haar_random_state(dim, seed * 1009 + i).amplitudes for i in range(n_members)])
 
     return make
 

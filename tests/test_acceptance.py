@@ -11,7 +11,6 @@ from bornlab.cli import main as cli_main
 from bornlab.fock import truncation_convergence, sigma_affinity_convergence
 from bornlab.linalg import (
     StateVector,
-    fidelity_to_pure,
     haar_random_state,
     make_rng,
     purify,
@@ -35,10 +34,7 @@ def _criterion(name: str, ok: bool, detail: str = ""):
 def _random_ensemble(dim: int, n_members: int, seed: int) -> Ensemble:
     rng = make_rng(seed, stream=77)
     weights = rng.dirichlet(np.ones(n_members))
-    members = tuple(
-        (float(w), haar_random_state(dim, seed * 1009 + i)) for i, w in enumerate(weights)
-    )
-    return Ensemble(members=members)
+    return Ensemble(weights, [haar_random_state(dim, seed * 1009 + i).amplitudes for i in range(n_members)])
 
 
 def test_criterion_1_tau_oracle_equivalence():
@@ -77,13 +73,12 @@ def test_criterion_3_steering_fidelity():
         n_members = 1 + trial % 4
         ensemble = _random_ensemble(dim, n_members, trial)
         purification = purify(barycenter(ensemble))
-        outcomes = steer(purification, hjw_povm(purification, ensemble))
-        for outcome, (weight, member) in zip(outcomes, ensemble.members):
-            worst_weight = max(worst_weight, abs(outcome.probability - weight))
-            if outcome.conditional_state is not None:
-                worst_fidelity = min(
-                    worst_fidelity, fidelity_to_pure(outcome.conditional_state, member)
-                )
+        result = steer(purification, hjw_povm(purification, ensemble))
+        k = len(ensemble.weights)
+        worst_weight = max(worst_weight, float(np.max(np.abs(result.probabilities[:k] - ensemble.weights))))
+        for live, u, member in zip(~result.null, result.vectors, ensemble.amplitudes):
+            if live:
+                worst_fidelity = min(worst_fidelity, abs(np.vdot(member, u)) ** 2)
     _criterion(
         "3 steering fidelity",
         worst_weight <= 1e-8 and worst_fidelity >= 1.0 - 1e-8,

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bornlab import cli, linalg, rigidity, steering, transition
+from bornlab import cli, linalg, rigidity, signaling, steering, transition
 from bornlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -410,27 +410,99 @@ class TestParseState:
         assert errors == expected
 
 
+def steer_errors(members) -> list[str]:
+    # the string "1e999" is written as the bare literal, which json reads as inf
+    text = json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": members}}})
+    try:
+        validate(text.replace('"1e999"', "1e999"))
+    except ConfigValidationError as exc:
+        return exc.errors
+    return []
+
+
+class TestSteerMembers:
+    """Members that convert together are parsed as one array; any other
+    list takes the per-member route, so every error still names its member."""
+
+    @pytest.mark.parametrize(
+        "members,expected",
+        [
+            ([[0.5, [1, 0]], [0.5, [0, 0]]], ["ensemble.members[1].state: amplitude list has zero norm"]),
+            ([[1, [1e-13, 0]]], ["ensemble.members[0].state: amplitude list has zero norm"]),
+            ([[0.5, [1, 0]], [0.5, "ab"]], ["ensemble.members[1].state: expected a nonempty amplitude list"]),
+            ([[0.5, []], [0.5, []]], [f"ensemble.members[{i}].state: expected a nonempty amplitude list" for i in (0, 1)]),
+            (
+                [[0.5, [1, 0]], [0.5, ["1e999", 0]]],
+                ["ensemble.members[1].state[0]: number overflows a float: only finite numbers are accepted"],
+            ),
+            (
+                [[0.5, [1, "x"]], [0.5, [0, 1]]],
+                ["ensemble.members[0].state[1]: expected a number or [re, im] pair, got 'x'"],
+            ),
+            (
+                [[-1, [0, 0]], [2, [1, 0]]],
+                ["ensemble.members[0].weight: must be nonnegative", "ensemble.members[0].state: amplitude list has zero norm"],
+            ),
+            ([[0.5], [0.5, [1, 0]]], ["ensemble.members[0]: expected [weight, amplitudes]"]),
+            ([[0.5, [1, 0]], [0.5, [[0, 1], [0, 0], [0, 0]]]], ["ensemble: ensemble members have mismatched dimensions"]),
+        ],
+    )
+    def test_errors_name_the_member(self, members, expected):
+        assert steer_errors(members) == expected
+
+    @pytest.mark.parametrize(
+        "amplitudes,unit",
+        [
+            ([1e308, 1e308], [1, 1]),
+            ([10**30, 10**30], [1, 1]),
+            ([[0, 1e308], [1e308, 0]], [1j, 1]),
+            ([1, [0, 1]], [1, 1j]),
+        ],
+        ids=["overflowing_norm", "past_int64", "overflowing_pairs", "mixed_forms"],
+    )
+    def test_the_per_member_route_keeps_what_one_conversion_cannot(self, amplitudes, unit):
+        config = validate(json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": [[1, amplitudes]]}}}))
+        want = np.array(unit) / np.sqrt(2)
+        assert np.allclose(config.args["ensemble"].amplitudes, [want], rtol=0.0, atol=1e-16)
+
+    def test_both_routes_give_the_same_unit_rows(self):
+        states = [haar_random_state(32, seed).amplitudes for seed in range(8)]
+        pairs = [[1 / 8, [[z.real, z.imag] for z in s]] for s in states]
+        # one real-number member sends every member down the per-member route
+        mixed = [*pairs, [0.0, [1.0] + [0.0] * 31]]
+        one = validate(json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": pairs}}}))
+        each = validate(json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": mixed}}}))
+        rows, per_member = one.args["ensemble"].amplitudes, each.args["ensemble"].amplitudes[:8]
+        assert np.allclose(rows, per_member, rtol=0.0, atol=2.3e-16)
+        assert np.allclose(rows, states, rtol=0.0, atol=1e-15)
+
+
 class TestParseOnce:
-    def test_steer_constructs_one_state_per_member(self, tmp_path, monkeypatch):
-        inv = 2**-0.5
-        members = [[0.25, [1.0, 0.0]], [0.25, [0.0, 1.0]], [0.25, [inv, inv]], [0.25, [[inv, 0.0], [0.0, -inv]]]]
-        doc = {
-            "command": "steer",
-            "seed": 0,
-            "parameters": {"ensemble": {"members": members}},
-            "output": {"path": str(tmp_path / "steer.csv"), "format": "csv"},
-        }
-        path = write_config(tmp_path, doc)
-        built = []
-        original = linalg.StateVector.__post_init__
+    @pytest.mark.parametrize("form", ["pairs", "mixed"])
+    def test_steer_constructions_do_not_grow_with_members(self, tmp_path, monkeypatch, form):
+        # the members are parsed into one array and steered as one product:
+        # only the barycenter is a checked value, for 32 members as for 64
+        # (mixed forms take the per-member parse, which builds no state either)
+        built = {}
+        for name in ("StateVector", "DensityMatrix", "Effect"):
+            cls = getattr(linalg, name)
 
-        def counting(self):
-            built.append(self)
-            original(self)
+            def counting(self, *args, _original=cls.__post_init__, _name=name):
+                built[_name] = built.get(_name, 0) + 1
+                _original(self, *args)
 
-        monkeypatch.setattr(linalg.StateVector, "__post_init__", counting)
-        assert main(["--config", str(path), "--quiet"]) == EXIT_OK
-        assert len(built) == len(members)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        counts = []
+        for n_members in (32, 64):
+            states = [haar_random_state(32, seed).amplitudes for seed in range(n_members)]
+            members = [[1 / n_members, [[z.real, z.imag] for z in s]] for s in states]
+            if form == "mixed":
+                members[0][1] = [1.0] + [0.0] * 31
+            built.clear()
+            doc = {"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": members}}}
+            assert run_doc(tmp_path, doc)[0] == EXIT_OK
+            counts.append(dict(built))
+        assert counts[0] == counts[1] == {"DensityMatrix": 1}
 
     def test_parameters_are_left_as_given(self):
         # amplitude lists become states once; scalars keep their JSON type,
@@ -461,52 +533,41 @@ class TestParseOnce:
         assert payload["rigidity"] == payload["certification"]["report"]
 
 
+    @staticmethod
+    def record_barycenters(monkeypatch) -> list:
+        handed_out = []
+        original = steering.barycenter
+
+        def recording(ensemble):
+            handed_out.append(original(ensemble))
+            return handed_out[-1]
+
+        for module in (cli, signaling, steering):
+            monkeypatch.setattr(module, "barycenter", recording)
+        return handed_out
+
     def test_steer_forms_one_barycenter(self, tmp_path, monkeypatch):
-        # purify and hjw_povm share the ensemble's barycenter: one weighted
-        # sum of the 64 projectors, in one DensityMatrix that both receive
+        # purify and hjw_povm share the ensemble's barycenter: one product
+        # over the 64 members, in one DensityMatrix that both receive
         members = [
             [1 / 64, [[z.real, z.imag] for z in haar_random_state(32, seed).amplitudes]]
             for seed in range(64)
         ]
-        projectors = []
-        original_projector = linalg.StateVector.projector
-
-        def counting_projector(self):
-            projectors.append(self)
-            return original_projector(self)
-
-        handed_out = []
-        original_barycenter = steering.barycenter
-
-        def recording_barycenter(ensemble):
-            handed_out.append(original_barycenter(ensemble))
-            return handed_out[-1]
-
-        monkeypatch.setattr(linalg.StateVector, "projector", counting_projector)
-        for module in (cli, steering):
-            monkeypatch.setattr(module, "barycenter", recording_barycenter)
+        handed_out = self.record_barycenters(monkeypatch)
         doc = {"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": members}}}
         exit_code, out = run_doc(tmp_path, doc)
         assert exit_code == EXIT_OK
-        assert len(projectors) == 64
         assert len(handed_out) == 2 and handed_out[0] is handed_out[1]
         assert len(out.read_text(encoding="utf-8").splitlines()) > 64
 
     def test_experiment_forms_the_mixture_barycenter_once(self, tmp_path, monkeypatch):
         # omega and the split ensemble are one Ensemble, whose cached
-        # barycenter hjw_povm reuses: one projector per member
-        projectors = []
-        original_projector = linalg.StateVector.projector
-
-        def counting_projector(self):
-            projectors.append(self)
-            return original_projector(self)
-
-        monkeypatch.setattr(linalg.StateVector, "projector", counting_projector)
+        # barycenter hjw_povm reuses
+        handed_out = self.record_barycenters(monkeypatch)
         doc = {"command": "experiment", "seed": 0, "parameters": {"p1": 0.2, "p2": 0.7, "lambda": 0.4}}
         exit_code, _ = run_doc(tmp_path, doc)
         assert exit_code == EXIT_OK
-        assert len(projectors) == 2
+        assert len(handed_out) == 2 and handed_out[0] is handed_out[1]
 
     def test_experiment_checks_the_scenario_once(self, tmp_path, monkeypatch):
         # hjw_povm alone compares the purification's marginal with omega,
@@ -601,11 +662,13 @@ class TestEveryConfigEndsCleanly:
         # past ~1.34e154 the float square |alpha|^2 overflows
         ("fock_converge", {"alpha": 1.4e154, "beta": 0, "n_list": [1]}, EXIT_NUMERICAL, "fock_converge: coherent amplitude alpha"),
         ("fock_converge", {"alpha": 0, "beta": [0, 1.4e154], "n_list": [1]}, EXIT_NUMERICAL, "fock_converge: coherent amplitude beta"),
+        # the known near-degenerate hjw_povm failure (ROADMAP item 2): a
+        # member effect's top eigenvalue lands 3.1e-9 above 1
         (
             "experiment",
-            {"p1": 0.47389107179562673, "p2": 0.47317635290876503, "lambda": 0.18210216565177664},
+            {"p1": 0.32973171649909216, "p2": 0.3299047737211492, "lambda": 0.303194829291645},
             EXIT_NUMERICAL,
-            "experiment: effect spectrum",
+            "experiment: effect spectrum [0.0, 1.0000000030812737] outside [0, 1]",
         ),
         ("detect", {**TWO_LEVEL, "n_samples": True}, EXIT_CONFIG, "n_samples: must be a positive integer"),
         ("sigma_affinity", {"r": 0.5, "n_list": [0, 5], "phi": {"fock": True}}, EXIT_CONFIG, "phi.fock: must be a nonnegative integer"),
@@ -625,6 +688,14 @@ class TestEveryConfigEndsCleanly:
         assert err.startswith(prefix + message), err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_experiment_at_a_tiny_lambda_exits_three(self, tmp_path, capsys):
+        # the small-lambda face of the same hjw_povm failure (ROADMAP item 2)
+        rule = {"kind": "piecewise_affine", "knots": [[0, 0], [0.5, 0.4], [1, 1]]}
+        doc = {"command": "experiment", "rule": rule, "seed": 0, "parameters": {"p1": 0.2, "p2": 0.8, "lambda": 5e-13}}
+        exit_code, out = run_doc(tmp_path, doc)
+        assert exit_code == EXIT_NUMERICAL and not out.exists()
+        assert capsys.readouterr().err.startswith("numerical failure: experiment: effect spectrum [0.0, 1.000")
 
     def test_detect_alpha_range_ends_at_2_to_the_minus_53(self, tmp_path):
         # 2**-53 is the largest alpha for which 1 - alpha/2 rounds to 1
@@ -695,6 +766,9 @@ class TestEveryConfigEndsCleanly:
             ({"kind": "custom", "values": [0, None, 1]}, "values: expected numbers, got null"),
             ({"kind": "custom", "values": [0, [0.5], 1]}, "values: expected numbers, got an array"),
             ({"kind": "custom", "values": [0, {}, 1]}, "values: expected numbers, got an object"),
+            ({"kind": "custom", "values": {"a": 1, "b": 2}}, "values: expected numbers, got an object"),
+            ({"kind": "piecewise_affine", "knots": [{"x": 0, "y": 0}, {"x": 1, "y": 1}]}, "knots: expected a list of [x, y] pairs"),
+            ({"kind": "piecewise_affine", "knots": {"ab": [0, 0], "cd": [1, 1]}}, "knots: expected a list of [x, y] pairs"),
             # a null parameter is a missing one
             ({"kind": "power", "alpha": None}, "power rule needs a positive finite exponent"),
         ],

@@ -289,12 +289,12 @@ class TestSigmaAffinityRoute:
         phi = StateVector(np.ones(60, dtype=complex) / math.sqrt(60.0))
         built = []
         for cls in (linalg.StateVector, steering.Ensemble):
-            original = cls.__post_init__
+            original = cls.__init__
 
-            def counting(self, *args, _original=original):
+            def counting(self, *args, _original=original, **kwargs):
                 built.append(type(self).__name__)
-                _original(self, *args)
+                _original(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         sigma_affinity_convergence(PhiRule.power(2.0), 0.7, phi, [0, 10, 59])
         assert built == []

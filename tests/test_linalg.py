@@ -53,13 +53,13 @@ class TestConstruction:
         half = Effect(np.diag([0.5, 0.5]))
         with pytest.raises(ValueError, match="completeness"):
             Povm((half,))
-        # rank-one effects are summed from their factors, alone or with others
-        zero, one = Effect.rank_one([1, 0]), Effect.rank_one([0, 1])
+        # rank-one outcomes are summed from their factors, alone or with effects
+        zero = [[1], [0]]
         with pytest.raises(ValueError, match="completeness defect 1.0 "):
-            Povm((zero,))
+            Povm(factors=zero)
         with pytest.raises(ValueError, match="completeness defect 0.5 "):
-            Povm((zero, half))
-        assert len(Povm((zero, one))) == len(Povm((zero, Effect(np.diag([0.0, 1.0]))))) == 2
+            Povm((half,), zero)
+        assert len(Povm(factors=np.eye(2))) == len(Povm((Effect(np.diag([0.0, 1.0])),), zero)) == 2
 
     def test_bipartite_requires_unit_frobenius_norm(self):
         with pytest.raises(ValueError, match="norm"):
@@ -102,7 +102,7 @@ class TestConstruction:
             rho = random_density_matrix(4, seed)
             assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-9
             povm = random_povm(3, 4, seed)
-            total = sum(e.matrix for e in povm.outcomes)
+            total = sum(e.matrix for e in povm.effects)
             assert np.max(np.abs(total - np.eye(3))) <= 1e-8
 
 
@@ -191,6 +191,31 @@ class TestSpectrumCheck:
         assert eigs[-1] == pytest.approx(1 + 2e-9, abs=1e-14)
         assert raised(Effect, high) == f"effect spectrum [{eigs[0]}, {eigs[-1]}] outside [0, 1]"
 
+    def test_an_effect_checks_a_given_spectrum_in_place_of_eigvalsh(self, monkeypatch):
+        # the same verdicts and messages as its own eigvalsh, and no second one
+        cases = [
+            placed_spectrum(32, seed, end, offset)
+            for seed in range(3)
+            for end in ("low", "high")
+            for offset in (1e-9, -1e-9)
+        ]
+        spectra = [np.linalg.eigvalsh(h) for h in cases]
+
+        def verdict(build):
+            try:
+                build()
+            except ValueError as exc:
+                return str(exc)
+            return "accepted"
+
+        expected = [verdict(lambda: Effect(h)) for h in cases]
+        assert "accepted" in expected and len(set(expected)) > 2
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: pytest.fail("eigvalsh called"))
+        assert [verdict(lambda: Effect(h, eigs)) for h, eigs in zip(cases, spectra)] == expected
+        # the hermiticity check still runs
+        with pytest.raises(ValueError, match="hermiticity"):
+            Effect(np.array([[0.5, 0.1], [0.3, 0.5]]), np.array([0.2, 0.8]))
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
     def test_non_finite_entries_raise_without_a_warning(self, bad):
@@ -204,18 +229,30 @@ class TestSpectrumCheck:
     def test_cli_steer_at_dim_32_takes_three_eigendecompositions(self, tmp_path, monkeypatch):
         # purify's eigh, the barycenter's check and hjw_povm's remainder
         # decision; the purified marginal is compared unchecked, and neither
-        # the rank-one member effects nor their 64 pure conditional states
+        # the rank-one member outcomes nor their 64 pure conditional states
         # take an eigendecomposition
         members = [(1 / 64, haar_random_state(32, seed).amplitudes) for seed in range(64)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
         assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 2}
 
 
+def columns_accepted(factors) -> bool:
+    """Whether ``Povm``'s factor-column check takes every column of
+    ``factors``: a measurement of them then fails at most its completeness."""
+    try:
+        Povm(factors=factors)
+    except ValueError as exc:
+        return str(exc).startswith("POVM completeness defect")
+    return True
+
+
 class TestRankOneEffect:
+    """A rank-one outcome v v^dagger, held as a column v of ``Povm.factors``."""
+
     # The trace of hermitize(v v^dagger) is |v|^2 up to rounding, and so is
     # its top eigenvalue; the two differ by about (d + 2) eps at unit norm,
     # and eigvalsh adds its own rounding (measured: at most 5 eps). Every
-    # vector placed here lies outside that band, so Effect.rank_one, the
+    # vector placed here lies outside that band, so the column check, the
     # general constructor and eigvalsh must agree.
     @pytest.mark.parametrize("dim", [2, 8, 16, 32, 64])
     def test_agrees_with_eigvalsh_outside_the_rounding_band(self, dim):
@@ -223,6 +260,7 @@ class TestRankOneEffect:
         bound = 1.0 + VALIDATION_ATOL
         for seed in range(5):
             unit = haar_random_state(dim, seed, stream=9).amplitudes
+            columns, verdicts = [], []
             for exponent in range(6, 14):
                 for offset in (10.0**-exponent, -(10.0**-exponent)):
                     v = unit * np.sqrt(bound + offset)
@@ -232,23 +270,27 @@ class TestRankOneEffect:
                     assert abs(float(np.trace(m).real) - bound) > band
                     accepted = eigs[0] >= -VALIDATION_ATOL and eigs[-1] <= bound
                     assert accepted == (offset < 0)
-                    assert constructs(Effect.rank_one, v) == accepted
+                    assert columns_accepted(v[:, None]) == accepted
                     assert constructs(Effect, m) == accepted
+                    columns.append(v)
+                    verdicts.append(accepted)
+            # all columns are checked at once: one rejected column rejects them all
+            assert columns_accepted(np.stack(columns, axis=1)) == all(verdicts)
+            kept = [v for v, ok in zip(columns, verdicts) if ok]
+            assert columns_accepted(np.stack(kept, axis=1))
 
     @pytest.mark.parametrize("dim", [1, 3, 32])
-    def test_stores_the_hermitized_outer_product(self, dim):
-        v = haar_random_state(dim, 4).amplitudes * 0.9
-        effect = Effect.rank_one(v)
-        want = linalg.hermitize(np.outer(v, v.conj()))
-        # held by its factor; the matrix is built on the first read below
-        assert type(effect) is Effect and effect.dim == dim
-        assert "matrix" not in vars(effect)
-        assert effect.factor.tobytes() == v.tobytes()
-        assert effect.matrix.dtype == want.dtype
-        assert effect.matrix.tobytes() == want.tobytes()
-        assert not effect.matrix.flags.writeable
-        assert Effect.rank_one(list(v)).matrix.tobytes() == want.tobytes()
-        assert not Effect.rank_one(np.zeros(dim)).matrix.any()
+    def test_stores_the_factors_read_only(self, dim):
+        f = np.stack([haar_random_state(dim, seed).amplitudes for seed in range(dim)], axis=1)
+        # a unitary's columns: v v^dagger summed over them is the identity
+        q, _ = np.linalg.qr(f)
+        povm = Povm(factors=q)
+        assert povm.dim == dim and len(povm) == dim and povm.effects == ()
+        assert povm.factors.dtype == complex and povm.factors.tobytes() == q.tobytes()
+        assert not povm.factors.flags.writeable
+        assert Povm(factors=q.tolist()).factors.tobytes() == q.tobytes()
+        # a zero column is the zero effect, and a remainder effect may follow the columns
+        assert len(Povm((Effect(np.eye(dim)),), np.zeros((dim, 2)))) == 3
 
     def test_rejection_messages_are_the_general_constructors(self):
         for dim in (2, 32):
@@ -256,9 +298,9 @@ class TestRankOneEffect:
             m = linalg.hermitize(np.outer(v, v.conj()))
             with pytest.raises(ValueError) as general:
                 Effect(m)
-            with pytest.raises(ValueError) as rank_one:
-                Effect.rank_one(v)
-            assert str(rank_one.value) == str(general.value)
+            with pytest.raises(ValueError) as column:
+                Povm(factors=np.stack([v / 2, v], axis=1))
+            assert str(column.value) == str(general.value)
             assert str(general.value).startswith("effect spectrum [")
 
     @pytest.mark.filterwarnings("error")
@@ -268,22 +310,27 @@ class TestRankOneEffect:
             v = np.full(dim, 0.1, dtype=complex)
             v[dim - 1] = bad
             with pytest.raises(ValueError, match="hermiticity"):
-                Effect.rank_one(v)
+                Povm(factors=v[:, None])
 
-    def test_rejects_a_vector_that_is_not_one_dimensional(self):
-        for bad in ([], [[0.5, 0.0]], 0.5):
-            with pytest.raises(ValueError, match="1-D"):
-                Effect.rank_one(bad)
+    def test_rejects_factors_that_are_not_a_matrix(self):
+        for bad in ([], [0.5, 0.0], 0.5, np.zeros((2, 1, 1))):
+            with pytest.raises(ValueError, match="d x k matrix"):
+                Povm(factors=bad)
+        for empty in (np.zeros((2, 0)), np.zeros((0, 3))):
+            with pytest.raises(ValueError, match="at least one outcome"):
+                Povm(factors=empty)
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            Povm((Effect(np.eye(3)),), np.zeros((2, 1)))
 
     def test_cli_steer_of_a_rank_deficient_ensemble_at_dim_32(self, tmp_path, monkeypatch):
-        # purify's eigh, the barycenter's and the remainder effect's checks
-        # (its branch has probability 0 and no state), and hjw_povm's
-        # remainder decision; no member effect or pure conditional state
-        # takes an eigendecomposition
+        # purify's eigh, the barycenter's check, and hjw_povm's remainder
+        # decision, whose spectrum the remainder effect's check reuses (its
+        # branch has probability 0 and no state); no member outcome or pure
+        # conditional state takes an eigendecomposition
         basis, _ = np.linalg.qr(make_rng(3).standard_normal((32, 16)) + 0j)
         members = [(1 / 48, basis @ haar_random_state(16, seed).amplitudes) for seed in range(48)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 3}
+        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 2}
 
 
 class TestTensor:
@@ -381,7 +428,7 @@ VALUE_TYPES = {
     "StateVector": lambda: StateVector([1, 0]),
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
     "Effect": lambda: Effect(np.eye(2)),
-    "Effect.rank_one": lambda: Effect.rank_one([1, 0]),
+    "Povm.factors": lambda: Povm(factors=np.eye(2)),
     "Povm": lambda: Povm((Effect(np.eye(2, dtype=complex)),)),
     "BipartiteState": lambda: BipartiteState(np.eye(2) * INV_SQRT2),
 }

@@ -236,6 +236,10 @@ class TestAdmissibility:
             (lambda: PhiRule.custom(np.array([0, None, 1])), "values: expected numbers, got null"),
             (lambda: PhiRule.piecewise_affine([(0, 0), (1, 1, 5)]), "knots: expected a list of [x, y] pairs"),
             (lambda: PhiRule.piecewise_affine([(0, 0), 1]), "knots: expected a list of [x, y] pairs"),
+            # JSON objects, which iterate by their keys
+            (lambda: PhiRule.piecewise_affine([{"x": 0, "y": 0}, {"x": 1, "y": 1}]), "knots: expected a list of [x, y] pairs"),
+            (lambda: PhiRule.piecewise_affine({"ab": [0, 0], "cd": [1, 1]}), "knots: expected a list of [x, y] pairs"),
+            (lambda: PhiRule.custom({"a": 1, "b": 2}), "values: expected numbers, got an object"),
         ],
     )
     def test_a_parameter_that_is_not_numbers_names_its_key(self, build, message):
@@ -252,6 +256,22 @@ class TestAdmissibility:
         assert PhiRule.custom(np.array([0, 1, 4], dtype=np.int32)) == PhiRule.custom([0.0, 1.0, 4.0])
         assert PhiRule.custom(np.array([0, 1], dtype=np.float32)) == PhiRule.custom([0.0, 1.0])
         assert PhiRule.custom(list(knots[:, 1])) == PhiRule.custom([0.0, 0.25, 1.0])
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: PhiRule.power(np.True_), "alpha: expected numbers, got a boolean"),
+            (lambda: PhiRule.power(True), "alpha: expected numbers, got a boolean"),
+            (lambda: PhiRule.custom(np.array([False, True, True])), "values: expected numbers, got a boolean"),
+            (lambda: PhiRule.custom([0.0, np.True_, 1.0]), "values: expected numbers, got a boolean"),
+            (lambda: PhiRule.piecewise_affine(np.array([[0, 0], [1, 1]], dtype=bool)), "knots: expected numbers, got a boolean"),
+        ],
+    )
+    def test_numpy_booleans_are_booleans(self, build, message):
+        # float() reads np.True_ as 1, as it reads a Python True
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
     def test_overflowing_interpolation_slope_is_rejected(self):
         # finite values whose interpolation would give NaN between the points
@@ -283,20 +303,20 @@ class TestProbEnsemble:
     def test_single_member_degenerates_to_pure(self):
         psi = haar_random_state(2, 4)
         phi = haar_random_state(2, 5)
-        ensemble = Ensemble(members=((1.0, psi),))
+        ensemble = Ensemble([1.0], [psi.amplitudes])
         result = prob_ensemble(PhiRule.power(2.0), ensemble, phi)
         assert result.value == pytest.approx(prob_pure(PhiRule.power(2.0), psi, phi), abs=1e-15)
         assert result.truncation_tail_bound == 0.0
 
     def test_identity_on_computational_mixture(self):
-        ensemble = Ensemble(members=((0.5, StateVector.basis(2, 0)), (0.5, StateVector.basis(2, 1))))
+        ensemble = Ensemble([0.5, 0.5], np.eye(2))
         plus = StateVector(np.array([INV_SQRT2, INV_SQRT2]))
         assert prob_ensemble(PhiRule.identity(), ensemble, plus).value == pytest.approx(0.5, abs=1e-12)
 
     def test_power_two_on_extreme_mixture(self):
         zero = StateVector.basis(2, 0)
         one = StateVector.basis(2, 1)
-        ensemble = Ensemble(members=((0.5, one), (0.5, zero)))
+        ensemble = Ensemble([0.5, 0.5], [one.amplitudes, zero.amplitudes])
         # member transition probabilities are 0 and 1: Phi leaves both fixed
         assert prob_ensemble(PhiRule.power(2.0), ensemble, zero).value == pytest.approx(0.5, abs=1e-15)
 
@@ -333,8 +353,8 @@ class TestProbEnsemble:
         rule = PhiRule.power(2.0)
         for t in (0.25, 0.5, 0.9):
             mixed = Ensemble(
-                members=tuple((t * w, s) for w, s in first.members)
-                + tuple(((1.0 - t) * w, s) for w, s in second.members)
+                np.concatenate([t * first.weights, (1.0 - t) * second.weights]),
+                np.concatenate([first.amplitudes, second.amplitudes]),
             )
             expected = (
                 t * prob_ensemble(rule, first, phi).value
@@ -350,7 +370,7 @@ class TestProbEnsemble:
         assert result.value == pytest.approx(sum(w * p for w, p in result.per_member), abs=1e-15)
 
     def test_dimension_mismatch(self):
-        ensemble = Ensemble(members=((1.0, StateVector.basis(2, 0)),))
+        ensemble = Ensemble([1.0], [[1.0, 0.0]])
         with pytest.raises(ValueError, match="dimension"):
             prob_ensemble(PhiRule.identity(), ensemble, StateVector.basis(3, 0))
 

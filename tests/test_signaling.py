@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bornlab.linalg import Effect, Povm
+from bornlab.linalg import Effect, Povm, hermitize
 from bornlab.rules import PhiRule, builtin_rules
 from bornlab.signaling import (
     build_two_level_scenario,
@@ -128,7 +128,7 @@ class TestSteeringExperiment:
         # the split read through general effects: each branch is a d x d
         # matrix with no unit vector to read the member from
         scenario = build_two_level_scenario(0.2, 0.7, 0.25)
-        general = Povm(tuple(Effect(e.matrix) for e in scenario.povm_split.outcomes))
+        general = Povm(tuple(Effect(hermitize(np.outer(v, v.conj()))) for v in scenario.povm_split.factors.T))
         with pytest.raises(ValueError, match="conditional state of outcome 0 is not pure"):
             run_steering_experiment(PhiRule.power(2.0), dataclasses.replace(scenario, povm_split=general))
 

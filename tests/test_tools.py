@@ -66,13 +66,29 @@ class TestArtifactDelta:
         )
         result = dict(delta.compare(first, second))
         assert set(result) == {"w/a.csv", "w/b.json"}
-        assert result["w/a.csv"]["probability"] == pytest.approx(2.220446049250313e-16)
+        assert result["w/a.csv"]["probability"].absolute == pytest.approx(2.220446049250313e-16)
         assert result["w/a.csv"]["note"] == "'a' -> 'c'"
         assert set(result["w/a.csv"]) == {"probability", "note"}
-        assert result["w/b.json"]["report.p"] == pytest.approx(2e-16, rel=0.2)
-        assert result["w/b.json"]["report.witness[1]"] == pytest.approx(1e-15, rel=0.2)
+        assert result["w/b.json"]["report.p"].absolute == pytest.approx(2e-16, rel=0.2)
+        assert result["w/b.json"]["report.witness[1]"].absolute == pytest.approx(1e-15, rel=0.2)
         assert result["w/b.json"]["report.flag"] == "True -> False"
         assert set(result["w/b.json"]) == {"report.p", "report.witness[1]", "report.flag"}
+
+    def test_relative_delta_is_printed_beside_the_largest_delta(self, delta, tmp_path, capsys):
+        # a last-digit change of a large value: |delta| alone misreads it
+        doc = {"detectability": {"sample_size_estimate": 32768.0, "prob_split": 0.5}}
+        changed = {"detectability": {"sample_size_estimate": 32768.00000000001, "prob_split": 0.25}}
+        first = write_tree(tmp_path / "first", {"w/d.json": json.dumps(doc)})
+        second = write_tree(tmp_path / "second", {"w/d.json": json.dumps(changed)})
+        result = dict(delta.compare(first, second))["w/d.json"]
+        estimate = result["detectability.sample_size_estimate"]
+        assert estimate.absolute == pytest.approx(7.275957614183426e-12)
+        assert estimate.relative == pytest.approx(2.220446049250313e-16)
+        assert result["detectability.prob_split"] == (0.25, 0.5)
+        assert delta.main([str(first), str(second)]) == 1
+        out = capsys.readouterr().out
+        assert "  detectability.sample_size_estimate: |delta| 7.28e-12, relative 2.22e-16\n" in out
+        assert out.count("detectability.prob_split: |delta| 0.25, relative 0.5\n") == 2
 
     def test_files_and_columns_on_one_side_only(self, delta, tmp_path, capsys):
         first = write_tree(tmp_path / "first", {"w/a.csv": CSV, "w/gone.csv": CSV})

@@ -12,8 +12,9 @@ Files are matched by their path under each root; configs (``*.config.json``)
 are skipped, since they name their own output paths. For each file whose
 bytes differ it prints the file, then one line per CSV column or JSON leaf
 that differs: the largest |delta| over the column's rows when both sides are
-numbers, or the first differing pair of values otherwise. A last table gives
-the largest |delta| per column or leaf name over all files. Exits 0 when the
+numbers, with the largest relative |delta| / max(|a|, |b|) beside it, or the
+first differing pair of values otherwise. A last table gives both largest
+deltas per column or leaf name over all files. Exits 0 when the
 trees hold the same bytes, 1 otherwise.
 """
 
@@ -21,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 
 def _csv_cells(data: bytes) -> dict[str, list[str]]:
@@ -69,10 +72,21 @@ def _number(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def column_deltas(a: dict[str, list], b: dict[str, list]) -> dict[str, float | str]:
-    """Per differing column: the largest |delta| if every differing pair of
+class Delta(NamedTuple):
+    """The largest |a - b| and the largest |a - b| / max(|a|, |b|) over a
+    column's differing pairs of numbers."""
+
+    absolute: float
+    relative: float
+
+    def merge(self, other: "Delta") -> "Delta":
+        return Delta(max(self.absolute, other.absolute), max(self.relative, other.relative))
+
+
+def column_deltas(a: dict[str, list], b: dict[str, list]) -> dict[str, Delta | str]:
+    """Per differing column: its largest deltas if every differing pair of
     cells is numeric, else a text note of the first non-numeric difference."""
-    out: dict[str, float | str] = {}
+    out: dict[str, Delta | str] = {}
     for name in sorted(a.keys() | b.keys()):
         left, right = a.get(name), b.get(name)
         if left is None or right is None:
@@ -89,15 +103,16 @@ def column_deltas(a: dict[str, list], b: dict[str, list]) -> dict[str, float | s
             if fx is None or fy is None:
                 note = f"{x!r} -> {y!r}"
                 break
-            deltas.append(abs(fx - fy))
+            gap = abs(fx - fy)
+            deltas.append(Delta(gap, gap / max(abs(fx), abs(fy)) if gap else 0.0))
         if note is not None:
             out[name] = note
         elif deltas:
-            out[name] = max(deltas)
+            out[name] = functools.reduce(Delta.merge, deltas)
     return out
 
 
-def compare(root_a: Path, root_b: Path) -> list[tuple[str, dict[str, float | str]]]:
+def compare(root_a: Path, root_b: Path) -> list[tuple[str, dict[str, Delta | str]]]:
     """(relative path, column deltas) for every artifact that differs."""
     files = {
         p.relative_to(root).as_posix()
@@ -119,8 +134,8 @@ def compare(root_a: Path, root_b: Path) -> list[tuple[str, dict[str, float | str
     return changed
 
 
-def _show(delta: float | str) -> str:
-    return f"|delta| {delta:.3g}" if isinstance(delta, float) else delta
+def _show(delta: Delta | str) -> str:
+    return f"|delta| {delta.absolute:.3g}, relative {delta.relative:.3g}" if isinstance(delta, Delta) else delta
 
 
 def main(argv=None) -> int:
@@ -129,14 +144,14 @@ def main(argv=None) -> int:
     parser.add_argument("second", type=Path)
     args = parser.parse_args(argv)
     changed = compare(args.first, args.second)
-    largest: dict[str, float] = {}
+    largest: dict[str, Delta] = {}
     text: set[str] = set()
     for rel, deltas in changed:
         print(rel)
         for name, delta in deltas.items():
             print(f"  {name}: {_show(delta)}")
-            if isinstance(delta, float):
-                largest[name] = max(largest.get(name, 0.0), delta)
+            if isinstance(delta, Delta):
+                largest[name] = largest[name].merge(delta) if name in largest else delta
             else:
                 text.add(name)
     if changed:
