@@ -41,16 +41,19 @@ EXIT_NUMERICAL = 3
 # prefix per cutoff). An amplitude-list phi has at most MAX_CUTOFF + 1
 # entries, the dimension that phi.fock reaches.
 MAX_CUTOFF = 1000
-# Largest detect n_samples: each arm draws one float per sample. At the cap
-# a CLI detect takes ~0.5 s and 200 MB peak RSS as a subprocess (2-vCPU VM;
-# ~0.2 s of it is interpreter and numpy start-up).
+# Largest detect n_samples: each arm draws one float per sample, into one
+# reused block of at most 8192 floats. At the cap a CLI detect takes ~0.3 s
+# and 39 MB peak RSS as a subprocess, against 31 MB for a jensen call
+# (2-vCPU VM; ~0.2 s of it is interpreter and numpy start-up).
 MAX_SAMPLES = 10**7
 # Smallest scan grid_step: the grid and its rule values are O(1/grid_step)
-# in memory and the pair scan O(1/grid_step**2) in time at worst. The
-# slowest built-in kind is the identity, whose gaps are all 0, so the scan
-# skips none of its pairs: at the cap it takes ~0.5 s as a subprocess, and
-# its certify_identity 0.21-0.25 s at 2e-4 and 0.76 s at 1e-4 (2-vCPU VM;
-# a 1025-point custom table takes 0.10 s and 0.30 s).
+# in memory and the pair scan O(1/grid_step**2) in time at worst. The worst
+# case is a rule whose gaps all sit at rounding level without Phi being
+# affine on a block, which the scan never prunes: a piecewise rule with a
+# 1e-15 kink at 0.37 takes ~0.4 s as a subprocess at the cap, and its
+# certify_identity 0.29 s at 2e-4 and 1.0 s at 1e-4 (2-vCPU VM). The
+# slowest built-in kind is then a 1025-point custom table (0.11 s and
+# 0.34 s); the identity, affine on every block, takes 0.004 s and 0.011 s.
 MIN_GRID_STEP = 2e-4
 # Largest steer member dimension d, and largest members * d**2: the work of
 # the one barycenter product over all members and of hjw_povm's solve for

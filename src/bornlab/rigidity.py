@@ -10,13 +10,17 @@ gap tolerance into a quantified identity certificate, and any rejection
 carries the witnessing triple, which is precisely a steering experiment
 that would signal.
 
-The scan is exact but skips pairs that provably cannot hold the maximum
-(Piyavskii 1972; Shubert 1972). If Phi' lies in [lo, hi] on [p1, p2], the
-gap at weight lambda is lambda (1 - lambda) (p2 - p1) times the difference
-of two mean slopes of Phi, so its size is at most
-lambda (1 - lambda) (p2 - p1) (hi - lo). A pair whose bound, plus a
-rounding margin, stays below the largest gap already found is never
-evaluated; every reported field is the one the exhaustive scan gives.
+The scan is exact but evaluates only the pairs that could hold the
+maximum (Piyavskii 1972; Shubert 1972). If Phi' lies in [lo, hi] on
+[p1, p2], the gap at weight lambda is lambda (1 - lambda) (p2 - p1) times
+the difference of two mean slopes of Phi, so its size is at most
+lambda (1 - lambda) (p2 - p1) (hi - lo). Where hi = lo, Phi is affine and
+every gap is exactly 0, so such pairs are never evaluated. The largest gap
+of the pairs (0, p2) is computed first; a pair whose bound, plus a
+rounding margin, stays below it or below the largest gap already found is
+never evaluated either. Every reported field is the one the exhaustive
+scan gives, except that a rule whose computed gaps all sit at rounding
+level reports the exact 0 of its affine pairs.
 """
 
 from __future__ import annotations
@@ -70,20 +74,18 @@ class CertificationResult:
 def _convexity_intervals(grid: np.ndarray, values: np.ndarray) -> tuple[tuple[float, float, str], ...]:
     """Maximal runs where interior second differences keep one strict sign."""
     second = values[2:] - 2.0 * values[1:-1] + values[:-2]
-    signs = np.where(second > CURVATURE_ATOL, 1, np.where(second < -CURVATURE_ATOL, -1, 0))
-    intervals = []
-    start = None
-    current = 0
-    for i, s in enumerate(signs):
-        if s != 0 and s == current:
-            continue
-        if start is not None and current != 0:
-            intervals.append((float(grid[start]), float(grid[i + 1]), "+" if current > 0 else "-"))
-        start = i if s != 0 else None
-        current = s
-    if start is not None and current != 0:
-        intervals.append((float(grid[start]), float(grid[-1]), "+" if current > 0 else "-"))
-    return tuple(intervals)
+    # signs[k + 1] is the sign of second[k]; the 0 at each end gives every
+    # run two edges. The run of second differences [a, b) spans the grid
+    # points a..b+1
+    signs = np.zeros(second.size + 2, dtype=np.int8)
+    signs[1:-1][second > CURVATURE_ATOL] = 1
+    signs[1:-1][second < -CURVATURE_ATOL] = -1
+    edges = np.flatnonzero(np.diff(signs))
+    starts, stops = edges[:-1], edges[1:]
+    curved = signs[starts + 1] != 0
+    starts, stops = starts[curved], stops[curved]
+    marks = ["+" if s > 0 else "-" for s in signs[starts + 1].tolist()]
+    return tuple(zip(grid[starts].tolist(), grid[stops + 1].tolist(), marks))
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -97,6 +99,13 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
         blocks.append((start, stop))
         start = stop
     return blocks
+
+
+def _gaps(rule: PhiRule, lam, p1, v1, p2, v2) -> np.ndarray:
+    """Absolute Jensen gaps of the pairs (p1, p2) with values (v1, v2) at
+    the weights ``lam``, broadcast together."""
+    mix = lam * p1 + (1.0 - lam) * p2
+    return np.abs(lam * v1 + (1.0 - lam) * v2 - np.asarray(rule.eval(mix), dtype=float))
 
 
 def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
@@ -114,10 +123,9 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     measures the distance to the straight line through the rule's own
     endpoint values, which for an admissible rule is the identity line.
 
-    Time is n^2 only in the worst case. With [lo_b, hi_b] =
-    ``rule.slope_bounds`` on [grid[start], 1], every pair of block b has
-    gap <= lambda (1 - lambda) (grid[j] - grid[start]) spread_b + margin_b,
-    where spread_b = hi_b - lo_b and
+    With [lo_b, hi_b] = ``rule.slope_bounds`` on [grid[start], 1], every
+    pair of block b has gap <= lambda (1 - lambda) (grid[j] - grid[start])
+    spread_b + margin_b, where spread_b = hi_b - lo_b and
 
         margin_b = 64 eps (1 + max |Phi(grid)| + max(|lo_b|, |hi_b|)).
 
@@ -126,14 +134,28 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     most max |Phi(grid)| + max(|lo_b|, |hi_b|); the rounded mix point moves
     at most a few eps, which moves Phi by a few eps max(|lo_b|, |hi_b|);
     the weighted sum, the subtraction and the column cut below round by a
-    few eps of the same terms. While ``max_gap`` > margin_b, the leading
-    columns with grid[j] - grid[start] < (max_gap - margin_b) /
+    few eps of the same terms.
+
+    A block with spread_b = 0 lies where Phi is affine, so each of its
+    exact gaps is 0: it is never evaluated, and when nothing is recorded
+    yet its first pair records the gap 0, the pair the exhaustive scan's
+    tie rule picks. Before the weights are walked, ``seed`` is the largest
+    gap of row 0, the pairs (0, p2), under every weight. Each block then
+    prunes against level = max(max_gap, seed): while level > margin_b, the
+    leading columns with grid[j] - grid[start] < (level - margin_b) /
     (lambda (1 - lambda) spread_b) are skipped, and the whole block when
-    that cut passes n or spread_b is 0. Every skipped pair is strictly
-    below a gap already found, so it can neither be the maximum nor tie
-    with it, and the report is the exhaustive scan's, bit for bit. The
-    identity's gaps are all exactly 0, never above a margin, so it is the
-    n^2 worst case.
+    that cut passes n. ``seed`` is computed by the block loop's own
+    expression, so it is a gap the scan attains; a skipped pair is strictly
+    below it or below a gap already found, so it can neither be the maximum
+    nor tie with it. The report is the exhaustive scan's, bit for bit,
+    except that affine blocks count as exact 0 where the exhaustive scan
+    may report their rounding noise, which shows only when every computed
+    gap stays below margin_b.
+
+    Time is n^2 only in the worst case: a rule whose gaps all sit at
+    rounding level without Phi being affine on a block, such as a
+    piecewise rule with a 1e-15 kink, is never pruned. The identity costs
+    its grid and row 0 alone.
     """
     if not 0.0 < grid_step <= 0.1:
         raise ValueError("grid_step must lie in (0, 0.1]")
@@ -148,22 +170,24 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     spreads = (hi - lo).tolist()
     scale = 1.0 + np.max(np.abs(values)) + np.maximum(np.abs(lo), np.abs(hi))
     margins = (64.0 * np.finfo(float).eps * scale).tolist()
+    lams = np.array(SCAN_LAMBDAS)[:, None]
+    seed = float(np.max(_gaps(rule, lams, grid[0], values[0], grid[1:], values[1:])))
     max_gap = -1.0
     witness = (0.0, 0.0, 0.0)
     for lam in SCAN_LAMBDAS:
         for (start, stop), spread, margin in zip(blocks, spreads, margins):
+            if spread == 0.0:
+                if max_gap < 0.0:
+                    max_gap, witness = 0.0, (float(grid[start]), float(grid[start + 1]), lam)
+                continue
             first = start + 1
-            if max_gap > margin:
-                if spread == 0.0:
-                    continue
-                reach = (max_gap - margin) / (lam * (1.0 - lam) * spread)
+            level = max(max_gap, seed)
+            if level > margin:
+                reach = (level - margin) / (lam * (1.0 - lam) * spread)
                 first = max(first, int(np.searchsorted(grid, grid[start] + reach)))
                 if first > n:
                     continue
-            p1, p2 = grid[start:stop, None], grid[first:]
-            v1, v2 = values[start:stop, None], values[first:]
-            mix = lam * p1 + (1.0 - lam) * p2
-            gaps = np.abs(lam * v1 + (1.0 - lam) * v2 - np.asarray(rule.eval(mix), dtype=float))
+            gaps = _gaps(rule, lam, grid[start:stop, None], values[start:stop, None], grid[first:], values[first:])
             rows, skipped = stop - start, first - start - 1
             gaps[:, : max(rows - skipped, 0)][below[:rows, skipped:rows]] = -np.inf
             k = int(np.argmax(gaps))

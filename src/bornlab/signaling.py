@@ -23,6 +23,8 @@ from .steering import Ensemble, barycenter, hjw_povm, steer
 from .transition import tau_mixed
 
 _NORMAL = NormalDist()
+# floats of the one block each detectability arm draws its samples into
+_DRAW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -202,6 +204,17 @@ def required_sample_size(prob_split: float, prob_direct: float, alpha: float = 0
     return z_sum**2 * pbar * (1.0 - pbar) * 2.0 / gap**2
 
 
+def _count_below(rng: np.random.Generator, prob: float, n: int, block: np.ndarray) -> int:
+    """How many of ``rng``'s next ``n`` uniform draws fall below ``prob``,
+    drawn into ``block`` a block at a time: the stream, and so the count,
+    is that of one ``rng.random(n)`` call."""
+    count = 0
+    for done in range(0, n, block.size):
+        draws = rng.random(out=block[: min(block.size, n - done)])
+        count += int(np.count_nonzero(draws < prob))
+    return count
+
+
 def detectability(
     rule: PhiRule,
     scenario: SteeringScenario,
@@ -220,10 +233,9 @@ def detectability(
     if n_samples < 1:
         raise ValueError("need at least one sample per arm")
     record = run_steering_experiment(rule, scenario)
-    draws_split = make_rng(seed, stream=1).random(n_samples)
-    draws_direct = make_rng(seed, stream=2).random(n_samples)
-    x_split = int(np.count_nonzero(draws_split < record.prob_split))
-    x_direct = int(np.count_nonzero(draws_direct < record.prob_direct))
+    block = np.empty(min(n_samples, _DRAW_BLOCK))
+    x_split = _count_below(make_rng(seed, stream=1), record.prob_split, n_samples, block)
+    x_direct = _count_below(make_rng(seed, stream=2), record.prob_direct, n_samples, block)
     z, p_value = _two_proportion_test(x_split, x_direct, n_samples)
     pooled = (x_split + x_direct) / (2.0 * n_samples)
     expected = n_samples * pooled

@@ -7,9 +7,11 @@ import pytest
 
 from bornlab.cli import main
 from bornlab.rigidity import (
+    CURVATURE_ATOL,
     SCAN_LAMBDAS,
     CertificationResult,
     RigidityReport,
+    _convexity_intervals,
     _row_blocks,
     certify_identity,
     derived_bound,
@@ -54,6 +56,52 @@ def all_pairs_scan(rule, grid_step):
     return max_gap, witness
 
 
+def convexity_intervals_loop(grid, values):
+    """The convexity runs by a plain loop over the second differences."""
+    second = values[2:] - 2.0 * values[1:-1] + values[:-2]
+    signs = np.where(second > CURVATURE_ATOL, 1, np.where(second < -CURVATURE_ATOL, -1, 0))
+    intervals = []
+    start = None
+    current = 0
+    for i, s in enumerate(signs):
+        if s != 0 and s == current:
+            continue
+        if start is not None and current != 0:
+            intervals.append((float(grid[start]), float(grid[i + 1]), "+" if current > 0 else "-"))
+        start = i if s != 0 else None
+        current = s
+    if start is not None and current != 0:
+        intervals.append((float(grid[start]), float(grid[-1]), "+" if current > 0 else "-"))
+    return tuple(intervals)
+
+
+def random_rules(seed=23):
+    """Seeded rules for the differential test, by family."""
+    rng = np.random.default_rng(seed)
+    rules = {}
+    # rough tables put the maximum at a narrow pair off row 0
+    for k in range(10):
+        rules[f"rough{k}"] = PhiRule.custom(rng.random(int(rng.integers(3, 60))))
+    for k in range(8):
+        rules[f"signed{k}"] = PhiRule.custom(rng.uniform(-1e3, 1e3, int(rng.integers(3, 40))))
+    # Phi is affine after the last interior knot, so the later blocks are skipped
+    for k in range(10):
+        xs = np.sort(rng.uniform(0.02, 0.9, int(rng.integers(1, 4))))
+        ys = np.sort(rng.random(xs.size))
+        rules[f"suffix_affine{k}"] = PhiRule.piecewise_affine([(0.0, 0.0), *zip(xs, ys), (1.0, 1.0)])
+    # gaps near the rounding margin
+    for k in range(8):
+        x = rng.uniform(0.05, 0.95)
+        rules[f"kink{k}"] = PhiRule.piecewise_affine([(0.0, 0.0), (x, x + 10.0 ** rng.uniform(-15, -9)), (1.0, 1.0)])
+    for k in range(4):
+        rules[f"power{k}"] = PhiRule.power(rng.uniform(0.3, 3.0))
+    return rules
+
+
+RANDOM_RULES = random_rules()
+DIFFERENTIAL_STEPS = (0.1, 1 / 61, 0.004)
+
+
 STREAM_RULES = {
     "identity": PhiRule.identity(),
     "power(2)": PhiRule.power(2.0),
@@ -94,6 +142,24 @@ class TestStreamedScan:
         assert report.rule_id == rule.describe()
         assert report.grid_step == grid_step
         assert report.lambdas == SCAN_LAMBDAS
+
+    @pytest.mark.parametrize("name", sorted(RANDOM_RULES))
+    def test_random_rules_equal_all_pairs_scan(self, name):
+        rule = RANDOM_RULES[name]
+        for grid_step in DIFFERENTIAL_STEPS:
+            report = scan_gaps(rule, grid_step)
+            assert (report.max_gap, report.max_gap_witness) == all_pairs_scan(rule, grid_step)
+
+    def test_random_rules_hold_maxima_off_row_zero(self):
+        # where the maximum lies off row 0, the row-0 seed is below it and
+        # the blocks prune against a level the maximum later raises
+        off_row_zero = [
+            name
+            for name, rule in RANDOM_RULES.items()
+            for grid_step in DIFFERENTIAL_STEPS
+            if all_pairs_scan(rule, grid_step)[1][0] > 0.0
+        ]
+        assert len(off_row_zero) >= 20
 
     def test_blocks_tile_the_rows(self):
         for n in (10, 91, 100, 500, 2000):
@@ -141,12 +207,55 @@ class TestPruning:
         exhaustive = 3 * self.N * (self.N + 1) // 2 + self.N + 1
         assert count_eval_points(monkeypatch, PhiRule.power(2.0), 1 / self.N) <= 0.4 * exhaustive
 
-    def test_identity_skips_nothing(self, monkeypatch):
-        # every identity gap is 0, never above the rounding margin; each
-        # block is evaluated as its whole rectangle, masked entries included
+    def test_identity_evaluates_its_grid_and_row_zero(self, monkeypatch):
+        # the identity is affine on every block, so only the grid and the
+        # row-0 seed, the pairs (0, p2) under each weight, are evaluated
         n = self.N
-        rectangles = sum((stop - start) * (n - start) for start, stop in _row_blocks(n))
-        assert count_eval_points(monkeypatch, PhiRule.identity(), 1 / n) == n + 1 + 3 * rectangles
+        assert count_eval_points(monkeypatch, PhiRule.identity(), 1 / n) == (n + 1) + 3 * n
+
+    def test_margin_keeps_a_pair_on_its_bound(self):
+        # with the kink x on a half step, the pair (0, 2x) at lambda 1/2 has
+        # the gap lambda (1 - lambda) 2x spread of block 0's bound exactly;
+        # only the margin keeps a rounded cut from skipping it
+        for j in range(1, 20):
+            for y in np.linspace(0.03, 0.93, 7):
+                rule = PhiRule.piecewise_affine([(0.0, 0.0), (j / 20, y), (1.0, 1.0)])
+                report = scan_gaps(rule, 0.1)
+                assert (report.max_gap, report.max_gap_witness) == all_pairs_scan(rule, 0.1)
+
+
+class TestAffineBlocks:
+    def test_two_point_table_counts_as_exact_zero(self):
+        # a 2-point table is affine, so the scan reports the exact gap 0 with
+        # the first triple, where the all-pairs scan sees rounding noise
+        rule = PhiRule.custom([0.0, 1.0 + 1e-12])
+        noise, _ = all_pairs_scan(rule, 0.002)
+        assert 0.0 < noise < 1e-15
+        report = scan_gaps(rule, 0.002)
+        assert report.max_gap == 0.0
+        assert report.max_gap_witness == (0.0, 0.002, 0.25)
+        # below that noise the table is certified, with no noise witness
+        result = certify_identity(rule, gap_tolerance=1e-16, grid_step=0.002)
+        assert result.certified
+        assert result.witness is None
+
+
+class TestConvexityIntervals:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_loop_on_random_sign_patterns(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        # second differences of each sign, zero included, in runs of random length
+        second = np.repeat(rng.choice([-1e-3, 0.0, 1e-3], n), rng.integers(1, 4, n))
+        values = np.concatenate([[0.0, 0.0], np.cumsum(np.cumsum(second))])
+        grid = np.linspace(0.0, 1.0, values.size)
+        assert _convexity_intervals(grid, values) == convexity_intervals_loop(grid, values)
+
+    def test_edge_patterns(self):
+        for values in ([0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 3.0, 3.0, 3.0]):
+            values = np.array(values)
+            grid = np.linspace(0.0, 1.0, values.size)
+            assert _convexity_intervals(grid, values) == convexity_intervals_loop(grid, values)
 
 
 class TestScanGaps:

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bornlab.linalg import Effect, Povm, hermitize
+from bornlab.linalg import Effect, Povm, hermitize, make_rng
 from bornlab.rules import PhiRule, builtin_rules
 from bornlab.signaling import (
+    _DRAW_BLOCK,
     build_two_level_scenario,
     detectability,
     jensen_gap,
@@ -163,6 +165,27 @@ class TestDetectability:
         assert first == second
         third = detectability(PhiRule.power(2.0), scenario, n_samples=500, seed=10)
         assert third.freq_split != first.freq_split or third.freq_direct != first.freq_direct
+
+    @pytest.mark.parametrize("n", [1, 7, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 5])
+    def test_block_draws_equal_one_shot_draws(self, n):
+        # each arm draws its samples a block at a time from one stream: the
+        # counts are those of a single draw of n floats
+        scenario = build_two_level_scenario(0.2, 0.7, 0.25)
+        report = detectability(PhiRule.power(2.0), scenario, n_samples=n, seed=17)
+        split = np.count_nonzero(make_rng(17, stream=1).random(n) < report.prob_split)
+        direct = np.count_nonzero(make_rng(17, stream=2).random(n) < report.prob_direct)
+        assert report.freq_split == split / n
+        assert report.freq_direct == direct / n
+
+    def test_draw_memory_is_bounded(self):
+        scenario = build_two_level_scenario(0.0, 1.0, 0.5)
+        tracemalloc.start()
+        try:
+            detectability(PhiRule.power(2.0), scenario, n_samples=10**6, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_sample_count_validation(self):
         scenario = build_two_level_scenario(0.0, 1.0, 0.5)
