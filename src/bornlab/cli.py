@@ -50,10 +50,10 @@ MAX_SAMPLES = 10**7
 # in memory and the pair scan O(1/grid_step**2) in time at worst. The worst
 # case is a rule whose gaps all sit at rounding level without Phi being
 # affine on a block, which the scan never prunes: a piecewise rule with a
-# 1e-15 kink at 0.37 takes ~0.4 s as a subprocess at the cap, and its
-# certify_identity 0.29 s at 2e-4 and 1.0 s at 1e-4 (2-vCPU VM). The
-# slowest built-in kind is then a 1025-point custom table (0.11 s and
-# 0.34 s); the identity, affine on every block, takes 0.004 s and 0.011 s.
+# 1e-15 kink at 0.37 takes ~0.5 s as a subprocess at the cap, and its
+# certify_identity ~0.33 s at 2e-4 and ~1.2 s at 1e-4 (2-vCPU VM). The
+# slowest built-in kind is then a 1025-point custom table (0.13 s and
+# 0.29 s); the identity, affine on every block, takes 0.0014 s and 0.0056 s.
 MIN_GRID_STEP = 2e-4
 # Largest steer member dimension d, and largest members * d**2: the work of
 # the one barycenter product over all members and of hjw_povm's solve for
@@ -122,10 +122,12 @@ def _amplitude_array(raw: list, ndim: int = 1) -> np.ndarray | None:
     return amps
 
 
-def _unit_amplitudes(raw, field: str, errors: list[str]) -> np.ndarray | None:
+def _unit_amplitudes(raw, field: str, errors: list[str], axis: int | None = None) -> np.ndarray | None:
     """The amplitude list ``raw`` divided by its norm; None, with errors
     naming ``field`` or its malformed entries, if it is not a nonempty list
-    of numbers with a nonzero norm."""
+    of numbers with a nonzero norm. With ``axis`` 0 the norm sums the
+    squares as ``_unit_rows`` does for each row, not by a dot product,
+    which rounds differently."""
     if not isinstance(raw, list) or not raw:
         errors.append(f"{field}: expected a nonempty amplitude list")
         return None
@@ -137,11 +139,11 @@ def _unit_amplitudes(raw, field: str, errors: list[str]) -> np.ndarray | None:
             return None
         amps = np.array(entries)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(amps))
+        norm = float(np.linalg.norm(amps, axis=axis))
     if norm == math.inf:
         # entries near the float limit: their squares overflow, the state does not
         amps = amps / np.max(np.abs(amps))
-        norm = float(np.linalg.norm(amps))
+        norm = float(np.linalg.norm(amps, axis=axis))
     if norm < 1e-12:
         errors.append(f"{field}: amplitude list has zero norm")
         return None
@@ -277,7 +279,9 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
             continue
         weights.append(_number(entry[0], f"ensemble.members[{i}].weight", errors, "must be nonnegative", lambda v: v >= 0))
         if rows is None:
-            states.append(_unit_amplitudes(entry[1], f"ensemble.members[{i}].state", errors))
+            # the batch route's row norm, so that a member's unit vector does
+            # not depend on how the other members are written
+            states.append(_unit_amplitudes(entry[1], f"ensemble.members[{i}].state", errors, axis=0))
     # purify needs a unit-trace barycenter, so a steered ensemble has no
     # tail; declared tails belong to prob_ensemble and sigma_affinity
     _number(

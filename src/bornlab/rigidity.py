@@ -15,12 +15,15 @@ maximum (Piyavskii 1972; Shubert 1972). If Phi' lies in [lo, hi] on
 [p1, p2], the gap at weight lambda is lambda (1 - lambda) (p2 - p1) times
 the difference of two mean slopes of Phi, so its size is at most
 lambda (1 - lambda) (p2 - p1) (hi - lo). Where hi = lo, Phi is affine and
-every gap is exactly 0, so such pairs are never evaluated. The largest gap
-of the pairs (0, p2) is computed first; a pair whose bound, plus a
-rounding margin, stays below it or below the largest gap already found is
-never evaluated either. Every reported field is the one the exhaustive
-scan gives, except that a rule whose computed gaps all sit at rounding
-level reports the exact 0 of its affine pairs.
+every gap is exactly 0, so such pairs are never evaluated. The pairs are
+walked in blocks of rows, row 0 first, each block under every weight; a
+pair whose bound, plus a rounding margin, stays below the largest gap
+found so far is never evaluated either, so every later block prunes
+against the largest gap of the pairs (0, p2) at least. A tie goes to the
+first weight, then to the first pair in row-major order. Every reported
+field is the one the exhaustive scan gives, except that a rule whose
+computed gaps all sit at rounding level reports the exact 0 of its affine
+pairs.
 """
 
 from __future__ import annotations
@@ -89,11 +92,12 @@ def _convexity_intervals(grid: np.ndarray, values: np.ndarray) -> tuple[tuple[fl
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """Consecutive row ranges [start, stop) of the pairs i < j <= n. A
-    block's rectangle, its rows by the columns start+1..n, holds at most
-    ``_BLOCK_PAIRS`` entries, or one row when a single row is wider."""
-    blocks = []
-    start = 0
+    """Consecutive row ranges [start, stop) of the pairs i < j <= n, row 0
+    first as a block of its own. A later block's rectangle, its rows by the
+    columns start+1..n, holds at most ``_BLOCK_PAIRS`` entries, or one row
+    when a single row is wider."""
+    blocks = [(0, 1)]
+    start = 1
     while start < n:
         stop = min(n, start + max(1, _BLOCK_PAIRS // (n - start)))
         blocks.append((start, stop))
@@ -101,27 +105,25 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _gaps(rule: PhiRule, lam, p1, v1, p2, v2) -> np.ndarray:
-    """Absolute Jensen gaps of the pairs (p1, p2) with values (v1, v2) at
-    the weights ``lam``, broadcast together."""
-    mix = lam * p1 + (1.0 - lam) * p2
-    return np.abs(lam * v1 + (1.0 - lam) * v2 - np.asarray(rule.eval(mix), dtype=float))
-
-
 def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     """Evaluate Jensen gaps over every grid pair p1 < p2 and the scan
     mixing weights, plus curvature and identity-deviation summaries.
 
-    The pairs are walked in blocks of consecutive rows: rows i of a block
-    against the columns j > start of the block, with the entries j <= i
-    masked out. A block holds at most ``_BLOCK_PAIRS`` entries (one row
-    when a row is wider), so memory is O(n + _BLOCK_PAIRS) whatever
-    ``grid_step`` is. ``max_gap`` is the largest absolute gap. Its witness
-    is the first pair, in row-major (p1, p2) order, that reaches it for the
-    first mixing weight in ``SCAN_LAMBDAS`` order that does; a rule keeps
-    its values and slopes finite, so no gap is NaN. ``affine_residual``
-    measures the distance to the straight line through the rule's own
-    endpoint values, which for an admissible rule is the identity line.
+    The pairs are walked in blocks of consecutive rows, and each block
+    under every mixing weight in turn: rows i of a block against the
+    columns j > start of the block, with the entries j <= i masked out.
+    Row 0 is the first block, then each later block holds at most
+    ``_BLOCK_PAIRS`` entries (one row when a row is wider), so memory is
+    O(n + _BLOCK_PAIRS) whatever ``grid_step`` is. ``max_gap`` is the
+    largest absolute gap. Its witness is the first pair, in row-major
+    (p1, p2) order, that reaches it for the first mixing weight in
+    ``SCAN_LAMBDAS`` order that does: a block replaces the witness on a
+    larger gap, or on an equal one at an earlier weight, since a later
+    block may reach the maximum at a weight before the witness's. A rule
+    keeps its values and slopes finite, so no gap is NaN.
+    ``affine_residual`` measures the distance to the straight line through
+    the rule's own endpoint values, which for an admissible rule is the
+    identity line.
 
     With [lo_b, hi_b] = ``rule.slope_bounds`` on [grid[start], 1], every
     pair of block b has gap <= lambda (1 - lambda) (grid[j] - grid[start])
@@ -136,26 +138,25 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     the weighted sum, the subtraction and the column cut below round by a
     few eps of the same terms.
 
-    A block with spread_b = 0 lies where Phi is affine, so each of its
-    exact gaps is 0: it is never evaluated, and when nothing is recorded
-    yet its first pair records the gap 0, the pair the exhaustive scan's
-    tie rule picks. Before the weights are walked, ``seed`` is the largest
-    gap of row 0, the pairs (0, p2), under every weight. Each block then
-    prunes against level = max(max_gap, seed): while level > margin_b, the
-    leading columns with grid[j] - grid[start] < (level - margin_b) /
+    The scan starts from the gap 0 at the first triple (0, grid[1],
+    SCAN_LAMBDAS[0]). A block with spread_b = 0 lies where Phi is affine,
+    so each of its exact gaps is 0 and it is never evaluated. Every other
+    block prunes against ``max_gap``: while max_gap > margin_b, the leading
+    columns with grid[j] - grid[start] < (max_gap - margin_b) /
     (lambda (1 - lambda) spread_b) are skipped, and the whole block when
-    that cut passes n. ``seed`` is computed by the block loop's own
-    expression, so it is a gap the scan attains; a skipped pair is strictly
-    below it or below a gap already found, so it can neither be the maximum
-    nor tie with it. The report is the exhaustive scan's, bit for bit,
-    except that affine blocks count as exact 0 where the exhaustive scan
-    may report their rounding noise, which shows only when every computed
-    gap stays below margin_b.
+    that cut passes n. ``max_gap`` is a gap the scan attains (or the exact
+    0 of an affine pair), so a skipped pair is strictly below it and can
+    neither be the maximum nor tie with it. Row 0 goes first, so the later
+    blocks prune against the largest gap of the pairs (0, p2) at least.
+    The report is the exhaustive scan's, bit for bit, except that affine
+    blocks count as exact 0 where the exhaustive scan may report their
+    rounding noise, which shows only when every computed gap stays below
+    margin_b.
 
     Time is n^2 only in the worst case: a rule whose gaps all sit at
     rounding level without Phi being affine on a block, such as a
     piecewise rule with a 1e-15 kink, is never pruned. The identity costs
-    its grid and row 0 alone.
+    its grid.
     """
     if not 0.0 < grid_step <= 0.1:
         raise ValueError("grid_step must lie in (0, 0.1]")
@@ -170,31 +171,28 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     spreads = (hi - lo).tolist()
     scale = 1.0 + np.max(np.abs(values)) + np.maximum(np.abs(lo), np.abs(hi))
     margins = (64.0 * np.finfo(float).eps * scale).tolist()
-    lams = np.array(SCAN_LAMBDAS)[:, None]
-    seed = float(np.max(_gaps(rule, lams, grid[0], values[0], grid[1:], values[1:])))
-    max_gap = -1.0
-    witness = (0.0, 0.0, 0.0)
-    for lam in SCAN_LAMBDAS:
-        for (start, stop), spread, margin in zip(blocks, spreads, margins):
-            if spread == 0.0:
-                if max_gap < 0.0:
-                    max_gap, witness = 0.0, (float(grid[start]), float(grid[start + 1]), lam)
-                continue
+    max_gap, witness = 0.0, (0.0, float(grid[1]), SCAN_LAMBDAS[0])
+    for (start, stop), spread, margin in zip(blocks, spreads, margins):
+        if spread == 0.0:
+            continue
+        p1, v1 = grid[start:stop, None], values[start:stop, None]
+        for lam in SCAN_LAMBDAS:
             first = start + 1
-            level = max(max_gap, seed)
-            if level > margin:
-                reach = (level - margin) / (lam * (1.0 - lam) * spread)
+            if max_gap > margin:
+                reach = (max_gap - margin) / (lam * (1.0 - lam) * spread)
                 first = max(first, int(np.searchsorted(grid, grid[start] + reach)))
                 if first > n:
                     continue
-            gaps = _gaps(rule, lam, grid[start:stop, None], values[start:stop, None], grid[first:], values[first:])
+            mix = lam * p1 + (1.0 - lam) * grid[first:]
+            gaps = np.abs(lam * v1 + (1.0 - lam) * values[first:] - np.asarray(rule.eval(mix), dtype=float))
             rows, skipped = stop - start, first - start - 1
             gaps[:, : max(rows - skipped, 0)][below[:rows, skipped:rows]] = -np.inf
             k = int(np.argmax(gaps))
-            if gaps.flat[k] > max_gap:
+            gap = float(gaps.flat[k])
+            if gap > max_gap or (gap == max_gap and lam < witness[2]):
                 t, c = divmod(k, n + 1 - first)
-                max_gap = float(gaps.flat[k])
-                witness = (float(grid[start + t]), float(grid[first + c]), float(lam))
+                max_gap = gap
+                witness = (float(grid[start + t]), float(grid[first + c]), lam)
 
     deviation = np.abs(values - grid)
     dev_at = int(np.argmax(deviation))
@@ -221,7 +219,7 @@ def derived_bound(gap_tolerance: float, grid_step: float) -> float:
     bounds from both pinned endpoints yields the worst-case profile
     tol * k(n-k), maximized at tol * n^2 / 4.
     """
-    if gap_tolerance <= 0 or not 0.0 < grid_step <= 0.1:
+    if not gap_tolerance > 0 or not 0.0 < grid_step <= 0.1:
         raise ValueError("tolerances must be positive, grid_step in (0, 0.1]")
     n = int(round(1.0 / grid_step))
     return gap_tolerance * n * n / 4.0
@@ -238,8 +236,8 @@ def certify_identity(
     and the identity deviation below the propagated bound; the returned
     witness for a rejection is directly usable as a steering scenario.
     """
-    report = scan_gaps(rule, grid_step)
     bound = derived_bound(gap_tolerance, grid_step)
+    report = scan_gaps(rule, grid_step)
     n = int(round(1.0 / grid_step))
     gap_ok = report.max_gap <= gap_tolerance
     dev_ok = report.max_identity_deviation <= bound

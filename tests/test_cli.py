@@ -467,14 +467,29 @@ class TestSteerMembers:
 
     def test_both_routes_give_the_same_unit_rows(self):
         states = [haar_random_state(32, seed).amplitudes for seed in range(8)]
-        pairs = [[1 / 8, [[z.real, z.imag] for z in s]] for s in states]
-        # one real-number member sends every member down the per-member route
-        mixed = [*pairs, [0.0, [1.0] + [0.0] * 31]]
-        one = validate(json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": pairs}}}))
-        each = validate(json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": mixed}}}))
-        rows, per_member = one.args["ensemble"].amplitudes, each.args["ensemble"].amplitudes[:8]
-        assert np.allclose(rows, per_member, rtol=0.0, atol=2.3e-16)
-        assert np.allclose(rows, states, rtol=0.0, atol=1e-15)
+        # real amplitudes, whose norm a dot product and a row sum round apart
+        rng = np.random.default_rng(7)
+        states += [rng.uniform(-2.0, 2.0, d).astype(complex) for d in (2, 4, 9, 32) for _ in range(8)]
+        for dim in (2, 4, 9, 32):
+            group = [s for s in states if s.size == dim]
+            pairs = [[1 / len(group), [[z.real, z.imag] for z in s]] for s in group]
+            # one real-number member sends every member down the per-member route
+            mixed = [*pairs, [0.0, [1.0] + [0.0] * (dim - 1)]]
+            one = validate(json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": pairs}}}))
+            each = validate(json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": mixed}}}))
+            rows, per_member = one.args["ensemble"].amplitudes, each.args["ensemble"].amplitudes[: len(group)]
+            assert rows.tobytes() == per_member.tobytes()
+            assert np.allclose(rows, [s / np.linalg.norm(s) for s in group], rtol=0.0, atol=1e-15)
+
+    def test_a_member_written_as_numbers_leaves_the_artifact_unchanged(self, tmp_path):
+        first = [0.5, [[-0.34, 0], [1.052, 0], [-0.005, 0], [0.583, 0]]]
+        artifacts = []
+        for name, second in (("pairs", [[1, 0], [0, 0], [0, 0], [0, 0]]), ("numbers", [1, 0, 0, 0])):
+            doc = {"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": [first, [0.5, second]]}}}
+            code, out = run_doc(tmp_path, doc, name)
+            assert code == 0
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1]
 
 
 class TestParseOnce:

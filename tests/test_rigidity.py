@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from bornlab.cli import main
+from bornlab.cli import MIN_GRID_STEP, main
 from bornlab.rigidity import (
     CURVATURE_ATOL,
     SCAN_LAMBDAS,
@@ -35,7 +35,7 @@ def brute_force_max_gap(rule, grid_step):
     return best, witness
 
 
-def all_pairs_scan(rule, grid_step):
+def all_pairs_scan(rule, grid_step, lambdas=SCAN_LAMBDAS):
     """The scan as one all-pairs pass: every grid pair p1 < p2 gathered at
     once, then per mixing weight the first largest gap, kept only when it
     strictly beats the weights before it."""
@@ -46,7 +46,7 @@ def all_pairs_scan(rule, grid_step):
     p1, p2 = grid[upper[0]], grid[upper[1]]
     v1, v2 = values[upper[0]], values[upper[1]]
     max_gap, witness = -1.0, (0.0, 0.0, 0.0)
-    for lam in SCAN_LAMBDAS:
+    for lam in lambdas:
         mix = lam * p1 + (1.0 - lam) * p2
         gaps = np.abs(lam * v1 + (1.0 - lam) * v2 - np.asarray(rule.eval(mix), dtype=float))
         k = int(np.argmax(gaps))
@@ -125,7 +125,7 @@ STREAM_RULES = {
 
 class TestStreamedScan:
     @pytest.mark.parametrize("name", sorted(STREAM_RULES))
-    @pytest.mark.parametrize("grid_step", [0.1, 0.05, 0.01, 1 / 91, 0.002, 0.001])
+    @pytest.mark.parametrize("grid_step", [0.1, 0.05, 0.01, 1 / 91, 1 / 92, 0.002, 0.001])
     def test_equals_all_pairs_scan(self, name, grid_step):
         rule = STREAM_RULES[name]
         report = scan_gaps(rule, grid_step)
@@ -151,8 +151,8 @@ class TestStreamedScan:
             assert (report.max_gap, report.max_gap_witness) == all_pairs_scan(rule, grid_step)
 
     def test_random_rules_hold_maxima_off_row_zero(self):
-        # where the maximum lies off row 0, the row-0 seed is below it and
-        # the blocks prune against a level the maximum later raises
+        # where the maximum lies off row 0, the largest gap of row 0 is below
+        # it and the later blocks prune against a level the maximum raises
         off_row_zero = [
             name
             for name, rule in RANDOM_RULES.items()
@@ -164,16 +164,34 @@ class TestStreamedScan:
     def test_blocks_tile_the_rows(self):
         for n in (10, 91, 100, 500, 2000):
             blocks = _row_blocks(n)
-            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert blocks[0] == (0, 1) and blocks[-1][1] == n
             assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(blocks, blocks[1:]))
-        # at step 1/91 the last block is a single row
-        assert _row_blocks(91)[-1] == (90, 91)
+        # at step 1/92 the last block is a single row
+        assert _row_blocks(92)[-1] == (91, 92)
 
     def test_tie_keeps_first_pair_and_first_lambda(self):
         # every identity gap is exactly 0, so the very first triple wins
         report = scan_gaps(PhiRule.identity(), 0.01)
         assert report.max_gap == 0.0
         assert report.max_gap_witness == (0.0, 0.01, 0.25)
+
+    def test_symmetric_tables_break_cross_block_ties_by_weight(self):
+        # Phi(p) = Phi(1 - p) mirrors the pair (p1, p2) at lambda to
+        # (1 - p2, 1 - p1) at 1 - lambda with the same gap, so a later row
+        # block can reach the maximum at an earlier weight than an earlier
+        # block did; the weight decides the tie, as in the all-pairs scan
+        assert list(SCAN_LAMBDAS) == sorted(SCAN_LAMBDAS)
+        rng = np.random.default_rng(4)
+        cross_weight_ties = 0
+        for _ in range(40):
+            v = rng.random(int(rng.integers(2, 30)))
+            rule = PhiRule.custom(np.concatenate([v, v[::-1]]))
+            max_gap, witness = all_pairs_scan(rule, 0.004)
+            report = scan_gaps(rule, 0.004)
+            assert (report.max_gap, report.max_gap_witness) == (max_gap, witness)
+            mirror_gap, mirror = all_pairs_scan(rule, 0.004, lambdas=(0.75,))
+            cross_weight_ties += witness[2] == 0.25 and mirror_gap == max_gap and mirror[0] < witness[0]
+        assert cross_weight_ties >= 1
 
     def test_memory_is_bounded_on_a_fine_grid(self):
         rule = PhiRule.power(2.0)
@@ -207,11 +225,27 @@ class TestPruning:
         exhaustive = 3 * self.N * (self.N + 1) // 2 + self.N + 1
         assert count_eval_points(monkeypatch, PhiRule.power(2.0), 1 / self.N) <= 0.4 * exhaustive
 
-    def test_identity_evaluates_its_grid_and_row_zero(self, monkeypatch):
-        # the identity is affine on every block, so only the grid and the
-        # row-0 seed, the pairs (0, p2) under each weight, are evaluated
+    def test_identity_evaluates_its_grid_only(self, monkeypatch):
+        # the identity is affine on every block, row 0 included, so only
+        # the grid is evaluated
         n = self.N
-        assert count_eval_points(monkeypatch, PhiRule.identity(), 1 / n) == (n + 1) + 3 * n
+        assert count_eval_points(monkeypatch, PhiRule.identity(), 1 / n) == n + 1
+
+    @pytest.mark.parametrize(
+        "name, most",
+        [("power(2)", 41_283), ("piecewise", 11_179), ("custom", 42_697)],
+    )
+    def test_row_zero_first_prunes_the_later_blocks(self, monkeypatch, name, most):
+        # row 0 is scanned first under every weight, and each pair is
+        # evaluated once; scanning row 0 inside a larger block raises
+        # power(2) to 47,271 points and piecewise to 21,381
+        assert count_eval_points(monkeypatch, STREAM_RULES[name], 1 / self.N) <= most
+
+    def test_rounding_level_kink_at_the_smallest_cli_step(self, monkeypatch):
+        # gaps at rounding level are never pruned, so this rule is the
+        # scan's worst case at the CLI's smallest grid_step
+        rule = PhiRule.piecewise_affine([(0.0, 0.0), (0.37, 0.37 + 1e-15), (1.0, 1.0)])
+        assert count_eval_points(monkeypatch, rule, MIN_GRID_STEP) <= 22_640_445
 
     def test_margin_keeps_a_pair_on_its_bound(self):
         # with the kink x on a half step, the pair (0, 2x) at lambda 1/2 has
@@ -350,6 +384,15 @@ class TestCertification:
         assert derived_bound(1e-10, 0.02) == pytest.approx(1e-10 * 50 * 50 / 4)
         with pytest.raises(ValueError):
             derived_bound(-1.0, 0.01)
+
+    def test_nan_tolerance_is_rejected_before_the_scan(self, monkeypatch):
+        # a NaN tolerance compares false both ways: it would give a NaN bound
+        # and reject the identity with its gap-0 triple as the witness
+        with pytest.raises(ValueError):
+            derived_bound(float("nan"), 0.01)
+        monkeypatch.setattr(PhiRule, "eval", lambda self, p: pytest.fail("the scan ran"))
+        with pytest.raises(ValueError):
+            certify_identity(PhiRule.identity(), float("nan"))
 
     def test_report_serialization_is_json_friendly(self, tmp_path):
         # the scan artifact writes both dataclasses field by field
