@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -55,14 +54,21 @@ MAX_SAMPLES = 10**7
 # slowest built-in kind is then a 1025-point custom table (0.13 s and
 # 0.29 s); the identity, affine on every block, takes 0.0014 s and 0.0056 s.
 MIN_GRID_STEP = 2e-4
-# Largest steer member dimension d, and largest members * d**2: the work of
-# the one barycenter product over all members and of hjw_povm's solve for
-# all of them at once. The members, the measurement's rank-one outcomes and
-# the steered states are each one members x d array. At the cap d = 32 with
-# 4096 members takes ~0.6 s and 67 MB peak RSS as a subprocess, d = 128
-# with 256 members ~0.45 s and 62 MB (2-vCPU VM).
+# Largest steer member count and dimension d, and largest members * d**2:
+# the work of the one barycenter product over all members and of hjw_povm's
+# SVD of the members x d matrix. The members, the measurement's rank-one
+# outcomes and the steered states are each one members x d array. At the
+# cap d = 32 with 4096 members takes ~0.5 s and 66 MB peak RSS as a
+# subprocess, d = 128 with 256 members ~0.4 s and 44 MB (2-vCPU VM). The
+# member count is checked before any member is converted.
+MAX_MEMBERS = 4096
 MAX_MEMBER_DIM = 128
 MAX_STEER_ENTRIES = 2**22
+# Largest config, in characters, that main reads. The caps above admit at
+# most 4096 * 32 amplitudes; as json.dumps writes them in 17-digit [re, im]
+# pairs that is 6.0 MB for Haar members and at most 7.2 MB with an exponent
+# in every part. A longer file is a config error before json decodes any of it.
+MAX_CONFIG_BYTES = 2**23
 
 class ConfigValidationError(ValueError):
     """All validation problems of one config, reported together."""
@@ -270,6 +276,8 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
     if not isinstance(spec, dict) or not isinstance(spec.get("members"), list) or not spec["members"]:
         errors.append("ensemble.members: required nonempty list of [weight, amplitudes]")
         return {}
+    if _at_most(len(spec["members"]), MAX_MEMBERS, "ensemble.members", "member count", errors) is None:
+        return {}
     rows = _unit_rows(spec["members"])
     before = len(errors)
     weights, states = [], []
@@ -445,10 +453,9 @@ def _write_csv(path: str, metadata: dict, columns: list[str], rows: list[list]) 
 
 
 def _write_json(path: str, metadata: dict, payload: dict) -> None:
-    doc = {"metadata": metadata, **payload}
+    text = json.dumps({"metadata": metadata, **payload}, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- command handlers --------------------------------------------------------
@@ -531,7 +538,8 @@ def _run_scan(rule, seed, grid_step, gap_tolerance) -> _Result:
         "" if cert.witness is None else _fmt_witness(cert.witness),
     ]]
     summary = f"max_gap={report.max_gap:.6g} certified={str(cert.certified).lower()}"
-    return summary, columns, rows, {"rigidity": asdict(report), "certification": asdict(cert)}
+    certification = asdict(cert)
+    return summary, columns, rows, {"rigidity": certification["report"], "certification": certification}
 
 
 def _fmt_witness(witness) -> str:
@@ -640,9 +648,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         print(f"config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except UnicodeDecodeError as exc:
+        print(f"config error: {args.config}: not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if len(text) > MAX_CONFIG_BYTES:
+        print(f"config error: {args.config}: longer than the largest allowed {MAX_CONFIG_BYTES} characters", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

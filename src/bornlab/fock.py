@@ -118,7 +118,7 @@ def sigma_affinity_convergence(
     # the member weights as geometric_fock_ensemble writes them and
     # Ensemble stores them
     weights = [float((1.0 - r) * r**n) for n in range(dim)]
-    check_weight_sum(sum(weights) + r**dim)
+    check_weight_sum(math.fsum(weights) + r**dim)
     amps = phi.amplitudes
     # |phi_n| as abs() of a complex scalar gives it, squared by pow() as the
     # scalar ** 2 of tau_closed does: an array's ** 2 multiplies, which
@@ -130,12 +130,12 @@ def sigma_affinity_convergence(
     # the clamped tau is Phi's argument, in [0, 1] as phi_eval requires
     terms = [w * p for w, p in zip(weights, rule.eval(np.clip(tau, 0.0, 1.0)).tolist())]
     # the levels n >= D, of total weight r^D, each contribute Phi(0)
-    reference = sum(terms) + rule.eval(0.0) * r**dim
-    # the builtin sum of a prefix adds the same floats in the same order as
-    # prob_ensemble; a running total would differ wherever sum compensates
+    reference = math.fsum(terms) + rule.eval(0.0) * r**dim
+    # each sum is math.fsum's correctly rounded one, as in prob_ensemble and
+    # Ensemble, on every Python version; a running total would round differently
     out = []
     for n in n_list:
         n = int(n)
-        check_weight_sum(sum(weights[: n + 1]) + r ** (n + 1))
-        out.append((n, abs(sum(terms[: n + 1]) - reference), r ** (n + 1)))
+        check_weight_sum(math.fsum(weights[: n + 1]) + r ** (n + 1))
+        out.append((n, abs(math.fsum(terms[: n + 1]) - reference), r ** (n + 1)))
     return out

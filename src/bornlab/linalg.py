@@ -6,7 +6,8 @@ defining invariants at construction time. They compare and hash by
 identity: the generated ``==`` and ``hash`` would compare and hash their
 arrays, which raises. Tolerances are global: ``VALIDATION_ATOL`` for
 constructor checks, ``RECONSTRUCTION_ATOL`` for round-trip identities
-(eigensolver noise accumulates a few ulp per op, these leave headroom).
+and the steering residual of ``bornlab.steering.hjw_povm`` (eigensolver
+noise accumulates a few ulp per op, these leave headroom).
 
 ``DensityMatrix`` and ``Effect`` check their spectrum once, by
 ``eigvalsh`` against ``VALIDATION_ATOL``, and a rejection names the
@@ -63,20 +64,16 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().T) / 2
 
 
-def _checked_spectrum(values, name: str, spectrum=None) -> tuple[np.ndarray, np.ndarray]:
+def _checked_spectrum(values, name: str) -> tuple[np.ndarray, np.ndarray]:
     """The square matrix of ``values`` and the ascending spectrum of its
     Hermitian part, after rejecting a hermiticity defect beyond
-    ``VALIDATION_ATOL``; ``name`` starts the message. A ``spectrum`` that
-    the caller has already taken by ``eigvalsh`` is returned in place of a
-    second decomposition."""
+    ``VALIDATION_ATOL``; ``name`` starts the message."""
     arr = np.array(values, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
     defect = _hermiticity_defect(arr)
     if not defect <= VALIDATION_ATOL:
         raise ValueError(f"{name} hermiticity defect {defect}")
-    if spectrum is not None:
-        return arr, spectrum
     # hermitizing an exactly Hermitian matrix gives the same bits
     return arr, np.linalg.eigvalsh(arr if defect == 0.0 else hermitize(arr))
 
@@ -143,18 +140,12 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """Measurement element: Hermitian with spectrum in [0, 1].
-
-    ``spectrum`` is for a caller that has already taken the ascending
-    ``eigvalsh`` spectrum of this exactly Hermitian matrix: it is checked in
-    place of a second decomposition.
-    """
+    """Measurement element: Hermitian with spectrum in [0, 1]."""
 
     matrix: np.ndarray
-    spectrum: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, spectrum: np.ndarray | None):
-        arr, eigs = _checked_spectrum(self.matrix, "effect", spectrum)
+    def __post_init__(self):
+        arr, eigs = _checked_spectrum(self.matrix, "effect")
         if not (eigs[0] >= -VALIDATION_ATOL and eigs[-1] <= 1.0 + VALIDATION_ATOL):
             raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] outside [0, 1]")
         arr.setflags(write=False)

@@ -311,7 +311,7 @@ def prob_ensemble(rule: PhiRule, ensemble: Ensemble, phi: StateVector) -> Ensemb
         (weight, prob_pure(rule, StateVector(amplitudes), phi))
         for weight, amplitudes in zip(ensemble.weights.tolist(), ensemble.amplitudes)
     )
-    value = float(sum(w * p for w, p in per_member))
+    value = math.fsum(w * p for w, p in per_member)
     return EnsembleProbability(
         value=value,
         per_member=per_member,

@@ -5,10 +5,15 @@ measurement on Alice's half of a purification: measuring outcome i steers
 Bob into the i-th member with the member's weight as outcome probability.
 The marginal Bob sees never depends on which measurement Alice chose; that
 identity is exact linear algebra and is checkable here to solver precision.
+
+``hjw_povm`` builds that measurement from two SVDs, of the ensemble's
+weighted member rows and of the purification, and divides by no singular
+value, so a nearly pure or nearly degenerate marginal steers like any other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +30,6 @@ from .linalg import (
 )
 
 WEIGHT_SUM_ATOL = 1e-10
-SUPPORT_ATOL = 1e-8
 NULL_OUTCOME_PROB = 1e-12
 
 
@@ -60,8 +64,8 @@ class Ensemble:
         tail_weight = float(tail_weight)
         if not -1e-12 <= tail_weight:
             raise ValueError("tail weight must be nonnegative")
-        # the builtin sum, in member order, as sigma_affinity_convergence adds them
-        check_weight_sum(sum(weights.tolist()) + tail_weight)
+        # correctly rounded, as sigma_affinity_convergence adds them
+        check_weight_sum(math.fsum(weights.tolist()) + tail_weight)
         try:
             amps = np.array(amplitudes, dtype=complex)
         except ValueError:
@@ -142,22 +146,38 @@ def barycenter(ensemble: Ensemble) -> DensityMatrix:
 
 
 def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
-    """Measurement on A whose branches steer B into the given ensemble.
+    """Measurement on A whose branches steer B into the given ensemble
+    (Hughston, Jozsa and Wootters 1993).
 
-    With coefficient matrix M of the purification, the rank-1 element for
-    member (w, psi) is v v^dagger with v = conj(x), x the A-side vector
-    solving M^T x = sqrt(w) psi. The v are the columns of the measurement's
-    ``factors``, so no d x d matrix is built for them. Branch i then has
-    probability w_i and conditional state |psi_i><psi_i|. Solvability of
-    that linear system is exactly the condition that psi lies in the support
-    of the marginal. A projector onto the unused A directions is appended as
-    a remainder outcome when the marginal is rank-deficient (a one-member
-    ensemble's has rank one), so the collection is complete; the spectrum
-    that decides this is the one its ``Effect`` checks.
+    Let N be the k x d matrix of weighted member rows (row i is
+    sqrt(w_i) psi_i) and M the purification's coefficient matrix; both are
+    square-root factors of B's marginal, M^T conj(M) = N^T conj(N). With the
+    SVDs N^T = V S U^H and M^T = V_M S_M W^H, member i's outcome is
+    v v^dagger with v = conj(x_i), x_i column i of
+
+        x = W_r (V_M,r^H V_r) U_r^H,
+
+    the r leading singular directions kept, r the numerical rank of N (the
+    ``numpy.linalg.matrix_rank`` rule). Then M^T x = N^T, so branch i has
+    probability w_i and conditional state |psi_i><psi_i|. The middle factor
+    is a product of isometries, a contraction, so the outcomes sum to at
+    most I by construction, and nothing is divided by a singular value. The
+    v are the columns of the measurement's ``factors``, so no d x d matrix
+    is built for them. When r < d_A the projector onto the A directions
+    past r is appended as a remainder outcome (a one-member ensemble's
+    marginal has rank one), so the collection is complete.
+
+    Near a pure marginal the accuracy is the purification's. ``purify``
+    takes it from the marginal alone, and its ``eigh`` fixes a small
+    Schmidt coefficient only to about sqrt(eps) ~ 1.5e-8, so the steering
+    residual can reach the bound: at |p1 - p2| = 1e-9 in the two-level
+    scenario, 3 of 20000 seeded draws land just past it and raise. The
+    steered probabilities stay within a few eps of the weights.
 
     Raises ValueError if the ensemble barycenter does not match the
     purification's B marginal within ``RECONSTRUCTION_ATOL``, or if a
-    member leaves the support by more than ``SUPPORT_ATOL``.
+    member leaves the marginal's support: some column of M^T x - N^T has
+    norm above ``RECONSTRUCTION_ATOL``.
     """
     if ensemble.dim != purification.dim_b:
         raise ValueError("ensemble dimension differs from the purified system")
@@ -168,16 +188,21 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     if mismatch > RECONSTRUCTION_ATOL:
         raise ValueError(f"ensemble barycenter deviates from purified marginal by {mismatch}")
 
-    # column i is sqrt(w_i) psi_i; all members are solved for at once
-    rhs = (np.sqrt(ensemble.weights)[:, None] * ensemble.amplitudes).T
-    x = np.linalg.lstsq(m_t, rhs, rcond=1e-9)[0]
-    support_defect = float(np.max(np.linalg.norm(m_t @ x - rhs, axis=0)))
-    if support_defect > SUPPORT_ATOL:
+    # column i is sqrt(w_i) psi_i
+    n_t = (np.sqrt(ensemble.weights)[:, None] * ensemble.amplitudes).T
+    v, s, uh = np.linalg.svd(n_t, full_matrices=False)
+    vm, _, wmh = np.linalg.svd(m_t)
+    # N's numerical rank can exceed d_A while the barycenter check passes
+    # (a member of weight ~1e-9 outside M's range); the residual names it
+    r = min(int(np.count_nonzero(s > s[0] * max(n_t.shape) * np.finfo(float).eps)), purification.dim_a)
+    x = wmh[:r].conj().T @ (vm[:, :r].conj().T @ v[:, :r]) @ uh[:r]
+    support_defect = float(np.max(np.linalg.norm(m_t @ x - n_t, axis=0)))
+    if support_defect > RECONSTRUCTION_ATOL:
         raise ValueError(f"ensemble member leaves the marginal's support (defect {support_defect})")
-    factors = x.conj()
-    remainder = hermitize(np.eye(purification.dim_a, dtype=complex) - factors @ factors.conj().T)
-    spectrum = np.linalg.eigvalsh(remainder)
-    return Povm((Effect(remainder, spectrum),) if spectrum[-1] > 1e-10 else (), factors)
+    # the rows of W^H past r span the A directions that x leaves unused
+    tail = wmh[r:]
+    remainder = (Effect(hermitize(tail.T @ tail.conj())),) if r < purification.dim_a else ()
+    return Povm(remainder, x.conj())
 
 
 def _branch(state: BipartiteState, effect: Effect) -> np.ndarray:

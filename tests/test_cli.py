@@ -10,8 +10,10 @@ from bornlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    MAX_CONFIG_BYTES,
     MAX_CUTOFF,
     MAX_MEMBER_DIM,
+    MAX_MEMBERS,
     MAX_SAMPLES,
     MAX_STEER_ENTRIES,
     MIN_GRID_STEP,
@@ -22,6 +24,7 @@ from bornlab.cli import (
     validate,
 )
 from bornlab.linalg import haar_random_state
+from bornlab.rules import PhiRule
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -660,7 +663,8 @@ TWO_LEVEL = {"p1": 0.0, "p2": 1.0, "lambda": 0.5}
 
 class TestEveryConfigEndsCleanly:
     """Configs that the library rejects, by a constructor or in its numerics:
-    each ends in exit 2 naming the field, or exit 3 naming the command."""
+    each ends in exit 2 naming the field, or exit 3 naming the command. Near
+    pure scenarios that it once rejected end in a valid artifact."""
 
     CASES = [
         ("steer", {"ensemble": {"members": [[0.5, [1, 0]], [0.4, [0, 1]]]}}, EXIT_CONFIG, "ensemble: weights plus tail sum to 0.9"),
@@ -677,13 +681,14 @@ class TestEveryConfigEndsCleanly:
         # past ~1.34e154 the float square |alpha|^2 overflows
         ("fock_converge", {"alpha": 1.4e154, "beta": 0, "n_list": [1]}, EXIT_NUMERICAL, "fock_converge: coherent amplitude alpha"),
         ("fock_converge", {"alpha": 0, "beta": [0, 1.4e154], "n_list": [1]}, EXIT_NUMERICAL, "fock_converge: coherent amplitude beta"),
-        # the known near-degenerate hjw_povm failure (ROADMAP item 2): a
-        # member effect's top eigenvalue lands 3.1e-9 above 1
+        # purify fixes omega's small Schmidt coefficient only to about
+        # sqrt(eps): at |p1 - p2| = 1e-9 hjw_povm's steering residual can
+        # land just past RECONSTRUCTION_ATOL (3 of 20000 seeded draws)
         (
             "experiment",
-            {"p1": 0.32973171649909216, "p2": 0.3299047737211492, "lambda": 0.303194829291645},
+            {"p1": 0.5043802736034718, "p2": 0.5043802746034718, "lambda": 0.9536404131285385},
             EXIT_NUMERICAL,
-            "experiment: effect spectrum [0.0, 1.0000000030812737] outside [0, 1]",
+            "experiment: ensemble member leaves the marginal's support (defect 1.0084236177241107e-08)",
         ),
         ("detect", {**TWO_LEVEL, "n_samples": True}, EXIT_CONFIG, "n_samples: must be a positive integer"),
         ("sigma_affinity", {"r": 0.5, "n_list": [0, 5], "phi": {"fock": True}}, EXIT_CONFIG, "phi.fock: must be a nonnegative integer"),
@@ -704,13 +709,31 @@ class TestEveryConfigEndsCleanly:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_experiment_at_a_tiny_lambda_exits_three(self, tmp_path, capsys):
-        # the small-lambda face of the same hjw_povm failure (ROADMAP item 2)
-        rule = {"kind": "piecewise_affine", "knots": [[0, 0], [0.5, 0.4], [1, 1]]}
-        doc = {"command": "experiment", "rule": rule, "seed": 0, "parameters": {"p1": 0.2, "p2": 0.8, "lambda": 5e-13}}
+    @pytest.mark.parametrize(
+        "rule,parameters",
+        [
+            # a near-degenerate pair, and a tiny lambda: before hjw_povm took its
+            # measurement from two SVDs, a member effect's top eigenvalue landed
+            # past 1 on each (ROADMAP item 2)
+            ({"kind": "power", "alpha": 2.0}, {"p1": 0.32973171649909216, "p2": 0.3299047737211492, "lambda": 0.303194829291645}),
+            ({"kind": "piecewise_affine", "knots": [[0, 0], [0.5, 0.4], [1, 1]]}, {"p1": 0.2, "p2": 0.8, "lambda": 5e-13}),
+        ],
+        ids=["near_degenerate", "tiny_lambda"],
+    )
+    def test_near_pure_experiment_writes_its_gap(self, tmp_path, rule, parameters):
+        doc = {"command": "experiment", "rule": rule, "seed": 0, "parameters": parameters}
         exit_code, out = run_doc(tmp_path, doc)
-        assert exit_code == EXIT_NUMERICAL and not out.exists()
-        assert capsys.readouterr().err.startswith("numerical failure: experiment: effect spectrum [0.0, 1.000")
+        assert exit_code == EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        row = dict(zip(lines[-2].split(","), lines[-1].split(",")))
+        analytic = signaling.jensen_gap(PhiRule.from_dict(rule), parameters["p1"], parameters["p2"], parameters["lambda"])
+        assert abs(float(row["gap"]) - analytic) <= 1e-12
+
+    def test_a_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "latin1.json"
+        config.write_bytes(b'{"command": "jensen", "note": "\xe9"}')
+        assert main(["--config", str(config), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {config}: not UTF-8 text: ")
 
     def test_detect_alpha_range_ends_at_2_to_the_minus_53(self, tmp_path):
         # 2**-53 is the largest alpha for which 1 - alpha/2 rounds to 1
@@ -903,9 +926,10 @@ def basis_members(dim, count):
 
 
 class TestSizeCaps:
-    """detect's n_samples, scan's grid_step and steer's member dimension and
-    members * dimension**2 are capped so that a config runs in about a
-    second: one past each cap exits 2 naming the field, the cap itself runs."""
+    """detect's n_samples, scan's grid_step and steer's member count, member
+    dimension and members * dimension**2 are capped so that a config runs in
+    about a second: one past each cap exits 2 naming the field, the cap
+    itself runs. The config file itself is capped at MAX_CONFIG_BYTES."""
 
     MEMBERS_AT_DIM_CAP = MAX_STEER_ENTRIES // MAX_MEMBER_DIM**2
 
@@ -924,6 +948,11 @@ class TestSizeCaps:
                 {"ensemble": {"members": basis_members(MAX_MEMBER_DIM, MEMBERS_AT_DIM_CAP + 1)}},
                 f"ensemble.members: {MEMBERS_AT_DIM_CAP + 1} members of dimension {MAX_MEMBER_DIM} exceed",
             ),
+            (
+                "steer",
+                {"ensemble": {"members": basis_members(2, MAX_MEMBERS + 1)}},
+                f"ensemble.members: {MAX_MEMBERS + 1} exceeds the largest allowed member count {MAX_MEMBERS}",
+            ),
         ],
     )
     def test_past_the_cap_exits_two_naming_the_field(self, tmp_path, capsys, command, parameters, message):
@@ -938,12 +967,34 @@ class TestSizeCaps:
             ("detect", {**TWO_LEVEL, "n_samples": MAX_SAMPLES}),
             ("scan", {"grid_step": MIN_GRID_STEP}),
             ("steer", {"ensemble": {"members": basis_members(MAX_MEMBER_DIM, MEMBERS_AT_DIM_CAP)}}),
+            ("steer", {"ensemble": {"members": basis_members(2, MAX_MEMBERS)}}),
         ],
     )
     def test_the_cap_itself_is_accepted(self, tmp_path, command, parameters):
         exit_code, out = run_doc(tmp_path, {"command": command, "seed": 0, "parameters": parameters})
         assert exit_code == EXIT_OK
         assert out.exists()
+
+    def test_the_member_count_is_checked_before_any_member(self):
+        # no member is read, so none of the malformed ones is named
+        doc = {"command": "steer", "parameters": {"ensemble": {"members": [["w", "x"]] * (MAX_MEMBERS + 1)}}}
+        with pytest.raises(ConfigValidationError) as excinfo:
+            validate(json.dumps(doc))
+        assert excinfo.value.errors == [f"ensemble.members: {MAX_MEMBERS + 1} exceeds the largest allowed member count {MAX_MEMBERS}"]
+
+    def test_a_config_past_the_byte_cap_exits_two_before_it_is_decoded(self, tmp_path, capsys):
+        # padded with spaces, the cap itself still decodes and runs; one more
+        # character, even in a document that is no JSON at all, is not read
+        text = json.dumps({"command": "jensen", "seed": 0, "parameters": TWO_LEVEL})
+        config = tmp_path / "padded.json"
+        config.write_text(text + " " * (MAX_CONFIG_BYTES - len(text)), encoding="utf-8")
+        out = tmp_path / "padded.csv"
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_OK and out.exists()
+        config.write_text("[" * (MAX_CONFIG_BYTES + 1), encoding="utf-8")
+        out.unlink()
+        assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG and not out.exists()
+        message = f"config error: {config}: longer than the largest allowed {MAX_CONFIG_BYTES} characters\n"
+        assert capsys.readouterr().err == message
 
 
 class TestBooleansAreNotNumbers:

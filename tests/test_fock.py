@@ -259,7 +259,7 @@ class TestSigmaAffinityRoute:
         # other does, and set the tolerance between the two, so that only
         # the checked one fails
         def miss(r, n):
-            return abs(sum(float((1.0 - r) * r**k) for k in range(n + 1)) + r ** (n + 1) - 1.0)
+            return abs(math.fsum(float((1.0 - r) * r**k) for k in range(n + 1)) + r ** (n + 1) - 1.0)
 
         checked, other = (53, 3) if failing == "reference" else (3, 53)
         rng = np.random.default_rng(5)

@@ -127,7 +127,7 @@ def constructs(build, *args) -> bool:
 
 def cli_steer_counts(tmp_path, monkeypatch, members) -> dict:
     """Run a CLI steer of the given [weight, state] members and count the
-    factorizations and eigendecompositions it makes."""
+    factorizations, eigendecompositions and SVDs it makes."""
     doc = {
         "command": "steer",
         "seed": 0,
@@ -135,7 +135,7 @@ def cli_steer_counts(tmp_path, monkeypatch, members) -> dict:
     }
     config = tmp_path / "steer.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
-    counts = dict.fromkeys(("cholesky", "eigh", "eigvalsh"), 0)
+    counts = dict.fromkeys(("cholesky", "eigh", "eigvalsh", "svd"), 0)
     for name in counts:
         original = getattr(np.linalg, name)
 
@@ -191,31 +191,6 @@ class TestSpectrumCheck:
         assert eigs[-1] == pytest.approx(1 + 2e-9, abs=1e-14)
         assert raised(Effect, high) == f"effect spectrum [{eigs[0]}, {eigs[-1]}] outside [0, 1]"
 
-    def test_an_effect_checks_a_given_spectrum_in_place_of_eigvalsh(self, monkeypatch):
-        # the same verdicts and messages as its own eigvalsh, and no second one
-        cases = [
-            placed_spectrum(32, seed, end, offset)
-            for seed in range(3)
-            for end in ("low", "high")
-            for offset in (1e-9, -1e-9)
-        ]
-        spectra = [np.linalg.eigvalsh(h) for h in cases]
-
-        def verdict(build):
-            try:
-                build()
-            except ValueError as exc:
-                return str(exc)
-            return "accepted"
-
-        expected = [verdict(lambda: Effect(h)) for h in cases]
-        assert "accepted" in expected and len(set(expected)) > 2
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: pytest.fail("eigvalsh called"))
-        assert [verdict(lambda: Effect(h, eigs)) for h, eigs in zip(cases, spectra)] == expected
-        # the hermiticity check still runs
-        with pytest.raises(ValueError, match="hermiticity"):
-            Effect(np.array([[0.5, 0.1], [0.3, 0.5]]), np.array([0.2, 0.8]))
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
     def test_non_finite_entries_raise_without_a_warning(self, bad):
@@ -226,14 +201,14 @@ class TestSpectrumCheck:
                 with pytest.raises(ValueError, match="hermiticity"):
                     build(m)
 
-    def test_cli_steer_at_dim_32_takes_three_eigendecompositions(self, tmp_path, monkeypatch):
-        # purify's eigh, the barycenter's check and hjw_povm's remainder
-        # decision; the purified marginal is compared unchecked, and neither
-        # the rank-one member outcomes nor their 64 pure conditional states
-        # take an eigendecomposition
+    def test_cli_steer_at_dim_32_takes_two_eigendecompositions_and_two_svds(self, tmp_path, monkeypatch):
+        # purify's eigh, the barycenter's check, and hjw_povm's two SVDs; the
+        # purified marginal is compared unchecked, a full-rank marginal has
+        # no remainder, and neither the rank-one member outcomes nor their
+        # 64 pure conditional states take an eigendecomposition
         members = [(1 / 64, haar_random_state(32, seed).amplitudes) for seed in range(64)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 2}
+        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 1, "svd": 2}
 
 
 def columns_accepted(factors) -> bool:
@@ -323,14 +298,14 @@ class TestRankOneEffect:
             Povm((Effect(np.eye(3)),), np.zeros((2, 1)))
 
     def test_cli_steer_of_a_rank_deficient_ensemble_at_dim_32(self, tmp_path, monkeypatch):
-        # purify's eigh, the barycenter's check, and hjw_povm's remainder
-        # decision, whose spectrum the remainder effect's check reuses (its
-        # branch has probability 0 and no state); no member outcome or pure
-        # conditional state takes an eigendecomposition
+        # purify's eigh, the barycenter's check, hjw_povm's two SVDs, and the
+        # remainder effect's check (its branch has probability 0 and no
+        # state); no member outcome or pure conditional state takes an
+        # eigendecomposition
         basis, _ = np.linalg.qr(make_rng(3).standard_normal((32, 16)) + 0j)
         members = [(1 / 48, basis @ haar_random_state(16, seed).amplitudes) for seed in range(48)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 2}
+        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 2, "svd": 2}
 
 
 class TestTensor:

@@ -15,7 +15,7 @@ from bornlab.signaling import (
     required_sample_size,
     run_steering_experiment,
 )
-from bornlab.steering import verify_marginal_invariance
+from bornlab.steering import steer, verify_marginal_invariance
 from bornlab.transition import tau_closed
 
 
@@ -96,6 +96,33 @@ class TestSteeringExperiment:
         record = run_steering_experiment(PhiRule.power(0.5), scenario)
         assert record.analytic_gap == pytest.approx(0.5e-6 - (0.5e-12) ** 0.5, rel=1e-9)
         assert record.pipeline_discrepancy <= 1e-8
+
+    @pytest.mark.parametrize("regime", ["near_degenerate", "separated_by_1e-9", "tiny_lambda"])
+    def test_near_pure_scenarios_steer_to_their_analytic_gap(self, regime):
+        # 300 seeded draws per regime, where omega is nearly pure or nearly
+        # degenerate: |p1 - p2| <= 3e-4, |p1 - p2| = 1e-9, or lambda or
+        # 1 - lambda log-uniform in [1e-15, 1e-8]. Each scenario must build,
+        # steer each member with its weight, and reach the analytic gap
+        rule = PhiRule.power(2.0)
+        rng = make_rng(2026, stream=["near_degenerate", "separated_by_1e-9", "tiny_lambda"].index(regime))
+        for _ in range(300):
+            if regime == "near_degenerate":
+                p1 = rng.uniform(0.0, 1.0)
+                p2 = min(1.0, max(0.0, p1 + rng.uniform(-3e-4, 3e-4)))
+                lam = rng.uniform(0.001, 0.999)
+            elif regime == "separated_by_1e-9":
+                p1 = rng.uniform(0.0, 1.0 - 1e-9)
+                p2 = p1 + 1e-9
+                lam = rng.uniform(0.001, 0.999)
+            else:
+                p1, p2 = rng.uniform(0.0, 0.45), rng.uniform(0.55, 1.0)
+                small = 10.0 ** rng.uniform(-15.0, -8.0)
+                lam = small if rng.uniform() < 0.5 else 1.0 - small
+            scenario = build_two_level_scenario(p1, p2, lam)
+            record = run_steering_experiment(rule, scenario)
+            assert abs(record.gap - jensen_gap(rule, p1, p2, lam)) <= 1e-12
+            probabilities = steer(scenario.purification, scenario.povm_split).probabilities
+            assert np.max(np.abs(probabilities - [lam, 1.0 - lam])) <= 1e-14
 
     def test_pipeline_matches_analytic_formula_on_grid(self):
         probabilities = (0.0, 0.25, 0.6, 1.0)

@@ -140,7 +140,7 @@ class TestBarycenter:
 class TestHjwPovm:
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
     def test_single_member_is_steered_with_a_remainder_outcome(self, dim):
-        # a one-member marginal has rank one, so the general solve appends
+        # a one-member marginal has rank one, so hjw_povm appends
         # the remainder outcome, which must carry no probability
         for seed in range(5):
             psi = haar_random_state(dim, seed)
@@ -185,6 +185,31 @@ class TestHjwPovm:
         assert result.null.tolist() == [False, False, True]
         assert result.states == (None,)
 
+    @pytest.mark.parametrize("dim,n_members,dim_a", [(2, 1, 2), (3, 2, 3), (4, 6, 4), (3, 2, 5), (4, 3, 7), (8, 12, 11)])
+    def test_steers_from_any_purification_of_the_marginal(self, random_ensemble, dim, n_members, dim_a):
+        # W M for a Haar-random isometry W from purify's d-dimensional A side
+        # into dim_a dimensions: a unitary on A when dim_a == d, an ancilla
+        # with room to spare otherwise. Every member is steered with its
+        # weight, and the remainder is the projector onto the dim_a - r
+        # unused directions
+        for seed in range(5):
+            ensemble = random_ensemble(dim, n_members, seed)
+            rng = make_rng(seed, stream=5)
+            w, _ = np.linalg.qr(rng.standard_normal((dim_a, dim)) + 1j * rng.standard_normal((dim_a, dim)))
+            purification = BipartiteState(w @ purify(barycenter(ensemble)).amplitudes)
+            povm = hjw_povm(purification, ensemble)
+            result = steer(purification, povm)
+            assert np.max(np.abs(result.probabilities[:n_members] - ensemble.weights)) <= 1e-12
+            assert np.all(member_fidelities(result, ensemble) >= 1.0 - 1e-12)
+            r = min(dim, n_members)
+            if r == dim_a:
+                assert povm.effects == ()
+            else:
+                (remainder,) = povm.effects
+                expected = np.repeat([0.0, 1.0], [r, dim_a - r])
+                assert np.allclose(np.linalg.eigvalsh(remainder.matrix), expected, rtol=0.0, atol=1e-12)
+                assert result.probabilities[n_members] <= 1e-12
+
     def test_rejects_barycenter_mismatch(self):
         purification = purify(DensityMatrix(np.diag([0.8, 0.2]).astype(complex)))
         ensemble = Ensemble([0.5, 0.5], np.eye(2))
@@ -200,6 +225,11 @@ class TestHjwPovm:
         target = Ensemble([0.5 - eps / 2, 0.5 - eps / 2, eps], np.eye(3))
         with pytest.raises(ValueError, match="support"):
             hjw_povm(purification, target)
+        # purify's first row is the zero Schmidt row: without it A has two
+        # dimensions, fewer than the target's numerical rank of three
+        narrow = BipartiteState(purification.amplitudes[1:])
+        with pytest.raises(ValueError, match="support"):
+            hjw_povm(narrow, target)
 
 
 class TestSteer:
