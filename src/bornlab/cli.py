@@ -58,9 +58,9 @@ MIN_GRID_STEP = 2e-4
 # the work of the one barycenter product over all members and of hjw_povm's
 # SVD of the members x d matrix. The members, the measurement's rank-one
 # outcomes and the steered states are each one members x d array. At the
-# cap d = 32 with 4096 members takes ~0.5 s and 66 MB peak RSS as a
+# cap d = 32 with 4096 members takes ~0.8 s and 69 MB peak RSS as a
 # subprocess, d = 128 with 256 members ~0.4 s and 44 MB (2-vCPU VM). The
-# member count is checked before any member is converted.
+# member count is checked before any member is read.
 MAX_MEMBERS = 4096
 MAX_MEMBER_DIM = 128
 MAX_STEER_ENTRIES = 2**22
@@ -105,77 +105,53 @@ def _parse_complex(entry, field: str, errors: list[str]) -> complex | None:
     return value
 
 
-def _amplitude_array(raw: list, ndim: int = 1) -> np.ndarray | None:
+def _amplitude_array(raw: list) -> np.ndarray | None:
     """Amplitudes of a list of finite numbers or of [re, im] pairs, in one
-    conversion; None for any other list. With ``ndim`` 2, ``raw`` is a list
-    of such lists, all of one form and length, and the result has one row
-    each. The parts are assigned, not summed, so every amplitude equals
+    conversion; None for any other list. A pair's two floats are read as
+    one complex number's memory, so every amplitude equals
     ``complex(re, im)`` bit for bit."""
     try:
         arr = np.array(raw)
     except (ValueError, TypeError, OverflowError):
         return None
-    if arr.dtype.kind not in "biuf" or not (arr.ndim == ndim or (arr.ndim == ndim + 1 and arr.shape[-1] == 2)):
+    if arr.dtype.kind not in "biuf" or not (arr.ndim == 1 or (arr.ndim == 2 and arr.shape[1] == 2)):
         return None
-    if arr.shape[ndim - 1] == 0 or not np.isfinite(arr).all():
+    arr = arr.astype(float, copy=False)
+    if arr.shape[0] == 0 or not np.isfinite(arr).all():
         return None
-    amps = np.zeros(arr.shape[:ndim], dtype=complex)
-    if arr.ndim == ndim:
-        amps.real = arr
-    else:
-        amps.real = arr[..., 0]
-        amps.imag = arr[..., 1]
-    return amps
+    return arr.astype(complex) if arr.ndim == 1 else arr.view(complex)[:, 0]
 
 
-def _unit_amplitudes(raw, field: str, errors: list[str], axis: int | None = None) -> np.ndarray | None:
-    """The amplitude list ``raw`` divided by its norm; None, with errors
-    naming ``field`` or its malformed entries, if it is not a nonempty list
-    of numbers with a nonzero norm. With ``axis`` 0 the norm sums the
-    squares as ``_unit_rows`` does for each row, not by a dot product,
-    which rounds differently."""
+def _amplitudes(raw, field: str, errors: list[str]) -> np.ndarray | None:
+    """The amplitude list ``raw`` as a complex array, the one reader of
+    every amplitude list of every command; None, with errors naming
+    ``field`` or its malformed entries, if it is not a nonempty list of
+    finite numbers or [re, im] pairs."""
     if not isinstance(raw, list) or not raw:
         errors.append(f"{field}: expected a nonempty amplitude list")
         return None
     amps = _amplitude_array(raw)
-    if amps is None:
-        # entry by entry, so that each malformed entry is named
-        entries = [_parse_complex(v, f"{field}[{i}]", errors) for i, v in enumerate(raw)]
-        if None in entries:
-            return None
-        amps = np.array(entries)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(amps, axis=axis))
-    if norm == math.inf:
-        # entries near the float limit: their squares overflow, the state does not
-        amps = amps / np.max(np.abs(amps))
-        norm = float(np.linalg.norm(amps, axis=axis))
-    if norm < 1e-12:
-        errors.append(f"{field}: amplitude list has zero norm")
-        return None
-    return amps / norm
+    if amps is not None:
+        return amps
+    # entry by entry, so that each malformed entry is named
+    entries = [_parse_complex(v, f"{field}[{i}]", errors) for i, v in enumerate(raw)]
+    return None if None in entries else np.array(entries)
 
 
 def _parse_state(raw, field: str, errors: list[str]) -> StateVector | None:
-    amps = _unit_amplitudes(raw, field, errors)
-    return None if amps is None else StateVector(amps)
-
-
-def _unit_rows(members: list) -> np.ndarray | None:
-    """The amplitudes of every [weight, amplitudes] member as rows, each
-    divided by its norm, from one conversion; None unless each member is
-    such a pair, all amplitude lists convert together and every norm is
-    finite and nonzero. The per-member route decides every other case."""
-    if not all(isinstance(entry, list) and len(entry) == 2 for entry in members):
-        return None
-    amps = _amplitude_array([entry[1] for entry in members], ndim=2)
+    amps = _amplitudes(raw, field, errors)
     if amps is None:
         return None
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(amps, axis=1)
-    if not ((1e-12 <= norms) & (norms < math.inf)).all():
+        norm = float(np.linalg.norm(amps))
+    if norm == math.inf:
+        # entries near the float limit: their squares overflow, the state does not
+        amps = amps / np.max(np.abs(amps))
+        norm = float(np.linalg.norm(amps))
+    if norm < 1e-12:
+        errors.append(f"{field}: amplitude list has zero norm")
         return None
-    return amps / norms[:, None]
+    return StateVector(amps / norm)
 
 
 def _number(raw, field: str, errors: list[str], need: str, ok=lambda v: True, *, integer: bool = False):
@@ -278,28 +254,40 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
         return {}
     if _at_most(len(spec["members"]), MAX_MEMBERS, "ensemble.members", "member count", errors) is None:
         return {}
-    rows = _unit_rows(spec["members"])
     before = len(errors)
-    weights, states = [], []
+    weights, rows = [], []
     for i, entry in enumerate(spec["members"]):
         if not isinstance(entry, list) or len(entry) != 2:
             errors.append(f"ensemble.members[{i}]: expected [weight, amplitudes]")
             continue
         weights.append(_number(entry[0], f"ensemble.members[{i}].weight", errors, "must be nonnegative", lambda v: v >= 0))
-        if rows is None:
-            # the batch route's row norm, so that a member's unit vector does
-            # not depend on how the other members are written
-            states.append(_unit_amplitudes(entry[1], f"ensemble.members[{i}].state", errors, axis=0))
+        rows.append(_amplitudes(entry[1], f"ensemble.members[{i}].state", errors))
     # purify needs a unit-trace barycenter, so a steered ensemble has no
     # tail; declared tails belong to prob_ensemble and sigma_affinity
     _number(
         spec.get("tail_weight", 0.0), "ensemble.tail_weight", errors,
         "must be 0: steer purifies a unit-trace barycenter", lambda v: v == 0,
     )
+    if len(rows) < len(spec["members"]) or any(row is None for row in rows):
+        return {}
+    if len({row.size for row in rows}) > 1:
+        errors.append("ensemble: ensemble members have mismatched dimensions")
+        return {}
+    # every member normalized at once, one norm per row of the k x d stack
+    amps = np.array(rows)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(amps, axis=1)
+    huge = norms == math.inf
+    if huge.any():
+        # entries near the float limit: their squares overflow, the state does not
+        amps[huge] /= np.max(np.abs(amps[huge]), axis=1, keepdims=True)
+        norms = np.linalg.norm(amps, axis=1)
+    for i in np.flatnonzero(norms < 1e-12):
+        errors.append(f"ensemble.members[{i}].state: amplitude list has zero norm")
     if len(errors) > before:
         return {}
     try:
-        ensemble = Ensemble(weights, states if rows is None else rows)
+        ensemble = Ensemble(weights, amps / norms[:, None])
     except ValueError as exc:
         errors.append(f"ensemble: {exc}")
         return {}
@@ -500,9 +488,7 @@ def _run_experiment(rule, seed, p1, p2, lam) -> _Result:
 def _run_detect(rule, seed, p1, p2, lam, n_samples, alpha) -> _Result:
     scenario = build_two_level_scenario(p1, p2, lam)
     report = detectability(rule, scenario, n_samples, seed, alpha)
-    # the seed is already in the metadata
     payload = asdict(report)
-    del payload["seed"]
     columns = list(payload)
     rows = [[payload[c] for c in columns]]
     summary = f"p_value={report.p_value:.6g} rejected={str(report.rejected).lower()}"

@@ -40,9 +40,7 @@ class SteeringScenario:
     The type checks nothing itself; each check has one owner. ``hjw_povm``
     compares the purification's marginal with ``omega`` (the mixture's
     cached barycenter) and checks its measurement. ``steer`` decides which
-    branches are null. ``psi1`` and ``psi2`` are built from sqrt(p) and
-    sqrt(1-p), whose transition probability to |0> is p to rounding, and no
-    experiment reads them. ``build_two_level_scenario`` is the only builder;
+    branches are null. ``build_two_level_scenario`` is the only builder;
     a hand-built scenario whose purification does not match ``omega``
     shows up as a large ``pipeline_discrepancy``.
     """
@@ -50,8 +48,6 @@ class SteeringScenario:
     p1: float
     p2: float
     lam: float
-    psi1: StateVector
-    psi2: StateVector
     phi: StateVector
     omega: DensityMatrix
     purification: BipartiteState
@@ -86,7 +82,6 @@ class DetectabilityReport:
     rejected: bool
     insufficient_sample: bool
     sample_size_estimate: float
-    seed: int
 
 
 def _probability_amplitudes(p: float) -> StateVector:
@@ -109,9 +104,9 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
         raise ValueError("lambda must lie strictly between 0 and 1")
 
     phi = StateVector.basis(2, 0)
-    psi1 = _probability_amplitudes(p1)
-    psi2 = _probability_amplitudes(p2)
-    mixture = Ensemble([lam, 1.0 - lam], [psi1.amplitudes, psi2.amplitudes])
+    # sqrt(p)|0> + sqrt(1-p)|1> has transition probability p to |0>, to rounding
+    members = [_probability_amplitudes(p).amplitudes for p in (p1, p2)]
+    mixture = Ensemble([lam, 1.0 - lam], members)
     # one ensemble for omega and the split: hjw_povm reuses its cached barycenter
     omega = barycenter(mixture)
     purification = purify(omega)
@@ -120,8 +115,6 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
         p1=float(p1),
         p2=float(p2),
         lam=float(lam),
-        psi1=psi1,
-        psi2=psi2,
         phi=phi,
         omega=omega,
         purification=purification,
@@ -252,5 +245,4 @@ def detectability(
         rejected=bool(not insufficient and p_value < alpha),
         insufficient_sample=bool(insufficient),
         sample_size_estimate=required_sample_size(record.prob_split, record.prob_direct, alpha),
-        seed=seed,
     )

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,3 +35,20 @@ def random_bipartite():
         return BipartiteState(m / np.linalg.norm(m))
 
     return make
+
+
+@pytest.fixture(scope="session")
+def benchmark_workloads():
+    """``perfbench/workloads.py``: the benchmark's configs and checks."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # registered first, since its dataclasses look their module up by name;
+    # the benchmark directory is read, never written: no bytecode cache there
+    sys.modules[spec.name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module

@@ -424,8 +424,9 @@ def steer_errors(members) -> list[str]:
 
 
 class TestSteerMembers:
-    """Members that convert together are parsed as one array; any other
-    list takes the per-member route, so every error still names its member."""
+    """Each member's amplitude list is read on its own, by the reader of
+    every amplitude list, so every error names its member; the rows are
+    then normalized together, one norm per row of the k x d stack."""
 
     @pytest.mark.parametrize(
         "members,expected",
@@ -468,21 +469,31 @@ class TestSteerMembers:
         want = np.array(unit) / np.sqrt(2)
         assert np.allclose(config.args["ensemble"].amplitudes, [want], rtol=0.0, atol=1e-16)
 
-    def test_both_routes_give_the_same_unit_rows(self):
-        states = [haar_random_state(32, seed).amplitudes for seed in range(8)]
+    def test_member_rows_equal_one_batch_conversion(self, benchmark_workloads):
+        # each member is read on its own; its unit row must still be the
+        # bits of one conversion of all members, normalized as rows
+        configs = [
+            call.config
+            for op in benchmark_workloads.build("steer_pipeline", 1)
+            for call in op
+            if call.config["command"] == "steer"
+        ]
         # real amplitudes, whose norm a dot product and a row sum round apart
         rng = np.random.default_rng(7)
-        states += [rng.uniform(-2.0, 2.0, d).astype(complex) for d in (2, 4, 9, 32) for _ in range(8)]
         for dim in (2, 4, 9, 32):
-            group = [s for s in states if s.size == dim]
-            pairs = [[1 / len(group), [[z.real, z.imag] for z in s]] for s in group]
-            # one real-number member sends every member down the per-member route
-            mixed = [*pairs, [0.0, [1.0] + [0.0] * (dim - 1)]]
-            one = validate(json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": pairs}}}))
-            each = validate(json.dumps({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": mixed}}}))
-            rows, per_member = one.args["ensemble"].amplitudes, each.args["ensemble"].amplitudes[: len(group)]
-            assert rows.tobytes() == per_member.tobytes()
-            assert np.allclose(rows, [s / np.linalg.norm(s) for s in group], rtol=0.0, atol=1e-15)
+            members = [[1 / 8, rng.uniform(-2.0, 2.0, dim).tolist()] for _ in range(8)]
+            configs.append({"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": members}}})
+        for config in configs:
+            members = config["parameters"]["ensemble"]["members"]
+            parts = np.array([amplitudes for _, amplitudes in members], dtype=float)
+            batch = np.zeros(parts.shape[:2], dtype=complex)
+            if parts.ndim == 3:
+                batch.real, batch.imag = parts[..., 0], parts[..., 1]
+            else:
+                batch.real = parts
+            batch /= np.linalg.norm(batch, axis=1)[:, None]
+            rows = validate(json.dumps(config)).args["ensemble"].amplitudes
+            assert rows.tobytes() == batch.tobytes()
 
     def test_a_member_written_as_numbers_leaves_the_artifact_unchanged(self, tmp_path):
         first = [0.5, [[-0.34, 0], [1.052, 0], [-0.005, 0], [0.583, 0]]]
@@ -498,9 +509,9 @@ class TestSteerMembers:
 class TestParseOnce:
     @pytest.mark.parametrize("form", ["pairs", "mixed"])
     def test_steer_constructions_do_not_grow_with_members(self, tmp_path, monkeypatch, form):
-        # the members are parsed into one array and steered as one product:
-        # only the barycenter is a checked value, for 32 members as for 64
-        # (mixed forms take the per-member parse, which builds no state either)
+        # the members are read into one array and steered as one product:
+        # only the barycenter is a checked value, for 32 members as for 64,
+        # however the members are written
         built = {}
         for name in ("StateVector", "DensityMatrix", "Effect"):
             cls = getattr(linalg, name)

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bornlab.linalg import Effect, Povm, hermitize, make_rng
+from bornlab.linalg import Effect, Povm, StateVector, hermitize, make_rng
 from bornlab.rules import PhiRule, builtin_rules
 from bornlab.signaling import (
     _DRAW_BLOCK,
+    _probability_amplitudes,
     build_two_level_scenario,
     detectability,
     jensen_gap,
@@ -22,16 +23,19 @@ from bornlab.transition import tau_closed
 class TestScenarioConstruction:
     def test_extreme_probabilities(self):
         scenario = build_two_level_scenario(0.0, 1.0, 0.5)
-        assert np.allclose(scenario.psi1.amplitudes, [0.0, 1.0])
-        assert np.allclose(scenario.psi2.amplitudes, [1.0, 0.0])
+        assert np.allclose(_probability_amplitudes(0.0).amplitudes, [0.0, 1.0])
+        assert np.allclose(_probability_amplitudes(1.0).amplitudes, [1.0, 0.0])
         assert np.allclose(scenario.omega.matrix, np.eye(2) / 2, atol=1e-12)
         assert not scenario.degenerate
 
     @pytest.mark.parametrize("p1,p2,lam", [(0.1, 0.9, 0.25), (0.35, 0.6, 0.75), (0.0, 0.55, 0.5)])
     def test_construction_hits_requested_transition_probabilities(self, p1, p2, lam):
+        # the split measurement steers Bob into members at p1 and p2 from |0>
         scenario = build_two_level_scenario(p1, p2, lam)
-        assert abs(tau_closed(scenario.psi1, scenario.phi).value - p1) <= 1e-10
-        assert abs(tau_closed(scenario.psi2, scenario.phi).value - p2) <= 1e-10
+        result = steer(scenario.purification, scenario.povm_split)
+        assert np.allclose(result.probabilities[:2], [lam, 1 - lam], rtol=0.0, atol=1e-12)
+        for vector, p in zip(result.vectors, (p1, p2)):
+            assert abs(tau_closed(StateVector(vector), scenario.phi).value - p) <= 1e-10
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="p1"):
@@ -84,7 +88,7 @@ class TestSteeringExperiment:
             for lam in (0.25, 0.5, 0.75):
                 scenario = build_two_level_scenario(p, p, lam)
                 assert scenario.degenerate
-                assert np.allclose(scenario.omega.matrix, scenario.psi1.projector(), atol=1e-12)
+                assert np.allclose(scenario.omega.matrix, _probability_amplitudes(p).projector(), atol=1e-12)
                 for rule in builtin_rules().values():
                     assert abs(run_steering_experiment(rule, scenario).gap) <= 1e-12
 

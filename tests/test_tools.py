@@ -1,10 +1,14 @@
 import hashlib
 import importlib.util
 import json
+import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+from bornlab import cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -12,6 +16,8 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 def load_tool(name: str):
     spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered first: a dataclass looks its module up by name
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -99,3 +105,39 @@ class TestArtifactDelta:
         assert result["w/a.csv"] == {"extra": "only in the second", "note": "only in the first"}
         assert delta.main([str(first), str(second)]) == 1
         assert "3 files differ" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def fuzz():
+    return load_tool("fuzz_cli")
+
+
+class TestFuzzCli:
+    @pytest.mark.filterwarnings("error")
+    def test_seed_0_keeps_the_cli_contract(self, fuzz, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report = fuzz.fuzz(0, 2000)
+        assert report.failures == []
+        # 28 benchmark bases and the qubit steer base, then the mutants
+        assert report.runs == 29 + 2000
+        assert report.codes[0] > 0 and report.codes[2] > 0
+        assert set(report.codes) <= {0, 2, 3}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_escaping_exception_fails_the_gate(self, fuzz, tmp_path, monkeypatch):
+        def raising(rule, seed, p1, p2, lam):
+            raise KeyError("p1")
+
+        monkeypatch.setitem(cli._COMMANDS, "jensen", (cli._parse_two_level, raising, "csv"))
+        monkeypatch.chdir(tmp_path)
+        failures = fuzz.fuzz(0, 20).failures
+        assert failures and all("_jensen" in f and "KeyError escaped" in f for f in failures)
+
+    def test_a_nan_in_an_artifact_fails_the_gate(self, fuzz, tmp_path, monkeypatch):
+        def nan_gap(rule, seed, p1, p2, lam):
+            return "gap=nan", ["p1", "p2", "lambda", "gap"], [[p1, p2, lam, math.nan]], None
+
+        monkeypatch.setitem(cli._COMMANDS, "jensen", (cli._parse_two_level, nan_gap, "csv"))
+        monkeypatch.chdir(tmp_path)
+        failures = fuzz.fuzz(0, 20).failures
+        assert failures and all("_jensen" in f and "artifact holds a NaN" in f for f in failures)
