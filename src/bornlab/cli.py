@@ -637,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
-        print(f"config: {exc}", file=sys.stderr)
+        print(f"config error: {args.config}: cannot be read: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnicodeDecodeError as exc:
         print(f"config error: {args.config}: not UTF-8 text: {exc}", file=sys.stderr)

@@ -38,17 +38,18 @@ def random_bipartite():
 
 
 @pytest.fixture(scope="session")
-def benchmark_workloads():
-    """``perfbench/workloads.py``: the benchmark's configs and checks."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+def fuzz_cli():
+    """``tools/fuzz_cli.py``, the CLI fuzz gate."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "fuzz_cli.py"
+    spec = importlib.util.spec_from_file_location("fuzz_cli", path)
     module = importlib.util.module_from_spec(spec)
-    # registered first, since its dataclasses look their module up by name;
-    # the benchmark directory is read, never written: no bytecode cache there
+    # registered first: a dataclass looks its module up by name
     sys.modules[spec.name] = module
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
+    spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def benchmark_workloads(fuzz_cli):
+    """``perfbench/workloads.py``: the benchmark's configs and checks."""
+    return fuzz_cli.load_workloads()

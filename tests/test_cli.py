@@ -746,6 +746,12 @@ class TestEveryConfigEndsCleanly:
         assert main(["--config", str(config), "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {config}: not UTF-8 text: ")
 
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_a_config_that_cannot_be_read_exits_two(self, tmp_path, capsys, name):
+        config = tmp_path / name
+        assert main(["--config", str(config), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {config}: cannot be read: ")
+
     def test_detect_alpha_range_ends_at_2_to_the_minus_53(self, tmp_path):
         # 2**-53 is the largest alpha for which 1 - alpha/2 rounds to 1
         def run(alpha):
@@ -1053,85 +1059,3 @@ class TestBooleansAreNotNumbers:
     def test_amplitude_lists_still_accept_booleans(self):
         config = validate(json.dumps({"command": "tau", "seed": 0, "parameters": {"psi": [True, 0], "phi": [0, 1]}}))
         assert config.args["psi"].amplitudes.tolist() == [1, 0]
-
-
-# one valid config per command, small enough that a mutant of it runs fast
-FUZZ_BASES = {
-    "tau": {"psi": [0.6, [0.0, 0.8]], "phi": [[1, 0], [0, 1]], "max_iters": 50},
-    "steer": {"ensemble": {"members": [[0.5, [1, 0]], [0.25, [0.6, 0.8]], [0.25, [0, 1]]]}},
-    "jensen": {"p1": 0.2, "p2": 0.9, "lambda": 0.3},
-    "experiment": {"p1": 0.1, "p2": 0.7, "lambda": 0.6},
-    "detect": {"p1": 0.2, "p2": 0.9, "lambda": 0.3, "n_samples": 500, "alpha": 0.05},
-    "scan": {"grid_step": 0.05, "gap_tolerance": 1e-10},
-    "fock_converge": {"alpha": [0.5, 0.25], "beta": 1.0, "n_list": [2, 8, 20]},
-    "sigma_affinity": {"r": 0.4, "n_list": [0, 3, 9], "phi": {"fock": 1}},
-}
-FUZZ_RULES = [
-    {"kind": "identity"},
-    {"kind": "power", "alpha": 2.0},
-    {"kind": "piecewise_affine", "knots": [[0, 0], [0.5, 0.3], [1, 1]]},
-    {"kind": "custom", "values": [0, 0.2, 1]},
-]
-# Replacement values. No number lies in (0, 0.01), so a grid step stays
-# >= 0.01; cutoffs, Fock indices and sample counts stay <= 60 unless they
-# are too large for any array (10**19), and lists stay <= 16 entries.
-FUZZ_VALUES = [-1, 0, 0.5, 1, 2, 7, 60, 1e300, -1e300, 10**19, True, False, None, "x", [], {}, [1], {"kind": "x"}]
-
-
-def fuzz_paths(node, prefix=()):
-    """Every (container, key) position in a config document."""
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for key, child in items:
-        yield prefix + (key,)
-        if isinstance(child, (dict, list)):
-            yield from fuzz_paths(child, prefix + (key,))
-
-
-def mutate(doc, rng):
-    paths = list(fuzz_paths(doc))
-    path = paths[rng.integers(len(paths))]
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    key, value = path[-1], parent[path[-1]]
-    action = rng.integers(4)
-    if action == 0:
-        del parent[key]
-    elif action == 1 and isinstance(value, list) and value:
-        # a shorter or a longer list, the latter by repeating entries
-        length = int(rng.integers(0, min(2 * len(value), 16) + 1))
-        parent[key] = [json.loads(json.dumps(value[i % len(value)])) for i in range(length)]
-    elif action == 2 and isinstance(value, dict):
-        parent[key] = [value]
-    else:
-        parent[key] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
-
-
-class TestConfigFuzz:
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
-    def test_mutated_configs_exit_zero_two_or_three(self, tmp_path, capsys, command):
-        rng = linalg.make_rng(20260, stream=sorted(FUZZ_BASES).index(command))
-        codes = []
-        for case in range(40):
-            doc = {
-                "command": command,
-                "seed": 1,
-                "rule": FUZZ_RULES[case % len(FUZZ_RULES)],
-                "parameters": FUZZ_BASES[command],
-                "output": {"format": "json" if case % 2 else "csv"},
-            }
-            doc = json.loads(json.dumps(doc))
-            for _ in range(1 + rng.integers(2)):
-                mutate(doc, rng)
-            code, _ = run_doc(tmp_path, doc, f"fuzz{case}")
-            err = capsys.readouterr().err
-            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), (doc, err)
-            assert "Traceback" not in err
-            if code == EXIT_CONFIG:
-                assert err.startswith("config error: ") or err.startswith("config: "), (doc, err)
-            elif code == EXIT_NUMERICAL:
-                assert f"numerical failure: {command}: " in err, (doc, err)
-            codes.append(code)
-        # the mutants reach the handlers as well as the checks
-        assert EXIT_CONFIG in codes and EXIT_OK in codes

@@ -2,7 +2,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,36 +110,66 @@ class TestArtifactDelta:
 
 
 @pytest.fixture(scope="module")
-def fuzz():
-    return load_tool("fuzz_cli")
+def seed_0(fuzz_cli, tmp_path_factory):
+    """The seed-0 gate, run from a directory that holds one file, and that
+    directory."""
+    home = tmp_path_factory.mktemp("caller")
+    (home / "keep.txt").write_text("kept", encoding="utf-8")
+    start = os.getcwd()
+    os.chdir(home)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fuzz_cli.fuzz(0)
+        assert os.getcwd() == str(home)
+    finally:
+        os.chdir(start)
+    return report, home
 
 
 class TestFuzzCli:
-    @pytest.mark.filterwarnings("error")
-    def test_seed_0_keeps_the_cli_contract(self, fuzz, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        report = fuzz.fuzz(0, 2000)
+    def test_seed_0_keeps_the_cli_contract(self, fuzz_cli, seed_0):
+        report, _ = seed_0
         assert report.failures == []
-        # 28 benchmark bases and the qubit steer base, then the mutants
-        assert report.runs == 29 + 2000
-        assert report.codes[0] > 0 and report.codes[2] > 0
-        assert set(report.codes) <= {0, 2, 3}
-        assert list(tmp_path.iterdir()) == []
+        # 28 benchmark bases, the qubit steer base and one form base per
+        # command, then the mutants
+        assert report.runs == 29 + len(fuzz_cli.FORMS) + 2000
+        assert {code for _, code in report.codes} <= {0, 2, 3}
 
-    def test_an_escaping_exception_fails_the_gate(self, fuzz, tmp_path, monkeypatch):
+    def test_the_caller_s_directory_is_left_alone(self, seed_0):
+        _, home = seed_0
+        assert [path.name for path in home.iterdir()] == ["keep.txt"]
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_mutants_of_each_command_reach_its_handler_and_its_checks(self, seed_0, command):
+        report, _ = seed_0
+        assert report.codes[command, 0] > 0 and report.codes[command, 2] > 0
+
+    def test_an_escaping_exception_fails_the_gate(self, fuzz_cli, monkeypatch):
         def raising(rule, seed, p1, p2, lam):
             raise KeyError("p1")
 
         monkeypatch.setitem(cli._COMMANDS, "jensen", (cli._parse_two_level, raising, "csv"))
-        monkeypatch.chdir(tmp_path)
-        failures = fuzz.fuzz(0, 20).failures
+        failures = fuzz_cli.fuzz(0, 20).failures
         assert failures and all("_jensen" in f and "KeyError escaped" in f for f in failures)
 
-    def test_a_nan_in_an_artifact_fails_the_gate(self, fuzz, tmp_path, monkeypatch):
+    def test_a_nan_in_an_artifact_fails_the_gate(self, fuzz_cli, monkeypatch):
         def nan_gap(rule, seed, p1, p2, lam):
             return "gap=nan", ["p1", "p2", "lambda", "gap"], [[p1, p2, lam, math.nan]], None
 
         monkeypatch.setitem(cli._COMMANDS, "jensen", (cli._parse_two_level, nan_gap, "csv"))
-        monkeypatch.chdir(tmp_path)
-        failures = fuzz.fuzz(0, 20).failures
+        failures = fuzz_cli.fuzz(0, 20).failures
         assert failures and all("_jensen" in f and "artifact holds a NaN" in f for f in failures)
+
+    def test_a_numerical_failure_without_its_command_fails_the_gate(self, fuzz_cli, monkeypatch):
+        real = cli.run
+
+        def unnamed(config, quiet=False):
+            if config.command != "jensen":
+                return real(config, quiet)
+            print("numerical failure: gap did not converge", file=sys.stderr)
+            return cli.EXIT_NUMERICAL
+
+        monkeypatch.setattr(cli, "run", unnamed)
+        failures = fuzz_cli.fuzz(0, 20).failures
+        assert failures and all("_jensen" in f and "exit 3 wrote 'numerical failure: gap" in f for f in failures)

@@ -4,28 +4,33 @@ artifact (exit 0), a config error (exit 2) or a numerical failure (exit 3).
 
 The base configs are the seven small calls that end each op of the
 benchmark's ``steer_pipeline`` workload at the fuzz seed
-(``perfbench/workloads.py``, read and never written), and one two-member
-qubit steer config. Each base runs once unmutated and its artifact must pass
-its benchmark check. Each fuzzed config is then a base with one to three
-mutations, each at a random position of the document: a hostile leaf value,
-a deleted key or list entry, or a scaling of a number or of a list's length.
-The draws keep every valid config cheap: no value lies near ``MAX_SAMPLES``
-(sample counts grow at most eightfold from the base's 1000) or near
-``MIN_GRID_STEP`` (scalings shrink the base's 0.1 to 0.0125 at most), a
-list grows to at most 16 entries, and every output path drawn is relative.
+(``perfbench/workloads.py``, read and never written), one two-member qubit
+steer config, and one small config of each command in the forms those calls
+do not write (complex pairs, a Fock-index ``phi``, three steer members).
+Each base runs once unmutated, and a benchmark call's artifact must pass
+its benchmark check. Each of the ``CONFIGS`` fuzzed configs is then a base
+with a rule drawn from the four kinds, an output format drawn from csv and
+json, and one to three mutations, each at a random position of the
+document: a hostile leaf value, a deleted key or list entry, a scaling of a
+number or of a list's length, or a dict wrapped in a list. The draws keep
+every valid config cheap: no value lies near ``MAX_SAMPLES`` (sample counts
+grow at most eightfold from the bases' 500 and 1000) or near
+``MIN_GRID_STEP`` (scalings shrink the bases' grid steps, 0.05 and 0.1,
+eightfold at most), a list grows to at most 16 entries, and every output
+path drawn is relative.
 
 Every config runs in-process through ``bornlab.cli.main`` (from this
-tree's ``src/``), in the working directory. A config fails the gate when an
-exception escapes, the exit is not 0, 2 or 3, an exit 2 writes a stderr line
-that starts neither ``config error:`` nor ``warning:``, or an exit 0 leaves
-no artifact, one that does not parse, or one that holds a NaN. Each
-distinct exit-3 message, its numbers written as ``#``, is printed with its
-count, so that a new one is seen.
+tree's ``src/``), in a temporary directory of its own. A config fails the
+gate when an exception escapes, the exit is not 0, 2 or 3, a stderr line
+other than a ``warning:`` does not start ``config error:`` (exit 2) or
+``numerical failure: <command>:`` (exit 3) or is written at all (exit 0),
+or an exit 0 leaves no artifact, one that does not parse, or one that holds
+a NaN. Each distinct exit-3 message, its numbers written as ``#``, is
+printed with its count, so that a new one is seen.
 
-    python3 -W error tools/fuzz_cli.py --seed 1 --configs 2000
+    python3 -W error tools/fuzz_cli.py --seed 1
 
-Runs in a temporary directory, prints a summary and every failure, and
-exits 1 if any config failed.
+Prints a summary and every failure, and exits 1 if any config failed.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import importlib.util
 import io
 import json
@@ -48,6 +54,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = "config.json"
+# mutated configs per seed
+CONFIGS = 2000
+RULES = [
+    {"kind": "identity"},
+    {"kind": "power", "alpha": 2.0},
+    {"kind": "piecewise_affine", "knots": [[0, 0], [0.5, 0.3], [1, 1]]},
+    {"kind": "custom", "values": [0, 0.2, 1]},
+]
+FORMATS = ("csv", "json")
+# one small config of each command, in forms the benchmark's calls do not write
+FORMS = {
+    "tau": {"psi": [0.6, [0.0, 0.8]], "phi": [[1, 0], [0, 1]], "max_iters": 50},
+    "steer": {"ensemble": {"members": [[0.5, [1, 0]], [0.25, [0.6, 0.8]], [0.25, [0, 1]]]}},
+    "jensen": {"p1": 0.2, "p2": 0.9, "lambda": 0.3},
+    "experiment": {"p1": 0.1, "p2": 0.7, "lambda": 0.6},
+    "detect": {"p1": 0.2, "p2": 0.9, "lambda": 0.3, "n_samples": 500, "alpha": 0.05},
+    "scan": {"grid_step": 0.05, "gap_tolerance": 1e-10},
+    "fock_converge": {"alpha": [0.5, 0.25], "beta": 1.0, "n_list": [2, 8, 20]},
+    "sigma_affinity": {"r": 0.4, "n_list": [0, 3, 9], "phi": {"fock": 1}},
+}
 
 # Hostile leaf values: wrong types, signs and sizes, non-finite numbers
 # (written as JSON's Infinity and NaN), integers past a float, strings that
@@ -60,7 +86,7 @@ HOSTILE = [
 ]
 # Factors a number is scaled by. The only ones below 1/2 in size are 0 and
 # 1e-300, which take a grid_step past its lower bound, so a valid scaled
-# grid_step is at least 1/8 of the base's. Integers stay integers only
+# grid_step is at least 1/8 of its base's. Integers stay integers only
 # under -1, 0 and 2, so a sample count or cutoff grows at most eightfold.
 SCALES = [-1, 0, 2, 0.5, 1 + 2**-52, 1e-300, 1e300]
 MAX_LIST = 16
@@ -70,13 +96,15 @@ NUMBER = re.compile(r"\(?[-+]?[\d.]+(?:e[-+]?\d+)?(?:[-+][\d.]+(?:e[-+]?\d+)?)?j
 @dataclass
 class Report:
     runs: int = 0
+    # (command of the base config, exit code) -> count
     codes: Counter = field(default_factory=Counter)
     numerical: Counter = field(default_factory=Counter)
     failures: list = field(default_factory=list)
 
 
+@functools.cache
 def load_workloads():
-    """``perfbench/workloads.py``, imported without a bytecode cache there."""
+    """``perfbench/workloads.py``, imported once, without a bytecode cache there."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     # registered first: its dataclasses look their module up by name
@@ -118,6 +146,9 @@ def base_configs(workloads, seed: int) -> list[tuple[str, dict, object]]:
     members = [[0.25, [[0.6, 0.0], [0.0, 0.8]]], [0.75, [1, 0]]]
     steer = {"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": members}}, "output": {"path": "qubit.csv"}}
     bases.append(("qubit_steer", steer, _check_qubit_steer))
+    for command, parameters in FORMS.items():
+        form = {"command": command, "seed": 1, "parameters": parameters, "output": {"path": f"form_{command}.csv"}}
+        bases.append((f"form_{command}", form, None))
     return bases
 
 
@@ -147,6 +178,8 @@ def mutate(doc, rng: random.Random) -> None:
     elif action == 1 and isinstance(value, list) and value:
         length = rng.choice([0, len(value) // 2, min(2 * len(value), MAX_LIST)])
         parent[key] = [json.loads(json.dumps(value[i % len(value)])) for i in range(length)]
+    elif action == 1 and isinstance(value, dict):
+        parent[key] = [value]
     else:
         parent[key] = json.loads(json.dumps(rng.choice(HOSTILE)))
 
@@ -175,33 +208,32 @@ def _artifact_problem(data: bytes) -> str | None:
     return None
 
 
-def _run(cli, text: str, report: Report, check) -> str | None:
-    """Run one config in the working directory; what it broke, or None."""
+def _run(cli, text: str, command, check) -> tuple[int | None, str | None, list[str]]:
+    """Run one config in the working directory, a temporary one of
+    ``fuzz``'s own; its exit code, what it broke or None, and its stderr
+    lines other than warnings."""
     for leftover in os.listdir("."):
         os.remove(leftover)
     with open(CONFIG, "w", encoding="utf-8") as fh:
         fh.write(text)
     err = io.StringIO()
-    report.runs += 1
     try:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["--config", CONFIG, "--quiet"])
     except Exception as exc:  # noqa: BLE001 - an escape is what the gate looks for
-        return f"{type(exc).__name__} escaped: {exc}"
-    report.codes[code] += 1
-    lines = err.getvalue().splitlines()
-    if code == 2:
-        stray = [line for line in lines if not line.startswith(("config error:", "warning:"))]
-        return f"exit 2 wrote {stray[0]!r}" if stray else None
-    if code == 3:
-        # one entry per message, whatever numbers it quotes
-        report.numerical.update(NUMBER.sub("#", line) for line in lines if not line.startswith("warning:"))
-        return None
+        return None, f"{type(exc).__name__} escaped: {exc}", []
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning:")]
+    prefix = {2: "config error:", 3: f"numerical failure: {command}: "}.get(code)
+    if code not in (0, 2, 3):
+        return code, f"exit {code}", lines
+    stray = [line for line in lines if prefix is None or not line.startswith(prefix)]
+    if stray:
+        return code, f"exit {code} wrote {stray[0]!r}", lines
     if code != 0:
-        return f"exit {code}"
+        return code, None, lines
     artifacts = [path for path in os.listdir(".") if path != CONFIG]
     if len(artifacts) != 1:
-        return f"exit 0 left {len(artifacts)} artifacts"
+        return code, f"exit 0 left {len(artifacts)} artifacts", lines
     with open(artifacts[0], "rb") as fh:
         data = fh.read()
     problem = _artifact_problem(data)
@@ -209,51 +241,62 @@ def _run(cli, text: str, report: Report, check) -> str | None:
         try:
             check(data)
         except (AssertionError, KeyError, IndexError, TypeError, ValueError) as exc:
-            return f"benchmark check failed: {type(exc).__name__}: {exc}"
-    return problem
+            return code, f"benchmark check failed: {type(exc).__name__}: {exc}", lines
+    return code, problem, lines
 
 
-def run_one(cli, name: str, doc: dict, report: Report, check=None) -> None:
-    """Run one config and record a failure naming it, if it breaks the contract."""
+def run_one(cli, name: str, base_command: str, doc: dict, report: Report, check=None) -> None:
+    """Run one config, count its exit under its base's command, and record
+    a failure naming it if it breaks the contract."""
     text = json.dumps(doc)
-    problem = _run(cli, text, report, check)
+    code, problem, lines = _run(cli, text, doc.get("command"), check)
+    report.runs += 1
+    if code is not None:
+        report.codes[base_command, code] += 1
+    if code == 3:
+        # one entry per message, whatever numbers it quotes
+        report.numerical.update(NUMBER.sub("#", line) for line in lines)
     if problem is not None:
         report.failures.append(f"{name}: {problem}  config: {text[:300]}")
 
 
-def fuzz(seed: int, n_configs: int) -> Report:
-    """Run every base config, then ``n_configs`` mutants, in the working
-    directory, which they leave empty."""
+def fuzz(seed: int, n_configs: int = CONFIGS) -> Report:
+    """Run every base config, then ``n_configs`` mutants, in a temporary
+    directory that is removed afterwards; the caller's working directory is
+    left as it was."""
     cli, workloads = load_cli(), load_workloads()
     bases = base_configs(workloads, seed)
     rng = random.Random(seed)
     report = Report()
-    for name, doc, check in bases:
-        run_one(cli, name, doc, report, check)
-    for case in range(n_configs):
-        name, doc, _ = bases[case % len(bases)]
-        doc = json.loads(json.dumps(doc))
-        for _ in range(rng.randint(1, 3)):
-            mutate(doc, rng)
-        run_one(cli, f"{name}#{case}", doc, report)
-    for leftover in os.listdir("."):
-        os.remove(leftover)
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="fuzz-cli-") as tmp:
+        os.chdir(tmp)
+        try:
+            for name, doc, check in bases:
+                run_one(cli, name, doc["command"], doc, report, check)
+            for case in range(n_configs):
+                name, base, _ = bases[case % len(bases)]
+                doc = json.loads(json.dumps(base))
+                fmt = rng.choice(FORMATS)
+                doc["rule"] = json.loads(json.dumps(rng.choice(RULES)))
+                doc["output"] = {"path": f"{name}.{fmt}", "format": fmt}
+                for _ in range(rng.randint(1, 3)):
+                    mutate(doc, rng)
+                run_one(cli, f"{name}#{case}", base["command"], doc, report)
+        finally:
+            os.chdir(start)
     return report
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0, help="seed of the base configs and the mutations")
-    parser.add_argument("--configs", type=int, default=2000, help="number of mutated configs")
     args = parser.parse_args(argv)
-    start = os.getcwd()
-    with tempfile.TemporaryDirectory(prefix="fuzz-cli-") as tmp:
-        os.chdir(tmp)
-        try:
-            report = fuzz(args.seed, args.configs)
-        finally:
-            os.chdir(start)
-    codes = ", ".join(f"exit {code}: {count}" for code, count in sorted(report.codes.items()))
+    report = fuzz(args.seed)
+    totals = Counter()
+    for (_, code), count in report.codes.items():
+        totals[code] += count
+    codes = ", ".join(f"exit {code}: {count}" for code, count in sorted(totals.items()))
     print(f"fuzz_cli: seed {args.seed}, {report.runs} configs ({codes}), {len(report.failures)} failed")
     for message, count in sorted(report.numerical.items()):
         print(f"  exit 3 x{count}: {message}")
