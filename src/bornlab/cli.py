@@ -40,10 +40,11 @@ EXIT_NUMERICAL = 3
 # prefix per cutoff). An amplitude-list phi has at most MAX_CUTOFF + 1
 # entries, the dimension that phi.fock reaches.
 MAX_CUTOFF = 1000
-# Largest detect n_samples: each arm draws one float per sample, into one
-# reused block of at most 8192 floats. At the cap a CLI detect takes ~0.3 s
-# and 39 MB peak RSS as a subprocess, against 31 MB for a jensen call
-# (2-vCPU VM; ~0.2 s of it is interpreter and numpy start-up).
+# Largest detect n_samples, an input bound only: each arm's count is one
+# binomial draw, whose time and memory do not depend on n_samples. A CLI
+# detect takes ~0.2 s and 39 MB peak RSS as a subprocess at the cap or at
+# 1000 samples alike, nearly all of it interpreter and numpy start-up
+# (2-vCPU VM).
 MAX_SAMPLES = 10**7
 # Smallest scan grid_step: the grid and its rule values are O(1/grid_step)
 # in memory and the pair scan O(1/grid_step**2) in time at worst. The worst

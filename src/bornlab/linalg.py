@@ -35,7 +35,8 @@ POVM_SUM_ATOL = 1e-8
 
 #: Identifier of the seeded generator scheme. Outputs are bit-reproducible
 #: for a fixed (seed, stream) across runs as long as this scheme is unchanged.
-GENERATOR_SCHEME = "numpy-pcg64:v1"
+#: v2: ``detectability`` takes each arm's count from one ``binomial`` call.
+GENERATOR_SCHEME = "numpy-pcg64:v2"
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -18,13 +18,11 @@ from statistics import NormalDist
 import numpy as np
 
 from .linalg import BipartiteState, DensityMatrix, Povm, StateVector, make_rng, purify
-from .rules import PhiRule, phi_eval, prob_pure
+from .rules import ENDPOINT_ATOL, PhiRule, phi_eval, prob_pure
 from .steering import Ensemble, barycenter, hjw_povm, steer
 from .transition import tau_mixed
 
 _NORMAL = NormalDist()
-# floats of the one block each detectability arm draws its samples into
-_DRAW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -197,15 +195,12 @@ def required_sample_size(prob_split: float, prob_direct: float, alpha: float = 0
     return z_sum**2 * pbar * (1.0 - pbar) * 2.0 / gap**2
 
 
-def _count_below(rng: np.random.Generator, prob: float, n: int, block: np.ndarray) -> int:
-    """How many of ``rng``'s next ``n`` uniform draws fall below ``prob``,
-    drawn into ``block`` a block at a time: the stream, and so the count,
-    is that of one ``rng.random(n)`` call."""
-    count = 0
-    for done in range(0, n, block.size):
-        draws = rng.random(out=block[: min(block.size, n - done)])
-        count += int(np.count_nonzero(draws < prob))
-    return count
+def _arm_probability(name: str, p: float) -> float:
+    """``p`` clamped into [0, 1] if it lies within ``ENDPOINT_ATOL`` of it,
+    where rounding can take an admissible rule's arm; ValueError otherwise."""
+    if not -ENDPOINT_ATOL <= p <= 1.0 + ENDPOINT_ATOL:
+        raise ValueError(f"{name} = {p!r} lies outside [0, 1]: the rule's values are not probabilities")
+    return min(1.0, max(0.0, p))
 
 
 def detectability(
@@ -217,18 +212,24 @@ def detectability(
 ) -> DetectabilityReport:
     """Simulate both arms and test whether their statistics differ.
 
-    Each arm draws ``n_samples`` Bernoulli outcomes of the test effect from
-    an independent stream derived from ``seed``, then a pooled two-proportion
-    z-test is applied. Runs with pooled expected counts below 5 are flagged
+    Each arm's success count among ``n_samples`` outcomes of the test effect
+    is one Binomial(``n_samples``, p) draw, from an independent stream
+    derived from ``seed`` (stream 1 for the split arm, 2 for the direct
+    one), so time and memory do not depend on ``n_samples``. An arm
+    probability within ``ENDPOINT_ATOL`` of [0, 1] is clamped into it;
+    farther out, the rule's values are not probabilities and ValueError is
+    raised before anything is drawn. A pooled two-proportion z-test is then
+    applied. Runs with pooled expected counts below 5 are flagged
     insufficient and never claim a rejection. The report includes the
     analytic per-arm sample-size estimate with ``alpha`` as both error rates.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample per arm")
     record = run_steering_experiment(rule, scenario)
-    block = np.empty(min(n_samples, _DRAW_BLOCK))
-    x_split = _count_below(make_rng(seed, stream=1), record.prob_split, n_samples, block)
-    x_direct = _count_below(make_rng(seed, stream=2), record.prob_direct, n_samples, block)
+    p_split = _arm_probability("prob_split", record.prob_split)
+    p_direct = _arm_probability("prob_direct", record.prob_direct)
+    x_split = int(make_rng(seed, stream=1).binomial(n_samples, p_split))
+    x_direct = int(make_rng(seed, stream=2).binomial(n_samples, p_direct))
     z, p_value = _two_proportion_test(x_split, x_direct, n_samples)
     pooled = (x_split + x_direct) / (2.0 * n_samples)
     expected = n_samples * pooled

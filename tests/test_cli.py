@@ -721,6 +721,31 @@ class TestEveryConfigEndsCleanly:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "values,parameters,prob_split",
+        [
+            # gap**2 once overflowed in the sample-size estimate, with a raw errno tuple
+            ([0, 2e299, 1], {"p1": 0.376, "p2": 0.272, "lambda": 0.206}, "1.173696000000001e+299"),
+            # once wrote an artifact with a negative prob_split
+            ([0, -1], {"p1": 0.7, "p2": 0.75, "lambda": 0.4}, "-0.7300000000000006"),
+        ],
+        ids=["huge", "negative"],
+    )
+    def test_detect_names_a_rule_whose_values_are_not_probabilities(self, tmp_path, capsys, values, parameters, prob_split):
+        doc = {
+            "command": "detect",
+            "rule": {"kind": "custom", "values": values},
+            "seed": 0,
+            "parameters": {**parameters, "n_samples": 1000},
+        }
+        exit_code, out = run_doc(tmp_path, doc)
+        assert exit_code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"numerical failure: detect: prob_split = {prob_split} lies outside [0, 1]: "
+            "the rule's values are not probabilities\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "rule,parameters",
         [
             # a near-degenerate pair, and a tiny lambda: before hjw_povm took its

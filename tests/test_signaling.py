@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bornlab.cli import MAX_SAMPLES
 from bornlab.linalg import Effect, Povm, StateVector, hermitize, make_rng
 from bornlab.rules import PhiRule, builtin_rules
 from bornlab.signaling import (
-    _DRAW_BLOCK,
     _probability_amplitudes,
     build_two_level_scenario,
     detectability,
@@ -197,14 +197,13 @@ class TestDetectability:
         third = detectability(PhiRule.power(2.0), scenario, n_samples=500, seed=10)
         assert third.freq_split != first.freq_split or third.freq_direct != first.freq_direct
 
-    @pytest.mark.parametrize("n", [1, 7, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 5])
-    def test_block_draws_equal_one_shot_draws(self, n):
-        # each arm draws its samples a block at a time from one stream: the
-        # counts are those of a single draw of n floats
+    @pytest.mark.parametrize("n", [1, 7, 10**5, MAX_SAMPLES])
+    def test_each_arm_count_is_one_binomial_draw(self, n):
+        # stream 1 draws the split arm's count and stream 2 the direct one's
         scenario = build_two_level_scenario(0.2, 0.7, 0.25)
         report = detectability(PhiRule.power(2.0), scenario, n_samples=n, seed=17)
-        split = np.count_nonzero(make_rng(17, stream=1).random(n) < report.prob_split)
-        direct = np.count_nonzero(make_rng(17, stream=2).random(n) < report.prob_direct)
+        split = make_rng(17, stream=1).binomial(n, report.prob_split)
+        direct = make_rng(17, stream=2).binomial(n, report.prob_direct)
         assert report.freq_split == split / n
         assert report.freq_direct == direct / n
 
@@ -212,11 +211,25 @@ class TestDetectability:
         scenario = build_two_level_scenario(0.0, 1.0, 0.5)
         tracemalloc.start()
         try:
-            detectability(PhiRule.power(2.0), scenario, n_samples=10**6, seed=4)
+            detectability(PhiRule.power(2.0), scenario, n_samples=MAX_SAMPLES, seed=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1e6
+        assert peak < 10_000
+
+    @pytest.mark.parametrize("values,p", [([-1e-13, 1.0], 0.0), ([0.0, 1.0 + 1e-13], 1.0)])
+    def test_arm_within_endpoint_tolerance_is_clamped(self, values, p):
+        # both arms sit at Phi(p), just past [0, 1]: each is drawn at p
+        report = detectability(PhiRule.custom(values), build_two_level_scenario(p, p, 0.5), n_samples=100, seed=0)
+        assert report.prob_split != p and report.prob_direct != p
+        assert report.freq_split == p and report.freq_direct == p
+
+    @pytest.mark.parametrize("values,p", [([-1e-11, 1.0], 0.0), ([0.0, 1.0 + 1e-11], 1.0)])
+    def test_arm_just_past_the_endpoint_tolerance_is_named(self, values, p):
+        # tests/test_cli.py pins arms far outside [0, 1]
+        scenario = build_two_level_scenario(p, p, 0.5)
+        with pytest.raises(ValueError, match=r"^prob_split = .* lies outside \[0, 1\]: the rule's values are not probabilities$"):
+            detectability(PhiRule.custom(values), scenario, n_samples=100, seed=0)
 
     def test_sample_count_validation(self):
         scenario = build_two_level_scenario(0.0, 1.0, 0.5)

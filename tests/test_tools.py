@@ -173,3 +173,25 @@ class TestFuzzCli:
         monkeypatch.setattr(cli, "run", unnamed)
         failures = fuzz_cli.fuzz(0, 20).failures
         assert failures and all("_jensen" in f and "exit 3 wrote 'numerical failure: gap" in f for f in failures)
+
+    def test_a_file_left_by_a_config_error_fails_the_gate(self, fuzz_cli, monkeypatch):
+        real = cli.run
+
+        def leaky(config, quiet=False):
+            if config.command != "jensen":
+                return real(config, quiet)
+            real(config, quiet=True)
+            print("config error: p1: rejected after the artifact was written", file=sys.stderr)
+            return cli.EXIT_CONFIG
+
+        monkeypatch.setattr(cli, "run", leaky)
+        failures = fuzz_cli.fuzz(0, 20).failures
+        assert failures and all("_jensen" in f and "exit 2 left '" in f for f in failures)
+
+    def test_a_nan_left_by_a_numerical_failure_fails_the_gate(self, fuzz_cli, monkeypatch):
+        def nan_then_fail(rule, seed, p1, p2, lam):
+            raise cli.ConvergenceError("gap did not converge", best_value=math.nan, residual=1.0, iterations=3)
+
+        monkeypatch.setitem(cli._COMMANDS, "jensen", (cli._parse_two_level, nan_then_fail, "csv"))
+        failures = fuzz_cli.fuzz(0, 20).failures
+        assert failures and all("_jensen" in f and "exit 3: artifact holds a NaN" in f for f in failures)

@@ -24,9 +24,11 @@ tree's ``src/``), in a temporary directory of its own. A config fails the
 gate when an exception escapes, the exit is not 0, 2 or 3, a stderr line
 other than a ``warning:`` does not start ``config error:`` (exit 2) or
 ``numerical failure: <command>:`` (exit 3) or is written at all (exit 0),
-or an exit 0 leaves no artifact, one that does not parse, or one that holds
-a NaN. Each distinct exit-3 message, its numbers written as ``#``, is
-printed with its count, so that a new one is seen.
+an exit 0 leaves no artifact, an exit 2 leaves any file besides the
+config, or a file left by an exit 0 or 3 (only ``tau``'s non-convergence
+artifact is meant to be) does not parse or holds a NaN. Each distinct
+exit-3 message, its numbers written as ``#``, is printed with its count,
+so that a new one is seen.
 
     python3 -W error tools/fuzz_cli.py --seed 1
 
@@ -229,20 +231,23 @@ def _run(cli, text: str, command, check) -> tuple[int | None, str | None, list[s
     stray = [line for line in lines if prefix is None or not line.startswith(prefix)]
     if stray:
         return code, f"exit {code} wrote {stray[0]!r}", lines
-    if code != 0:
-        return code, None, lines
-    artifacts = [path for path in os.listdir(".") if path != CONFIG]
-    if len(artifacts) != 1:
+    artifacts = sorted(path for path in os.listdir(".") if path != CONFIG)
+    if code == 2 and artifacts:
+        return code, f"exit 2 left {artifacts[0]!r}", lines
+    if code == 0 and len(artifacts) != 1:
         return code, f"exit 0 left {len(artifacts)} artifacts", lines
-    with open(artifacts[0], "rb") as fh:
-        data = fh.read()
-    problem = _artifact_problem(data)
-    if problem is None and check is not None:
+    for path in artifacts:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        problem = _artifact_problem(data)
+        if problem is not None:
+            return code, f"exit {code}: {problem}", lines
+    if code == 0 and check is not None:
         try:
             check(data)
         except (AssertionError, KeyError, IndexError, TypeError, ValueError) as exc:
             return code, f"benchmark check failed: {type(exc).__name__}: {exc}", lines
-    return code, problem, lines
+    return code, None, lines
 
 
 def run_one(cli, name: str, base_command: str, doc: dict, report: Report, check=None) -> None:
