@@ -1,10 +1,10 @@
 """Scenario runner: validate a JSON config, execute one command, write one
 self-describing artifact, print a one-line summary.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (a best-effort
-artifact is written only when an optimizer does not converge). Identical
-(config, seed) pairs produce byte-identical artifacts: no timestamps, fixed
-column orders, sorted JSON keys, 17-significant-digit reals.
+Exit codes: 0 success, 2 config error, 3 numerical failure; an exit 2 or 3
+writes no file. Identical (config, seed) pairs produce byte-identical
+artifacts: no timestamps, fixed column orders, sorted JSON keys,
+17-significant-digit reals.
 """
 
 from __future__ import annotations
@@ -367,6 +367,9 @@ def validate(
         doc = json.loads(config_text, parse_int=_finite_int, parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigValidationError([f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]) from exc
+    except RecursionError as exc:
+        # the decoder recurses once per nested list or object, hooks included
+        raise ConfigValidationError(["nesting: lists and objects nest deeper than the JSON decoder's recursion limit"]) from exc
     if not isinstance(doc, dict):
         raise ConfigValidationError(["top level: expected a JSON object"])
 
@@ -576,30 +579,22 @@ _COMMANDS = {
 
 def run(config: ScenarioConfig, quiet: bool = False) -> int:
     """Execute one validated config and write its artifact."""
+    try:
+        summary, columns, rows, nested = _COMMANDS[config.command][1](config.rule, config.seed, **config.args)
+    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+        # the config is valid, but the numerics fail on it: no file is written
+        print(f"numerical failure: {config.command}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     metadata = {
         "tool_version": __version__,
         "command": config.command,
         "rule": config.rule.describe(),
         "seed": config.seed,
     }
-    try:
-        summary, columns, rows, nested = _COMMANDS[config.command][1](config.rule, config.seed, **config.args)
-    except ConvergenceError as exc:
-        # best-effort artifact so the failure is inspectable downstream
-        columns = ["error", "best_value", "residual", "iterations"]
-        rows = [["non-convergence", exc.best_value, exc.residual, exc.iterations]]
-        _write_artifact(config, metadata, columns, rows, None)
-        failure = exc
-    except (ValueError, ArithmeticError) as exc:
-        # the config is valid, but the numerics fail on it
-        failure = exc
-    else:
-        _write_artifact(config, metadata, columns, rows, nested)
-        if not quiet:
-            print(summary)
-        return EXIT_OK
-    print(f"numerical failure: {config.command}: {failure}", file=sys.stderr)
-    return EXIT_NUMERICAL
+    _write_artifact(config, metadata, columns, rows, nested)
+    if not quiet:
+        print(summary)
+    return EXIT_OK
 
 
 def _write_artifact(

@@ -139,7 +139,7 @@ def tau_optimized(
 
     best = _assemble_result(phi, effect, psi, iterations)
     raise ConvergenceError(
-        f"no convergence after {iterations} iterations (best value {best.value})",
+        f"no convergence after {iterations} iterations (best value {best.value}, residual {best.residual})",
         best_value=best.value,
         residual=best.residual,
         iterations=iterations,

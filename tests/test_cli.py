@@ -252,7 +252,7 @@ class TestExitCodes:
         assert err.count("config error:") == 1
         assert err.startswith("config error: ensemble.tail_weight: must be 0")
 
-    def test_numerical_failure_exits_three_with_artifact(self, tmp_path, capsys):
+    def test_numerical_failure_exits_three_without_artifact(self, tmp_path, capsys):
         inv = 2**-0.5
         out = tmp_path / "tau.csv"
         doc = {
@@ -262,8 +262,11 @@ class TestExitCodes:
             "output": {"path": str(out), "format": "csv"},
         }
         assert main(["--config", str(write_config(tmp_path, doc))]) == EXIT_NUMERICAL
-        assert "non-convergence" in out.read_text(encoding="utf-8")
-        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: tau: no convergence after 1 iterations")
+        assert "best value " in lines[0] and "residual " in lines[0]
 
 
 class TestReproducibility:
@@ -1037,6 +1040,54 @@ class TestSizeCaps:
         assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG and not out.exists()
         message = f"config error: {config}: longer than the largest allowed {MAX_CONFIG_BYTES} characters\n"
         assert capsys.readouterr().err == message
+
+
+def nested(leaf: str, depth: int) -> str:
+    return "[" * depth + leaf + "]" * depth
+
+
+class TestDeepNesting:
+    """The JSON decoder recurses once per nested list or object, number
+    hooks included: a config nested past its limit is a config error, not a
+    RecursionError."""
+
+    NESTING = "config error: nesting: lists and objects nest deeper than the JSON decoder's recursion limit\n"
+    TAU = '{"command": "tau", "seed": 0, "parameters": {"psi": %s, "phi": [1, 0]}}'
+
+    def run_text(self, tmp_path, text):
+        config, out = tmp_path / "deep.json", tmp_path / "deep.csv"
+        config.write_text(text, encoding="utf-8")
+        code = main(["--config", str(config), "--out", str(out), "--quiet"])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            TAU % nested("1", 1100),
+            nested("", 5000),
+            '{"command": "jensen", "seed": 0, "rule": %s1%s, "parameters": {"p1": 0.2, "p2": 0.9, "lambda": 0.3}}'
+            % ('{"a": ' * 3000, "}" * 3000),
+        ],
+        ids=["tau_psi_1100", "bare_lists_5000", "rule_objects_3000"],
+    )
+    def test_past_the_limit_exits_two_naming_the_nesting(self, tmp_path, capsys, text):
+        assert self.run_text(tmp_path, text) == EXIT_CONFIG
+        assert capsys.readouterr().err == self.NESTING
+
+    def test_under_the_limit_names_the_entry(self, tmp_path, capsys):
+        assert self.run_text(tmp_path, self.TAU % nested("1", 900)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: psi[0]: expected a number or [re, im] pair") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("leaf", ["1", "1.0"])
+    def test_every_depth_around_the_limit_exits_two(self, tmp_path, capsys, leaf):
+        # an int leaf calls the integer hook at the deepest level, so the
+        # limit falls a few levels earlier for it than for a float leaf
+        for depth in range(900, 1101):
+            assert self.run_text(tmp_path, self.TAU % nested(leaf, depth)) == EXIT_CONFIG, depth
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, (depth, err[:80])
 
 
 class TestBooleansAreNotNumbers:

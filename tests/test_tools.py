@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import sys
 import warnings
 from pathlib import Path
@@ -127,6 +128,21 @@ def seed_0(fuzz_cli, tmp_path_factory):
     return report, home
 
 
+def jensen_leaks(line: str, code: int):
+    """``cli.run``, except that a jensen config writes its artifact and then
+    fails with ``line`` on stderr and exit ``code``."""
+    real = cli.run
+
+    def leaky(config, quiet=False):
+        if config.command != "jensen":
+            return real(config, quiet)
+        real(config, quiet=True)
+        print(line, file=sys.stderr)
+        return code
+
+    return leaky
+
+
 class TestFuzzCli:
     def test_seed_0_keeps_the_cli_contract(self, fuzz_cli, seed_0):
         report, _ = seed_0
@@ -175,23 +191,36 @@ class TestFuzzCli:
         assert failures and all("_jensen" in f and "exit 3 wrote 'numerical failure: gap" in f for f in failures)
 
     def test_a_file_left_by_a_config_error_fails_the_gate(self, fuzz_cli, monkeypatch):
-        real = cli.run
-
-        def leaky(config, quiet=False):
-            if config.command != "jensen":
-                return real(config, quiet)
-            real(config, quiet=True)
-            print("config error: p1: rejected after the artifact was written", file=sys.stderr)
-            return cli.EXIT_CONFIG
-
-        monkeypatch.setattr(cli, "run", leaky)
+        monkeypatch.setattr(cli, "run", jensen_leaks("config error: p1: rejected after the artifact was written", cli.EXIT_CONFIG))
         failures = fuzz_cli.fuzz(0, 20).failures
         assert failures and all("_jensen" in f and "exit 2 left '" in f for f in failures)
 
-    def test_a_nan_left_by_a_numerical_failure_fails_the_gate(self, fuzz_cli, monkeypatch):
-        def nan_then_fail(rule, seed, p1, p2, lam):
-            raise cli.ConvergenceError("gap did not converge", best_value=math.nan, residual=1.0, iterations=3)
-
-        monkeypatch.setitem(cli._COMMANDS, "jensen", (cli._parse_two_level, nan_then_fail, "csv"))
+    def test_a_file_left_by_a_numerical_failure_fails_the_gate(self, fuzz_cli, monkeypatch):
+        monkeypatch.setattr(cli, "run", jensen_leaks("numerical failure: jensen: gap did not converge", cli.EXIT_NUMERICAL))
         failures = fuzz_cli.fuzz(0, 20).failures
-        assert failures and all("_jensen" in f and "exit 3: artifact holds a NaN" in f for f in failures)
+        assert failures and all("_jensen" in f and "exit 3 left '" in f for f in failures)
+
+    def test_an_unmutated_base_that_fails_fails_the_gate(self, fuzz_cli, monkeypatch):
+        def raising(rule, seed, p1, p2, lam):
+            raise ValueError("gap out of range")
+
+        monkeypatch.setitem(cli._COMMANDS, "jensen", (cli._parse_two_level, raising, "csv"))
+        report = fuzz_cli.fuzz(0, 0)
+        jensen = [name for name, doc, _ in fuzz_cli.base_configs(fuzz_cli.load_workloads(), 0) if doc["command"] == "jensen"]
+        assert len(jensen) > 1
+        assert len(report.failures) == len(jensen)
+        for name, failure in zip(jensen, report.failures):
+            assert failure.startswith(f"{name}: expected exit 0, got exit 3: numerical failure: jensen: gap out of range")
+
+    def test_text_mutants_are_config_errors_of_each_kind(self, fuzz_cli):
+        text = json.dumps({"command": "jensen", "seed": 0, "parameters": {"p1": 0.2, "p2": 0.9, "lambda": 0.3}})
+        rng = random.Random(0)
+        errors = []
+        for _ in range(40):
+            with pytest.raises(cli.ConfigValidationError) as excinfo:
+                cli.validate(fuzz_cli.mutate_text(text, rng))
+            errors.extend(excinfo.value.errors)
+        assert any(e.startswith("syntax error at line 1") for e in errors)
+        assert any(e.startswith("nesting: ") for e in errors)
+        assert any(e == "non-finite number NaN: only finite numbers are accepted" for e in errors)
+        assert any(e.endswith(": number overflows a float: only finite numbers are accepted") for e in errors)

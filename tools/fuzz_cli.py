@@ -1,34 +1,37 @@
 #!/usr/bin/env python3
 """Seeded fuzz gate for the CLI contract: every config ends in a valid
-artifact (exit 0), a config error (exit 2) or a numerical failure (exit 3).
+artifact (exit 0), a config error (exit 2) or a numerical failure (exit 3),
+and an exit 2 or 3 writes no file.
 
 The base configs are the seven small calls that end each op of the
 benchmark's ``steer_pipeline`` workload at the fuzz seed
 (``perfbench/workloads.py``, read and never written), one two-member qubit
 steer config, and one small config of each command in the forms those calls
 do not write (complex pairs, a Fock-index ``phi``, three steer members).
-Each base runs once unmutated, and a benchmark call's artifact must pass
-its benchmark check. Each of the ``CONFIGS`` fuzzed configs is then a base
-with a rule drawn from the four kinds, an output format drawn from csv and
-json, and one to three mutations, each at a random position of the
-document: a hostile leaf value, a deleted key or list entry, a scaling of a
-number or of a list's length, or a dict wrapped in a list. The draws keep
-every valid config cheap: no value lies near ``MAX_SAMPLES`` (sample counts
-grow at most eightfold from the bases' 500 and 1000) or near
-``MIN_GRID_STEP`` (scalings shrink the bases' grid steps, 0.05 and 0.1,
-eightfold at most), a list grows to at most 16 entries, and every output
-path drawn is relative.
+Each base runs once unmutated and must exit 0, and a benchmark call's
+artifact must pass its benchmark check. Each of the ``CONFIGS`` fuzzed
+configs is then a base with a rule drawn from the four kinds, an output
+format drawn from csv and json, and one to three mutations, each at a
+random position of the document: a hostile leaf value, a deleted key or
+list entry, a scaling of a number or of a list's length, or a dict wrapped
+in a list. The draws keep every valid config cheap: no value lies near
+``MAX_SAMPLES`` (sample counts grow at most eightfold from the bases' 500
+and 1000) or near ``MIN_GRID_STEP`` (scalings shrink the bases' grid steps,
+0.05 and 0.1, eightfold at most), a list grows to at most 16 entries, and
+every output path drawn is relative. One fuzzed config in ten takes, in
+place of those mutations, a text mutation that the decoder rejects, and
+must exit 2: the document truncated at a random offset, wrapped 5000 lists
+deep, or with one number replaced by ``NaN`` or ``1e999``.
 
 Every config runs in-process through ``bornlab.cli.main`` (from this
 tree's ``src/``), in a temporary directory of its own. A config fails the
-gate when an exception escapes, the exit is not 0, 2 or 3, a stderr line
-other than a ``warning:`` does not start ``config error:`` (exit 2) or
-``numerical failure: <command>:`` (exit 3) or is written at all (exit 0),
-an exit 0 leaves no artifact, an exit 2 leaves any file besides the
-config, or a file left by an exit 0 or 3 (only ``tau``'s non-convergence
-artifact is meant to be) does not parse or holds a NaN. Each distinct
-exit-3 message, its numbers written as ``#``, is printed with its count,
-so that a new one is seen.
+gate when an exception escapes, the exit is not 0, 2 or 3 or not the one
+its config must reach, a stderr line other than a ``warning:`` does not
+start ``config error:`` (exit 2) or ``numerical failure: <command>:``
+(exit 3) or is written at all (exit 0), an exit 2 or 3 leaves any file
+besides the config, or an exit 0 leaves anything but one artifact that
+parses and holds no NaN. Each distinct exit-3 message, its numbers written
+as ``#``, is printed with its count, so that a new one is seen.
 
     python3 -W error tools/fuzz_cli.py --seed 1
 
@@ -92,6 +95,8 @@ HOSTILE = [
 # under -1, 0 and 2, so a sample count or cutoff grows at most eightfold.
 SCALES = [-1, 0, 2, 0.5, 1 + 2**-52, 1e-300, 1e300]
 MAX_LIST = 16
+# a JSON string or number: mutate_text replaces numbers only
+JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 NUMBER = re.compile(r"\(?[-+]?[\d.]+(?:e[-+]?\d+)?(?:[-+][\d.]+(?:e[-+]?\d+)?)?j?\)?")
 
 
@@ -210,10 +215,24 @@ def _artifact_problem(data: bytes) -> str | None:
     return None
 
 
-def _run(cli, text: str, command, check) -> tuple[int | None, str | None, list[str]]:
+def mutate_text(text: str, rng: random.Random) -> str:
+    """``text``, a document with at least one number, as one the decoder
+    rejects: truncated at a random offset, wrapped 5000 lists deep, or with
+    one number replaced by ``NaN`` or ``1e999``."""
+    action = rng.randrange(3)
+    if action == 0:
+        return text[: rng.randrange(len(text))]
+    if action == 1:
+        return "[" * 5000 + text + "]" * 5000
+    number = rng.choice([m for m in JSON_TOKEN.finditer(text) if not m.group().startswith('"')])
+    return text[: number.start()] + rng.choice(["NaN", "1e999"]) + text[number.end() :]
+
+
+def _run(cli, text: str, command, check, expect: int | None) -> tuple[int | None, str | None, list[str]]:
     """Run one config in the working directory, a temporary one of
     ``fuzz``'s own; its exit code, what it broke or None, and its stderr
-    lines other than warnings."""
+    lines other than warnings. ``expect`` is the exit the config must reach,
+    or None for any of 0, 2 and 3."""
     for leftover in os.listdir("."):
         os.remove(leftover)
     with open(CONFIG, "w", encoding="utf-8") as fh:
@@ -232,17 +251,20 @@ def _run(cli, text: str, command, check) -> tuple[int | None, str | None, list[s
     if stray:
         return code, f"exit {code} wrote {stray[0]!r}", lines
     artifacts = sorted(path for path in os.listdir(".") if path != CONFIG)
-    if code == 2 and artifacts:
-        return code, f"exit 2 left {artifacts[0]!r}", lines
-    if code == 0 and len(artifacts) != 1:
+    if code != 0 and artifacts:
+        return code, f"exit {code} left {artifacts[0]!r}", lines
+    if expect is not None and code != expect:
+        return code, f"expected exit {expect}, got exit {code}: {lines[0] if lines else ''}", lines
+    if code != 0:
+        return code, None, lines
+    if len(artifacts) != 1:
         return code, f"exit 0 left {len(artifacts)} artifacts", lines
-    for path in artifacts:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        problem = _artifact_problem(data)
-        if problem is not None:
-            return code, f"exit {code}: {problem}", lines
-    if code == 0 and check is not None:
+    with open(artifacts[0], "rb") as fh:
+        data = fh.read()
+    problem = _artifact_problem(data)
+    if problem is not None:
+        return code, f"exit 0: {problem}", lines
+    if check is not None:
         try:
             check(data)
         except (AssertionError, KeyError, IndexError, TypeError, ValueError) as exc:
@@ -250,11 +272,14 @@ def _run(cli, text: str, command, check) -> tuple[int | None, str | None, list[s
     return code, None, lines
 
 
-def run_one(cli, name: str, base_command: str, doc: dict, report: Report, check=None) -> None:
-    """Run one config, count its exit under its base's command, and record
-    a failure naming it if it breaks the contract."""
-    text = json.dumps(doc)
-    code, problem, lines = _run(cli, text, doc.get("command"), check)
+def run_one(
+    cli, name: str, base_command: str, doc: dict, report: Report, check=None, expect: int | None = None, text: str | None = None
+) -> None:
+    """Run one config, written as ``text`` or else as ``doc``'s JSON, count
+    its exit under its base's command, and record a failure naming it if it
+    breaks the contract."""
+    text = json.dumps(doc) if text is None else text
+    code, problem, lines = _run(cli, text, doc.get("command"), check, expect)
     report.runs += 1
     if code is not None:
         report.codes[base_command, code] += 1
@@ -278,13 +303,18 @@ def fuzz(seed: int, n_configs: int = CONFIGS) -> Report:
         os.chdir(tmp)
         try:
             for name, doc, check in bases:
-                run_one(cli, name, doc["command"], doc, report, check)
+                run_one(cli, name, doc["command"], doc, report, check, expect=0)
             for case in range(n_configs):
                 name, base, _ = bases[case % len(bases)]
                 doc = json.loads(json.dumps(base))
                 fmt = rng.choice(FORMATS)
                 doc["rule"] = json.loads(json.dumps(rng.choice(RULES)))
                 doc["output"] = {"path": f"{name}.{fmt}", "format": fmt}
+                if case % 10 == 9:
+                    # every number of a base is read, so an overflowing one is rejected too
+                    text = mutate_text(json.dumps(doc), rng)
+                    run_one(cli, f"{name}#{case}", base["command"], doc, report, expect=2, text=text)
+                    continue
                 for _ in range(rng.randint(1, 3)):
                     mutate(doc, rng)
                 run_one(cli, f"{name}#{case}", base["command"], doc, report)
