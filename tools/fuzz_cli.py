@@ -20,8 +20,9 @@ and 1000) or near ``MIN_GRID_STEP`` (scalings shrink the bases' grid steps,
 0.05 and 0.1, eightfold at most), a list grows to at most 16 entries, and
 every output path drawn is relative. One fuzzed config in ten takes, in
 place of those mutations, a text mutation that the decoder rejects, and
-must exit 2: the document truncated at a random offset, wrapped 5000 lists
-deep, or with one number replaced by ``NaN`` or ``1e999``.
+must exit 2: the document truncated at a random offset, wrapped 100 000
+lists deep (past the JSON decoder's recursion limit on every supported
+Python), or with one number replaced by ``NaN`` or ``1e999``.
 
 Every config runs in-process through ``bornlab.cli.main`` (from this
 tree's ``src/``), in a temporary directory of its own. A config fails the
@@ -217,13 +218,13 @@ def _artifact_problem(data: bytes) -> str | None:
 
 def mutate_text(text: str, rng: random.Random) -> str:
     """``text``, a document with at least one number, as one the decoder
-    rejects: truncated at a random offset, wrapped 5000 lists deep, or with
-    one number replaced by ``NaN`` or ``1e999``."""
+    rejects: truncated at a random offset, wrapped 100 000 lists deep, or
+    with one number replaced by ``NaN`` or ``1e999``."""
     action = rng.randrange(3)
     if action == 0:
         return text[: rng.randrange(len(text))]
     if action == 1:
-        return "[" * 5000 + text + "]" * 5000
+        return "[" * 100_000 + text + "]" * 100_000
     number = rng.choice([m for m in JSON_TOKEN.finditer(text) if not m.group().startswith('"')])
     return text[: number.start()] + rng.choice(["NaN", "1e999"]) + text[number.end() :]
 
