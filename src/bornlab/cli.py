@@ -57,8 +57,9 @@ MAX_SAMPLES = 10**7
 MIN_GRID_STEP = 2e-4
 # Largest steer member count and dimension d, and largest members * d**2:
 # the work of the one barycenter product over all members and of hjw_povm's
-# SVD of the members x d matrix. The members, the measurement's rank-one
-# outcomes and the steered states are each one members x d array. At the
+# SVD of the members x d matrix. The members are one members x d array, and
+# the measurement's rank-one outcomes and the steered states are each one
+# (members + d - r) x d array, r the marginal's numerical rank. At the
 # cap d = 32 with 4096 members takes ~0.8 s and 69 MB peak RSS as a
 # subprocess, d = 128 with 256 members ~0.4 s and 44 MB (2-vCPU VM). The
 # member count is checked before any member is read.
@@ -505,13 +506,15 @@ def _run_steer(rule, seed, ensemble) -> _Result:
     k = len(ensemble.weights)
     probabilities, weights = result.probabilities.tolist(), ensemble.weights.tolist()
     # |<psi_i|u_i>|^2 of each member with its unit conditional vector
-    overlaps = np.abs(np.sum(ensemble.amplitudes.conj() * result.vectors, axis=1)) ** 2
+    overlaps = np.abs(np.sum(ensemble.amplitudes.conj() * result.vectors[:k], axis=1)) ** 2
     fidelities = np.where(result.null[:k], None, overlaps).tolist()
     columns = ["outcome", "probability", "target_weight", "fidelity_to_target"]
     rows = [[i, probabilities[i], weights[i], fidelities[i]] for i in range(k)]
-    rows += [[i, probabilities[i], None, None] for i in range(k, len(result))]
+    if len(result) > k:
+        # the columns hjw_povm appends for the unused A directions, one remainder row
+        rows.append([k, math.fsum(probabilities[k:]), None, None])
     max_weight_err = float(np.max(np.abs(result.probabilities[:k] - ensemble.weights)))
-    summary = f"outcomes={len(result)} max_weight_error={max_weight_err:.3g}"
+    summary = f"outcomes={len(rows)} max_weight_error={max_weight_err:.3g}"
     return summary, columns, rows, None
 
 

@@ -13,14 +13,10 @@ noise accumulates a few ulp per op, these leave headroom).
 ``eigvalsh`` against ``VALIDATION_ATOL``, and a rejection names the
 offending eigenvalue.
 
-A rank-one effect v v^dagger has spectrum {|v|^2, 0, ..., 0}. A ``Povm``
-holds its rank-one outcomes by their vectors, the columns of one d x k
-``factors`` matrix F, and accepts a column from |v|^2 alone, with no
-eigendecomposition; a column past the bound goes to the general ``Effect``
-constructor, which decides and names the rejection. |v|^2 can disagree with
-the top eigenvalue of the rounded v v^dagger only within about (d + 2) eps
-of the bound at dimension d. No d x d matrix is built for such an outcome,
-so a measurement of k rank-one outcomes holds O(d k) numbers.
+Every outcome of a ``Povm`` is rank-one, v v^dagger, held by its vector v,
+a column of one d x k ``factors`` matrix F. Its spectrum is
+{|v|^2, 0, ..., 0}, so a column is checked from |v|^2 alone, with no
+eigendecomposition, and a measurement of k outcomes holds O(d k) numbers.
 """
 
 from __future__ import annotations
@@ -163,57 +159,39 @@ def _check_factor_columns(factors: np.ndarray) -> None:
     Its spectrum is {|v|^2, 0, ..., 0}, so it is accepted when |v|^2 is at
     most ``1 + VALIDATION_ATOL``. No lower check is needed: the eigenvalues
     of the rounded matrix are >= about -2 eps |v|^2, far above
-    ``-VALIDATION_ATOL``. Any other column goes to ``Effect``, so a
-    non-finite column or a top eigenvalue past the bound raises the general
-    constructor's message. At dimension d, |v|^2 lies within about
-    (d + 2) eps |v|^2 of the matrix's top eigenvalue, so the two routes can
-    disagree only that close to the bound (measured against ``eigvalsh``,
-    which adds its own rounding: at most 1.1e-15 apart over 15000 unit
-    vectors at d = 2 to 64).
+    ``-VALIDATION_ATOL``. The first other column is named with its |v|^2.
     """
-    # a non-finite or overflowing column reaches Effect(matrix), which
-    # rejects it without a warning
+    # a non-finite or overflowing column gives a NaN or inf |v|^2, which
+    # fails the check without a warning
     with np.errstate(invalid="ignore", over="ignore"):
         squared = (factors.real**2 + factors.imag**2).sum(axis=0)
-        for j in np.flatnonzero(~(squared <= 1.0 + VALIDATION_ATOL)):
-            v = factors[:, j]
-            Effect(hermitize(np.outer(v, v.conj())))
+    bad = np.flatnonzero(~(squared <= 1.0 + VALIDATION_ATOL))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"POVM factor column {j} has squared norm {squared[j]}, not finite or above 1 + {VALIDATION_ATOL}")
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Complete measurement: effects of equal dimension summing to the identity.
+    """Complete measurement: rank-one outcomes summing to the identity.
 
-    Its outcomes are, in order, the rank-one effects v v^dagger held by
-    their vectors v, the columns of the d x k matrix ``factors`` (none if it
-    is not given), and then the general ``effects``. Completeness sums the
-    rank-one outcomes as one product F F^dagger.
+    Outcome j is v v^dagger, v column j of the d x k matrix ``factors``, and
+    completeness sums the outcomes as one product F F^dagger.
     """
 
-    effects: tuple[Effect, ...] = ()
-    factors: np.ndarray | None = None
+    factors: np.ndarray
 
     def __post_init__(self):
-        effects = tuple(self.effects)
-        if self.factors is None:
-            f = np.zeros((effects[0].dim if effects else 0, 0), dtype=complex)
-        else:
-            f = np.array(self.factors, dtype=complex)
+        f = np.array(self.factors, dtype=complex)
         if f.ndim != 2:
             raise ValueError("POVM factors must be a d x k matrix")
-        if f.size == 0 and not effects:
+        if f.size == 0:
             raise ValueError("POVM needs at least one outcome")
-        if any(e.dim != f.shape[0] for e in effects):
-            raise ValueError("POVM outcomes have mismatched dimensions")
         _check_factor_columns(f)
-        dim = f.shape[0]
-        total = sum((e.matrix for e in effects), np.zeros((dim, dim), dtype=complex))
-        total += f @ f.conj().T
-        defect = float(np.max(np.abs(total - np.eye(dim))))
+        defect = float(np.max(np.abs(f @ f.conj().T - np.eye(f.shape[0]))))
         if defect > POVM_SUM_ATOL:
             raise ValueError(f"POVM completeness defect {defect} exceeds {POVM_SUM_ATOL}")
         f.setflags(write=False)
-        object.__setattr__(self, "effects", effects)
         object.__setattr__(self, "factors", f)
 
     @property
@@ -221,7 +199,7 @@ class Povm:
         return self.factors.shape[0]
 
     def __len__(self) -> int:
-        return self.factors.shape[1] + len(self.effects)
+        return self.factors.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,18 +284,16 @@ def random_density_matrix(dim: int, seed: int, rank: int | None = None, stream: 
 
 
 def random_povm(dim: int, n_outcomes: int, seed: int, stream: int = 0) -> Povm:
-    """Random n-outcome POVM: Ginibre Gram blocks whitened by their sum."""
+    """Random POVM of ``n_outcomes`` Ginibre Gram blocks X_i X_i^dagger
+    whitened by their sum, each refined into its ``dim`` rank-one outcomes:
+    the columns of S^(-1/2) X, with X = [X_1 ... X_n] and S = X X^dagger."""
     if n_outcomes < 1:
         raise ValueError("need at least one outcome")
     rng = make_rng(seed, stream)
-    blocks = []
-    for _ in range(n_outcomes):
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        blocks.append(x @ x.conj().T)
-    total = hermitize(sum(blocks))
-    eigvals, eigvecs = np.linalg.eigh(total)
+    x = np.hstack([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n_outcomes)])
+    eigvals, eigvecs = np.linalg.eigh(hermitize(x @ x.conj().T))
     inv_sqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.conj().T
-    return Povm(tuple(Effect(hermitize(inv_sqrt @ g @ inv_sqrt)) for g in blocks))
+    return Povm(inv_sqrt @ x)
 
 
 def psd_sqrt(matrix: np.ndarray) -> np.ndarray:

@@ -144,17 +144,13 @@ def run_steering_experiment(rule: PhiRule, scenario: SteeringScenario) -> Experi
     analytic Jensen gap; the two computations share no intermediate steps.
 
     A null branch (``SteeringResult.null``) is skipped: ``steer`` alone
-    decides nullity. Every other branch must be pure, a rank-one outcome
-    held by its unit vector; a live general effect raises ValueError. The
-    scenario is not checked again here, since ``hjw_povm`` checked it when
-    it was built.
+    decides nullity. Every other branch is pure, held by its unit vector.
+    The scenario is not checked again here, since ``hjw_povm`` checked it
+    when it was built.
     """
     result = steer(scenario.purification, scenario.povm_split)
-    k = len(result.vectors)
     prob_split = 0.0
     for index in np.flatnonzero(~result.null).tolist():
-        if index >= k:
-            raise ValueError(f"conditional state of outcome {index} is not pure")
         member = StateVector(result.vectors[index])
         prob_split += float(result.probabilities[index]) * prob_pure(rule, member, scenario.phi)
     prob_direct = phi_eval(rule, tau_mixed(scenario.omega, scenario.phi))

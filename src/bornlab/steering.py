@@ -24,7 +24,6 @@ from .linalg import (
     VALIDATION_ATOL,
     BipartiteState,
     DensityMatrix,
-    Effect,
     Povm,
     hermitize,
 )
@@ -114,21 +113,17 @@ def check_weight_sum(total: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SteeringResult:
-    """Bob's conditional preparations under one measurement of Alice's, in
-    the measurement's outcome order: its k rank-one outcomes, then its
-    general effects.
+    """Bob's conditional preparations under one measurement of Alice's, one
+    per outcome, in the measurement's outcome order.
 
-    ``probabilities`` holds every outcome's probability. Row i of the
-    k x d ``vectors`` is the unit vector of rank-one outcome i's pure
-    conditional state, and ``states`` holds the conditional state of each
-    general effect. An outcome with probability below ``NULL_OUTCOME_PROB``
-    is null: there is nothing to normalize, so its row is zero and its
-    state None.
+    ``probabilities`` holds every outcome's probability, and row i of the
+    k x d ``vectors`` is the unit vector of outcome i's pure conditional
+    state. An outcome with probability below ``NULL_OUTCOME_PROB`` is null:
+    there is nothing to normalize, so its row is zero.
     """
 
     probabilities: np.ndarray
     vectors: np.ndarray
-    states: tuple[DensityMatrix | None, ...]
 
     def __len__(self) -> int:
         return self.probabilities.size
@@ -163,9 +158,11 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     is a product of isometries, a contraction, so the outcomes sum to at
     most I by construction, and nothing is divided by a singular value. The
     v are the columns of the measurement's ``factors``, so no d x d matrix
-    is built for them. When r < d_A the projector onto the A directions
-    past r is appended as a remainder outcome (a one-member ensemble's
-    marginal has rank one), so the collection is complete.
+    is built for them. When r < d_A the d_A - r rows of W^H past r, the A
+    directions that x leaves unused, are appended as columns (a one-member
+    ensemble's marginal has rank one). Their outcomes sum to the projector
+    onto those directions, so the collection is complete, and each has
+    probability zero up to rounding.
 
     Near a pure marginal the accuracy is the purification's. ``purify``
     takes it from the marginal alone, and its ``eigh`` fixes a small
@@ -199,70 +196,47 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     support_defect = float(np.max(np.linalg.norm(m_t @ x - n_t, axis=0)))
     if support_defect > RECONSTRUCTION_ATOL:
         raise ValueError(f"ensemble member leaves the marginal's support (defect {support_defect})")
-    # the rows of W^H past r span the A directions that x leaves unused
-    tail = wmh[r:]
-    remainder = (Effect(hermitize(tail.T @ tail.conj())),) if r < purification.dim_a else ()
-    return Povm(remainder, x.conj())
+    return Povm(np.hstack([x.conj(), wmh[r:].T]))
 
 
-def _branch(state: BipartiteState, effect: Effect) -> np.ndarray:
-    """Bob's unnormalized state tr_A[(E x I)|Psi><Psi|] = M^T E^* conj(M)."""
-    return state.amplitudes.T @ effect.matrix.conj() @ state.amplitudes.conj()
-
-
-def _rank_one_branches(state: BipartiteState, povm: Povm) -> np.ndarray:
-    """Row i is b_i^T, where Bob's branch of the rank-one outcome v_i v_i^dagger
-    is b_i b_i^dagger with b_i = M^T conj(v_i): all rows are one product."""
+def _steered_rows(state: BipartiteState, povm: Povm) -> np.ndarray:
+    """Row i is b_i^T, where Bob's branch of the outcome v_i v_i^dagger is
+    b_i b_i^dagger with b_i = M^T conj(v_i): all rows are one product."""
     return povm.factors.conj().T @ state.amplitudes
 
 
 def steer(state: BipartiteState, povm_a: Povm) -> SteeringResult:
     """Measure A and collect Bob's conditional preparations.
 
-    With coefficient matrix M of the state, branch i is Bob's unnormalized
-    state tr_A[(E_i x I)|Psi><Psi|] = M^T E_i^* conj(M). It is linear in the
-    effect, so no square root of E_i is taken. Its real trace
-    <Psi|(E_i x I)|Psi> is the branch probability, and the branch divided
-    by that probability is the conditional state.
-
-    A rank-one outcome v v^dagger (a column of the measurement's
-    ``factors``, as every member outcome of ``hjw_povm``) has the branch
-    b b^dagger with b = M^T conj(v), so all of them come from one product.
-    The probability is |b|^2, and the conditional state is pure, held by
-    its unit vector b / |b|, so no d x d branch is formed or checked. General
-    effects take the route through ``_branch``.
+    With coefficient matrix M of the state, the outcome v v^dagger (a
+    column v of the measurement's ``factors``) leaves Bob in the
+    unnormalized state tr_A[(v v^dagger x I)|Psi><Psi|] = b b^dagger with
+    b = M^T conj(v), so every branch comes from one product and no square
+    root of an effect is taken. The probability is |b|^2, and the
+    conditional state is pure, held by its unit vector b / |b|, so no d x d
+    branch is formed or checked.
     """
     if povm_a.dim != state.dim_a:
         raise ValueError(f"POVM dimension {povm_a.dim} differs from A side {state.dim_a}")
-    rows = _rank_one_branches(state, povm_a)
+    rows = _steered_rows(state, povm_a)
     probabilities = (rows.real**2 + rows.imag**2).sum(axis=1)
     live = probabilities >= NULL_OUTCOME_PROB
     vectors = np.zeros_like(rows)
     np.divide(rows, np.sqrt(probabilities)[:, None], out=vectors, where=live[:, None])
-    general, states = [], []
-    for effect in povm_a.effects:
-        branch = _branch(state, effect)
-        prob = float(np.real(np.trace(branch)))
-        general.append(prob)
-        states.append(DensityMatrix(hermitize(branch / prob)) if prob >= NULL_OUTCOME_PROB else None)
-    return SteeringResult(np.concatenate([probabilities, general]), vectors, tuple(states))
+    return SteeringResult(probabilities, vectors)
 
 
 def verify_marginal_invariance(state: BipartiteState, povm1: Povm, povm2: Povm) -> float:
     """Max-norm distance between Bob's average states under two of Alice's
     measurement choices; zero (to solver precision) for any complete pair.
 
-    Each average is the sum of the unnormalized branches M^T E_i^* conj(M),
-    one per outcome, as in ``steer``; the rank-one branches b_i b_i^dagger
-    are summed as one product, and no square root of an effect is taken.
+    Each average is the sum of ``steer``'s branches b_i b_i^dagger, the one
+    product B^T conj(B) of their rows; no square root of an effect is taken.
     """
 
     def average_state(povm: Povm) -> np.ndarray:
-        rows = _rank_one_branches(state, povm)
-        acc = rows.T @ rows.conj()
-        for effect in povm.effects:
-            acc += _branch(state, effect)
-        return acc
+        rows = _steered_rows(state, povm)
+        return rows.T @ rows.conj()
 
     if povm1.dim != state.dim_a or povm2.dim != state.dim_a:
         raise ValueError("POVM dimension differs from A side")

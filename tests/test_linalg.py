@@ -50,16 +50,12 @@ class TestConstruction:
             Effect(np.diag([1.5, 0.0]))
 
     def test_povm_rejects_incomplete_collection(self):
-        half = Effect(np.diag([0.5, 0.5]))
-        with pytest.raises(ValueError, match="completeness"):
-            Povm((half,))
-        # rank-one outcomes are summed from their factors, alone or with effects
-        zero = [[1], [0]]
+        # the outcomes are summed from their factors as one product
         with pytest.raises(ValueError, match="completeness defect 1.0 "):
-            Povm(factors=zero)
-        with pytest.raises(ValueError, match="completeness defect 0.5 "):
-            Povm((half,), zero)
-        assert len(Povm(factors=np.eye(2))) == len(Povm((Effect(np.diag([0.0, 1.0])),), zero)) == 2
+            Povm(factors=[[1], [0]])
+        with pytest.raises(ValueError, match="completeness defect 0.75 "):
+            Povm([[1, 0], [0, 0.5]])
+        assert len(Povm(factors=np.eye(2))) == len(Povm(np.eye(2)[:, ::-1])) == 2
 
     def test_bipartite_requires_unit_frobenius_norm(self):
         with pytest.raises(ValueError, match="norm"):
@@ -101,9 +97,10 @@ class TestConstruction:
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-9
             rho = random_density_matrix(4, seed)
             assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-9
-            povm = random_povm(3, 4, seed)
-            total = sum(e.matrix for e in povm.effects)
-            assert np.max(np.abs(total - np.eye(3))) <= 1e-8
+            # four Gram blocks, each refined into its three rank-one outcomes
+            f = random_povm(3, 4, seed).factors
+            assert f.shape == (3, 12)
+            assert np.max(np.abs(f @ f.conj().T - np.eye(3))) <= 1e-8
 
 
 def placed_spectrum(dim: int, seed: int, end: str, offset: float) -> np.ndarray:
@@ -260,32 +257,34 @@ class TestRankOneEffect:
         # a unitary's columns: v v^dagger summed over them is the identity
         q, _ = np.linalg.qr(f)
         povm = Povm(factors=q)
-        assert povm.dim == dim and len(povm) == dim and povm.effects == ()
+        assert povm.dim == dim and len(povm) == dim
         assert povm.factors.dtype == complex and povm.factors.tobytes() == q.tobytes()
         assert not povm.factors.flags.writeable
         assert Povm(factors=q.tolist()).factors.tobytes() == q.tobytes()
-        # a zero column is the zero effect, and a remainder effect may follow the columns
-        assert len(Povm((Effect(np.eye(dim)),), np.zeros((dim, 2)))) == 3
+        # a zero column is the zero effect
+        assert len(Povm(np.hstack([q, np.zeros((dim, 2))]))) == dim + 2
 
-    def test_rejection_messages_are_the_general_constructors(self):
+    def test_a_rejected_column_is_named_with_its_squared_norm(self):
         for dim in (2, 32):
             v = haar_random_state(dim, 1).amplitudes * np.sqrt(1.0 + 2e-9)
-            m = linalg.hermitize(np.outer(v, v.conj()))
-            with pytest.raises(ValueError) as general:
-                Effect(m)
+            f = np.stack([v / 2, v, v], axis=1)
+            squared = (f.real**2 + f.imag**2).sum(axis=0)[1]
+            assert squared == pytest.approx(1.0 + 2e-9, abs=1e-14)
             with pytest.raises(ValueError) as column:
-                Povm(factors=np.stack([v / 2, v], axis=1))
-            assert str(column.value) == str(general.value)
-            assert str(general.value).startswith("effect spectrum [")
+                Povm(factors=f)
+            assert str(column.value) == f"POVM factor column 1 has squared norm {squared}, not finite or above 1 + 1e-09"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0), 1e200])
     def test_non_finite_vectors_raise_without_a_warning(self, bad):
+        # a NaN entry gives a NaN squared norm; an infinite or overflowing one, inf
+        squared = "nan" if np.isnan(bad) else "inf"
         for dim in (2, 32):
             v = np.full(dim, 0.1, dtype=complex)
             v[dim - 1] = bad
-            with pytest.raises(ValueError, match="hermiticity"):
-                Povm(factors=v[:, None])
+            with pytest.raises(ValueError) as column:
+                Povm(factors=np.stack([np.full(dim, 0.1), v], axis=1))
+            assert str(column.value) == f"POVM factor column 1 has squared norm {squared}, not finite or above 1 + 1e-09"
 
     def test_rejects_factors_that_are_not_a_matrix(self):
         for bad in ([], [0.5, 0.0], 0.5, np.zeros((2, 1, 1))):
@@ -294,18 +293,15 @@ class TestRankOneEffect:
         for empty in (np.zeros((2, 0)), np.zeros((0, 3))):
             with pytest.raises(ValueError, match="at least one outcome"):
                 Povm(factors=empty)
-        with pytest.raises(ValueError, match="mismatched dimensions"):
-            Povm((Effect(np.eye(3)),), np.zeros((2, 1)))
 
     def test_cli_steer_of_a_rank_deficient_ensemble_at_dim_32(self, tmp_path, monkeypatch):
-        # purify's eigh, the barycenter's check, hjw_povm's two SVDs, and the
-        # remainder effect's check (its branch has probability 0 and no
-        # state); no member outcome or pure conditional state takes an
-        # eigendecomposition
+        # purify's eigh, the barycenter's check and hjw_povm's two SVDs; the
+        # 16 remainder columns are rank-one outcomes like the members, and no
+        # outcome or pure conditional state takes an eigendecomposition
         basis, _ = np.linalg.qr(make_rng(3).standard_normal((32, 16)) + 0j)
         members = [(1 / 48, basis @ haar_random_state(16, seed).amplitudes) for seed in range(48)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 2, "svd": 2}
+        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 1, "svd": 2}
 
 
 class TestTensor:
@@ -404,7 +400,7 @@ VALUE_TYPES = {
     "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
     "Effect": lambda: Effect(np.eye(2)),
     "Povm.factors": lambda: Povm(factors=np.eye(2)),
-    "Povm": lambda: Povm((Effect(np.eye(2, dtype=complex)),)),
+    "Povm": lambda: Povm(np.eye(2, dtype=complex)),
     "BipartiteState": lambda: BipartiteState(np.eye(2) * INV_SQRT2),
 }
 

@@ -5,16 +5,15 @@ from bornlab import linalg
 from bornlab.linalg import (
     BipartiteState,
     DensityMatrix,
-    Effect,
     Povm,
     StateVector,
-    fidelity_to_pure,
     haar_random_state,
     make_rng,
     purify,
     random_povm,
 )
 from bornlab.steering import (
+    NULL_OUTCOME_PROB,
     Ensemble,
     barycenter,
     geometric_fock_ensemble,
@@ -29,23 +28,24 @@ ONE = StateVector.basis(2, 1)
 PLUS = StateVector(np.array([INV_SQRT2, INV_SQRT2]))
 MINUS = StateVector(np.array([INV_SQRT2, -INV_SQRT2]))
 BELL = BipartiteState(np.eye(2) * INV_SQRT2)
+# the columns |+> and |->
+PLUS_MINUS = np.stack([PLUS.amplitudes, MINUS.amplitudes], axis=1)
 
 
 def member_fidelities(result, ensemble) -> np.ndarray:
     """|<psi_i|u_i>|^2 of each member with its steered unit vector."""
-    return np.abs(np.sum(ensemble.amplitudes.conj() * result.vectors, axis=1)) ** 2
+    vectors = result.vectors[: len(ensemble.weights)]
+    return np.abs(np.sum(ensemble.amplitudes.conj() * vectors, axis=1)) ** 2
 
 
 def outcome_matrices(povm) -> list[np.ndarray]:
     """Every outcome's d x d effect, in outcome order."""
-    return [linalg.hermitize(np.outer(v, v.conj())) for v in povm.factors.T] + [e.matrix for e in povm.effects]
+    return [linalg.hermitize(np.outer(v, v.conj())) for v in povm.factors.T]
 
 
 def conditional_matrices(result) -> list[np.ndarray | None]:
     """Every outcome's conditional state as a d x d matrix, None if null."""
-    pure = [np.outer(u, u.conj()) for u in result.vectors]
-    mixed = [None if state is None else state.matrix for state in result.states]
-    return [None if null else m for null, m in zip(result.null, pure + mixed)]
+    return [None if null else np.outer(u, u.conj()) for null, u in zip(result.null, result.vectors)]
 
 
 class TestEnsemble:
@@ -139,20 +139,20 @@ class TestBarycenter:
 
 class TestHjwPovm:
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
-    def test_single_member_is_steered_with_a_remainder_outcome(self, dim):
-        # a one-member marginal has rank one, so hjw_povm appends
-        # the remainder outcome, which must carry no probability
+    def test_single_member_is_steered_with_remainder_columns(self, dim):
+        # a one-member marginal has rank one, so hjw_povm appends the
+        # dim - 1 unused directions, which must carry no probability
         for seed in range(5):
             psi = haar_random_state(dim, seed)
             ensemble = Ensemble([1.0], [psi.amplitudes])
             purification = purify(barycenter(ensemble))
             povm = hjw_povm(purification, ensemble)
-            assert len(povm) == 2 and len(povm.effects) == 1
+            assert len(povm) == dim
             result = steer(purification, povm)
-            assert len(result) == 2
+            assert len(result) == dim
             assert abs(result.probabilities[0] - 1.0) <= 1e-12
             assert member_fidelities(result, ensemble)[0] >= 1.0 - 1e-12
-            assert result.probabilities[1] <= 1e-12
+            assert np.all(result.probabilities[1:] <= 1e-12)
 
     @pytest.mark.parametrize("members", [(ZERO, ONE), (PLUS, MINUS)], ids=["computational", "plus_minus"])
     def test_steers_a_qubit_decomposition(self, members):
@@ -183,7 +183,19 @@ class TestHjwPovm:
         result = steer(purification, povm)
         assert result.probabilities[2] <= 1e-12
         assert result.null.tolist() == [False, False, True]
-        assert result.states == (None,)
+        assert not result.vectors[2].any()
+
+    def test_remainder_columns_are_the_unused_directions(self):
+        # rank 4 in dimension 8: the last 8 - 4 columns are orthonormal, and
+        # the 4 outcomes they add steer nothing
+        for seed in range(5):
+            ensemble = deficient_ensemble(8, 6, seed)
+            purification = purify(barycenter(ensemble))
+            povm = hjw_povm(purification, ensemble)
+            assert povm.factors.shape == (8, 6 + 8 - 4)
+            tail = povm.factors[:, 6:]
+            assert np.max(np.abs(tail.conj().T @ tail - np.eye(4))) <= 1e-12
+            assert np.all(steer(purification, povm).probabilities[6:] <= 1e-12)
 
     @pytest.mark.parametrize("dim,n_members,dim_a", [(2, 1, 2), (3, 2, 3), (4, 6, 4), (3, 2, 5), (4, 3, 7), (8, 12, 11)])
     def test_steers_from_any_purification_of_the_marginal(self, random_ensemble, dim, n_members, dim_a):
@@ -202,13 +214,11 @@ class TestHjwPovm:
             assert np.max(np.abs(result.probabilities[:n_members] - ensemble.weights)) <= 1e-12
             assert np.all(member_fidelities(result, ensemble) >= 1.0 - 1e-12)
             r = min(dim, n_members)
-            if r == dim_a:
-                assert povm.effects == ()
-            else:
-                (remainder,) = povm.effects
-                expected = np.repeat([0.0, 1.0], [r, dim_a - r])
-                assert np.allclose(np.linalg.eigvalsh(remainder.matrix), expected, rtol=0.0, atol=1e-12)
-                assert result.probabilities[n_members] <= 1e-12
+            assert len(povm) == n_members + dim_a - r
+            tail = povm.factors[:, n_members:]
+            expected = np.repeat([0.0, 1.0], [r, dim_a - r])
+            assert np.allclose(np.linalg.eigvalsh(tail @ tail.conj().T), expected, rtol=0.0, atol=1e-12)
+            assert np.all(result.probabilities[n_members:] <= 1e-12)
 
     def test_rejects_barycenter_mismatch(self):
         purification = purify(DensityMatrix(np.diag([0.8, 0.2]).astype(complex)))
@@ -233,20 +243,20 @@ class TestHjwPovm:
 
 
 class TestSteer:
-    def test_trivial_measurement_prepares_the_marginal(self):
+    def test_outcomes_averaged_over_prepare_the_marginal(self):
         omega = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         purification = purify(omega)
-        result = steer(purification, Povm((Effect(np.eye(2, dtype=complex)),)))
-        assert len(result) == 1 and result.vectors.shape == (0, 2)
-        assert result.probabilities[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(result.states[0].matrix - omega.matrix)) <= 1e-10
+        result = steer(purification, Povm(PLUS_MINUS))
+        assert len(result) == 2 and result.vectors.shape == (2, 2)
+        assert result.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        average = sum(p * np.outer(u, u.conj()) for p, u in zip(result.probabilities, result.vectors))
+        assert np.max(np.abs(average - omega.matrix)) <= 1e-10
 
     def test_bell_state_computational_measurement(self):
-        povm = Povm((Effect(np.diag([1.0, 0.0])), Effect(np.diag([0.0, 1.0]))))
-        result = steer(BELL, povm)
-        for probability, state, member in zip(result.probabilities, result.states, (ZERO, ONE)):
+        result = steer(BELL, Povm(np.eye(2)))
+        for probability, u, member in zip(result.probabilities, result.vectors, (ZERO, ONE)):
             assert probability == pytest.approx(0.5, abs=1e-12)
-            assert fidelity_to_pure(state, member) >= 1.0 - 1e-12
+            assert abs(np.vdot(member.amplitudes, u)) ** 2 >= 1.0 - 1e-12
 
     def test_probabilities_sum_to_one(self, random_bipartite):
         for seed in range(10):
@@ -256,10 +266,10 @@ class TestSteer:
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_effect_yields_null_outcome(self):
-        povm = Povm((Effect(np.eye(2)), Effect(np.zeros((2, 2)))))
+        povm = Povm(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         result = steer(BELL, povm)
-        assert result.probabilities[1] <= 1e-12
-        assert result.states[1] is None
+        assert result.null.tolist() == [True, False, False]
+        assert result.probabilities[0] == 0.0 and not result.vectors[0].any()
 
     def test_zero_column_yields_a_null_outcome_with_a_zero_row(self):
         povm = Povm(factors=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
@@ -269,12 +279,13 @@ class TestSteer:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            steer(BELL, Povm((Effect(np.eye(3, dtype=complex)),)))
+            steer(BELL, Povm(np.eye(3, dtype=complex)))
 
 
 def sqrt_route(state, povm):
     """Steering through sqrt(E) from eigh: branch = sqrt(E) M, probability
-    its squared norm, conditional state branch^T conj(branch) / probability."""
+    its squared norm, conditional state branch^T conj(branch) / probability
+    (None for a null outcome)."""
     m = state.amplitudes
     result = []
     for effect in outcome_matrices(povm):
@@ -282,31 +293,8 @@ def sqrt_route(state, povm):
         root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
         branch = root @ m
         prob = float(np.real(np.vdot(branch, branch)))
-        result.append((prob, branch.T @ branch.conj() / prob))
+        result.append((prob, branch.T @ branch.conj() / prob if prob >= NULL_OUTCOME_PROB else None))
     return result
-
-
-class TestSteerMatchesSquareRootRoute:
-    @pytest.mark.parametrize("dim", [2, 8, 32])
-    def test_full_rank_random_povm(self, dim, random_bipartite):
-        state = random_bipartite(dim, dim, dim)
-        povm = random_povm(dim, 3, dim)
-        self._compare(state, povm)
-
-    @pytest.mark.parametrize("dim", [2, 8, 32])
-    def test_rank_one_hjw_effects(self, dim, random_ensemble):
-        ensemble = random_ensemble(dim, 2 * dim, dim)
-        purification = purify(barycenter(ensemble))
-        self._compare(purification, hjw_povm(purification, ensemble))
-
-    @staticmethod
-    def _compare(state, povm):
-        result = steer(state, povm)
-        assert len(result) == len(povm)
-        pairs = zip(result.probabilities, conditional_matrices(result), sqrt_route(state, povm))
-        for probability, conditional, (prob, want) in pairs:
-            assert probability == pytest.approx(prob, abs=1e-12)
-            assert np.max(np.abs(conditional - want)) <= 1e-12
 
 
 def deficient_ensemble(dim: int, n_members: int, seed: int) -> Ensemble:
@@ -318,48 +306,35 @@ def deficient_ensemble(dim: int, n_members: int, seed: int) -> Ensemble:
     return Ensemble(weights, [basis @ haar_random_state(rank, seed * 31 + i).amplitudes for i in range(n_members)])
 
 
-class TestFactoredRouteMatchesGeneralRoute:
-    """steer's one-product route for rank-one outcomes against the d x d
-    ``_branch`` route, taken by the same outcomes rebuilt as general
-    effects."""
+class TestSteerMatchesSquareRootRoute:
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_full_rank_random_povm(self, dim, random_bipartite):
+        state = random_bipartite(dim, dim, dim)
+        povm = random_povm(dim, 3, dim)
+        self._compare(state, povm)
 
     @pytest.mark.parametrize("dim", [2, 8, 32])
     @pytest.mark.parametrize("shape", ["full_rank", "rank_deficient", "one_member"])
-    def test_hjw_effects(self, dim, shape, random_ensemble):
+    def test_hjw_outcomes(self, dim, shape, random_ensemble):
+        # the rank-deficient and one-member measurements end in remainder columns
         ensemble = {
             "full_rank": lambda: random_ensemble(dim, 2 * dim, dim),
             "rank_deficient": lambda: deficient_ensemble(dim, dim + 1, dim),
             "one_member": lambda: Ensemble([1.0], [haar_random_state(dim, dim).amplitudes]),
         }[shape]()
         purification = purify(barycenter(ensemble))
-        # one target per member, and one more for a remainder outcome
-        targets = [*ensemble.amplitudes, ensemble.amplitudes[0]]
-        self._compare(purification, hjw_povm(purification, ensemble), targets)
-
-    @pytest.mark.parametrize("dim", [2, 8, 32])
-    def test_rank_one_and_general_effects_in_one_measurement(self, dim, random_bipartite):
-        # the first effect of a random POVM split into its rank-one spectral pieces
-        general = random_povm(dim, 3, dim)
-        eigvals, eigvecs = np.linalg.eigh(general.effects[0].matrix)
-        povm = Povm(general.effects[1:], eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)))
-        targets = [haar_random_state(dim, 500 + i).amplitudes for i in range(len(povm))]
-        self._compare(random_bipartite(dim, dim, dim), povm, targets)
+        self._compare(purification, hjw_povm(purification, ensemble))
 
     @staticmethod
-    def _compare(state, povm, targets):
-        factored = steer(state, povm)
-        general = steer(state, Povm(tuple(Effect(m) for m in outcome_matrices(povm))))
-        k = povm.factors.shape[1]
-        assert len(factored) == len(general) == len(povm) <= len(targets)
-        assert len(factored.vectors) == k and len(general.vectors) == 0
-        assert np.allclose(factored.probabilities, general.probabilities, rtol=0.0, atol=1e-12)
-        assert factored.null.tolist() == general.null.tolist()
-        pairs = zip(conditional_matrices(factored), conditional_matrices(general), targets)
-        for a, b, psi in pairs:
-            if b is None:
-                continue
-            assert np.max(np.abs(a - b)) <= 1e-12
-            assert np.vdot(psi, a @ psi).real == pytest.approx(np.vdot(psi, b @ psi).real, abs=1e-12)
+    def _compare(state, povm):
+        result = steer(state, povm)
+        assert len(result) == len(povm)
+        pairs = zip(result.probabilities, conditional_matrices(result), sqrt_route(state, povm))
+        for probability, conditional, (prob, want) in pairs:
+            assert probability == pytest.approx(prob, abs=1e-12)
+            assert (conditional is None) == (want is None)
+            if want is not None:
+                assert np.max(np.abs(conditional - want)) <= 1e-12
 
 
 class TestMarginalInvariance:
@@ -369,8 +344,8 @@ class TestMarginalInvariance:
         assert verify_marginal_invariance(state, povm, povm) == 0.0
 
     def test_z_versus_x_on_bell_state(self):
-        z_basis = Povm((Effect(ZERO.projector()), Effect(ONE.projector())))
-        x_basis = Povm((Effect(PLUS.projector()), Effect(MINUS.projector())))
+        z_basis = Povm(np.eye(2))
+        x_basis = Povm(PLUS_MINUS)
         assert verify_marginal_invariance(BELL, z_basis, x_basis) <= 1e-10
 
     def test_random_states_and_measurements(self, random_bipartite):

@@ -147,9 +147,9 @@ class TestFuzzCli:
     def test_seed_0_keeps_the_cli_contract(self, fuzz_cli, seed_0):
         report, _ = seed_0
         assert report.failures == []
-        # 28 benchmark bases, the qubit steer base and one form base per
-        # command, then the mutants
-        assert report.runs == 29 + len(fuzz_cli.FORMS) + 2000
+        # 28 benchmark bases, the two qubit steer bases and one form base
+        # per command, then the mutants
+        assert report.runs == 30 + len(fuzz_cli.FORMS) + 2000
         assert {code for _, code in report.codes} <= {0, 2, 3}
 
     def test_the_caller_s_directory_is_left_alone(self, seed_0):

@@ -5,9 +5,11 @@ and an exit 2 or 3 writes no file.
 
 The base configs are the seven small calls that end each op of the
 benchmark's ``steer_pipeline`` workload at the fuzz seed
-(``perfbench/workloads.py``, read and never written), one two-member qubit
-steer config, and one small config of each command in the forms those calls
-do not write (complex pairs, a Fock-index ``phi``, three steer members).
+(``perfbench/workloads.py``, read and never written), a two-member and a
+one-member qubit steer config (the second's artifact ends in the remainder
+row, which no other base reaches), and one small config of each command in
+the forms those calls do not write (complex pairs, a Fock-index ``phi``,
+three steer members).
 Each base runs once unmutated and must exit 0, and a benchmark call's
 artifact must pass its benchmark check. Each of the ``CONFIGS`` fuzzed
 configs is then a base with a rule drawn from the four kinds, an output
@@ -135,13 +137,23 @@ def load_cli():
     return cli
 
 
-def _check_qubit_steer(data: bytes) -> None:
-    lines = data.decode("utf-8").splitlines()
-    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
-    assert len(rows) == 2, f"{len(rows)} outcomes for 2 members"
-    for row in rows:
-        assert abs(float(row["probability"]) - float(row["target_weight"])) <= 1e-8, row
-        assert float(row["fidelity_to_target"]) >= 1.0 - 1e-8, row
+def _qubit_steer_check(n_members: int):
+    """The artifact check of a qubit steer base: two rows, the members'
+    first; a one-member ensemble's marginal has rank one, so its second row
+    is the remainder."""
+
+    def check(data: bytes) -> None:
+        lines = data.decode("utf-8").splitlines()
+        rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+        assert len(rows) == 2, f"{len(rows)} outcomes for {n_members} members"
+        for row in rows[:n_members]:
+            assert abs(float(row["probability"]) - float(row["target_weight"])) <= 1e-8, row
+            assert float(row["fidelity_to_target"]) >= 1.0 - 1e-8, row
+        for row in rows[n_members:]:
+            assert float(row["probability"]) <= 1e-12, row
+            assert row["target_weight"] == row["fidelity_to_target"] == "", row
+
+    return check
 
 
 def base_configs(workloads, seed: int) -> list[tuple[str, dict, object]]:
@@ -153,7 +165,9 @@ def base_configs(workloads, seed: int) -> list[tuple[str, dict, object]]:
             bases.append((call.name, {**call.config, "output": output}, call.check))
     members = [[0.25, [[0.6, 0.0], [0.0, 0.8]]], [0.75, [1, 0]]]
     steer = {"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": members}}, "output": {"path": "qubit.csv"}}
-    bases.append(("qubit_steer", steer, _check_qubit_steer))
+    bases.append(("qubit_steer", steer, _qubit_steer_check(2)))
+    one = {**steer, "parameters": {"ensemble": {"members": [[1.0, [[0.6, 0.0], [0.0, 0.8]]]]}}, "output": {"path": "remainder.csv"}}
+    bases.append(("qubit_remainder", one, _qubit_steer_check(1)))
     for command, parameters in FORMS.items():
         form = {"command": command, "seed": 1, "parameters": parameters, "output": {"path": f"form_{command}.csv"}}
         bases.append((f"form_{command}", form, None))
