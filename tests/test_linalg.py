@@ -102,6 +102,21 @@ class TestConstruction:
             assert f.shape == (3, 12)
             assert np.max(np.abs(f @ f.conj().T - np.eye(3))) <= 1e-8
 
+    @pytest.mark.parametrize("dim,n_outcomes,stream", [(2, 1, 0), (3, 4, 2), (8, 3, 1)])
+    def test_random_povm_refines_the_whitened_gram_blocks(self, dim, n_outcomes, stream):
+        # block j of dim columns sums to S^(-1/2) X_j X_j^dagger S^(-1/2), for
+        # the Ginibre blocks X_j drawn in order from the seed's stream
+        rng = make_rng(11, stream)
+        blocks = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(n_outcomes)]
+        vals, vecs = np.linalg.eigh(sum(x @ x.conj().T for x in blocks))
+        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        f = random_povm(dim, n_outcomes, 11, stream).factors
+        assert f.shape == (dim, n_outcomes * dim)
+        for j, x in enumerate(blocks):
+            v = f[:, j * dim : (j + 1) * dim]
+            want = inv_sqrt @ x @ x.conj().T @ inv_sqrt
+            assert np.max(np.abs(v @ v.conj().T - want)) <= 1e-10
+
 
 def placed_spectrum(dim: int, seed: int, end: str, offset: float) -> np.ndarray:
     """Hermitian matrix with a seeded random spectrum in [0.1, 0.9] except

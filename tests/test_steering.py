@@ -139,9 +139,10 @@ class TestBarycenter:
 
 class TestHjwPovm:
     @pytest.mark.parametrize("dim", [2, 3, 8, 32])
-    def test_single_member_is_steered_with_remainder_columns(self, dim):
+    def test_single_member_is_steered_with_a_remainder_outcome(self, dim):
         # a one-member marginal has rank one, so hjw_povm appends the
-        # dim - 1 unused directions, which must carry no probability
+        # remainder as the dim - 1 unused directions, which must carry no
+        # probability
         for seed in range(5):
             psi = haar_random_state(dim, seed)
             ensemble = Ensemble([1.0], [psi.amplitudes])
@@ -282,13 +283,13 @@ class TestSteer:
             steer(BELL, Povm(np.eye(3, dtype=complex)))
 
 
-def sqrt_route(state, povm):
-    """Steering through sqrt(E) from eigh: branch = sqrt(E) M, probability
-    its squared norm, conditional state branch^T conj(branch) / probability
-    (None for a null outcome)."""
+def sqrt_route(state, effects):
+    """Steering through sqrt(E) from eigh for each d x d effect E: branch =
+    sqrt(E) M, probability its squared norm, conditional state
+    branch^T conj(branch) / probability (None for a null outcome)."""
     m = state.amplitudes
     result = []
-    for effect in outcome_matrices(povm):
+    for effect in effects:
         vals, vecs = np.linalg.eigh(effect)
         root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
         branch = root @ m
@@ -314,22 +315,44 @@ class TestSteerMatchesSquareRootRoute:
         self._compare(state, povm)
 
     @pytest.mark.parametrize("dim", [2, 8, 32])
-    @pytest.mark.parametrize("shape", ["full_rank", "rank_deficient", "one_member"])
-    def test_hjw_outcomes(self, dim, shape, random_ensemble):
-        # the rank-deficient and one-member measurements end in remainder columns
+    def test_rank_one_hjw_effects(self, dim, random_ensemble):
+        ensemble = random_ensemble(dim, 2 * dim, dim)
+        purification = purify(barycenter(ensemble))
+        self._compare(purification, hjw_povm(purification, ensemble))
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    @pytest.mark.parametrize("shape", ["rank_deficient", "one_member"])
+    def test_hjw_outcomes(self, dim, shape):
+        # the measurement ends in remainder columns
         ensemble = {
-            "full_rank": lambda: random_ensemble(dim, 2 * dim, dim),
             "rank_deficient": lambda: deficient_ensemble(dim, dim + 1, dim),
             "one_member": lambda: Ensemble([1.0], [haar_random_state(dim, dim).amplitudes]),
         }[shape]()
         purification = purify(barycenter(ensemble))
         self._compare(purification, hjw_povm(purification, ensemble))
 
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_refinements_of_an_effect_add_up_to_its_branch(self, dim, random_bipartite):
+        # the first dim columns of a random POVM refine one Gram effect E,
+        # and E's spectral pieces refine it again: in both, the outcomes'
+        # branches p_i u_i u_i^dagger add up to the sqrt(E) branch
+        state = random_bipartite(dim, dim, dim)
+        factors = random_povm(dim, 3, dim).factors
+        effect = factors[:, :dim] @ factors[:, :dim].conj().T
+        ((prob, want),) = sqrt_route(state, [effect])
+        vals, vecs = np.linalg.eigh(effect)
+        pieces = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        for refined in (factors, np.hstack([pieces, factors[:, dim:]])):
+            result = steer(state, Povm(refined))
+            p, u = result.probabilities[:dim], result.vectors[:dim]
+            assert p.sum() == pytest.approx(prob, abs=1e-12)
+            assert np.max(np.abs((u.T * p) @ u.conj() - prob * want)) <= 1e-12
+
     @staticmethod
     def _compare(state, povm):
         result = steer(state, povm)
         assert len(result) == len(povm)
-        pairs = zip(result.probabilities, conditional_matrices(result), sqrt_route(state, povm))
+        pairs = zip(result.probabilities, conditional_matrices(result), sqrt_route(state, outcome_matrices(povm)))
         for probability, conditional, (prob, want) in pairs:
             assert probability == pytest.approx(prob, abs=1e-12)
             assert (conditional is None) == (want is None)
