@@ -23,7 +23,7 @@ from .linalg import (
     purify,
     tensor,
 )
-from .rules import PhiRule, check_admissibility, phi_eval, prob_ensemble, prob_pure
+from .rules import PhiRule, phi_eval, prob_ensemble, prob_pure
 from .steering import (
     Ensemble,
     SteeringResult,
@@ -37,7 +37,6 @@ from .transition import (
     TransitionResult,
     complementarity_check,
     tau_closed,
-    tau_extremal_effect,
     tau_mixed,
     tau_optimized,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "barycenter",
     "build_two_level_scenario",
     "certify_identity",
-    "check_admissibility",
     "complementarity_check",
     "detectability",
     "geometric_fock_ensemble",
@@ -91,7 +89,6 @@ __all__ = [
     "steer",
     "tau_closed",
     "tau_coherent_analytic",
-    "tau_extremal_effect",
     "tau_mixed",
     "tau_optimized",
     "tensor",

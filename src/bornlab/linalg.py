@@ -270,19 +270,6 @@ def haar_random_state(dim: int, seed: int, stream: int = 0) -> StateVector:
             return StateVector(z / norm)
 
 
-def random_density_matrix(dim: int, seed: int, rank: int | None = None, stream: int = 0) -> DensityMatrix:
-    """Random full- or fixed-rank mixed state from a Ginibre factor."""
-    if rank is None:
-        rank = dim
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank {rank} outside [1, {dim}]")
-    rng = make_rng(seed, stream)
-    x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = x @ x.conj().T
-    rho /= np.trace(rho).real
-    return DensityMatrix(hermitize(rho))
-
-
 def random_povm(dim: int, n_outcomes: int, seed: int, stream: int = 0) -> Povm:
     """Random POVM of ``n_outcomes`` Ginibre Gram blocks X_i X_i^dagger
     whitened by their sum, each refined into its ``dim`` rank-one outcomes:

@@ -20,15 +20,6 @@ from .steering import Ensemble
 from .transition import tau_closed
 
 ENDPOINT_ATOL = 1e-12
-MONOTONE_GRID_STEP = 1e-3
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    passed: bool
-    boundary_ok: bool
-    monotone_ok: bool
-    first_violation: float | None = None
 
 
 def _require_finite_slopes(xs, ys, what: str) -> None:
@@ -147,10 +138,10 @@ class PhiRule:
     ``piecewise_affine``, and for ``custom`` the values on a uniform grid
     over [0, 1] with linear interpolation. Each evaluates as ``np.power``
     (identity: exponent 1) or as ``np.interp`` through nodes fixed at
-    construction. Inadmissible rules (see ``check_admissibility``) are
-    constructible so they can be scanned and rejected. Two rules are
-    equal, and hash alike, when they have the same kind and bitwise-equal
-    parameters.
+    construction. A rule is admissible when Phi fixes 0 and 1 and does not
+    decrease; an inadmissible rule is constructible so that it can be
+    scanned and rejected. Two rules are equal, and hash alike, when they
+    have the same kind and bitwise-equal parameters.
     """
 
     kind: str
@@ -249,30 +240,6 @@ class PhiRule:
         kind = spec.get("kind")
         key = _lookup(kind).key
         return PhiRule(kind, spec.get(key) if key else None)
-
-
-def check_admissibility(rule: PhiRule) -> AdmissibilityReport:
-    """Verify endpoint conditions and monotonicity on a finite grid.
-
-    The grid check is a guardrail, not a proof; all built-in families are
-    smooth enough that a 1e-3 grid resolves any genuine violation.
-    """
-    grid = np.linspace(0.0, 1.0, int(round(1.0 / MONOTONE_GRID_STEP)) + 1)
-    values = np.asarray(rule.eval(grid), dtype=float)
-    boundary_ok = abs(values[0]) <= ENDPOINT_ATOL and abs(values[-1] - 1.0) <= ENDPOINT_ATOL
-    drops = np.nonzero(np.diff(values) < -ENDPOINT_ATOL)[0]
-    monotone_ok = drops.size == 0
-    first_violation = None
-    if not boundary_ok:
-        first_violation = 0.0 if abs(values[0]) > ENDPOINT_ATOL else 1.0
-    elif not monotone_ok:
-        first_violation = float(grid[drops[0]])
-    return AdmissibilityReport(
-        passed=boundary_ok and monotone_ok,
-        boundary_ok=boundary_ok,
-        monotone_ok=monotone_ok,
-        first_violation=first_violation,
-    )
 
 
 def phi_eval(rule: PhiRule, p: float) -> float:

@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .linalg import DensityMatrix, Effect, StateVector, fidelity_to_pure, hermitize
+from .linalg import DensityMatrix, StateVector, fidelity_to_pure, hermitize
 
 TauMethod = Literal["closed_form", "optimized"]
 
@@ -74,11 +74,6 @@ def tau_closed(psi: StateVector, phi: StateVector) -> TransitionResult:
     _check_dims(psi, phi)
     overlap = np.vdot(phi.amplitudes, psi.amplitudes)
     return TransitionResult(value=float(abs(overlap) ** 2), method="closed_form")
-
-
-def tau_extremal_effect(phi: StateVector) -> Effect:
-    """The minimal effect accepting phi with certainty: |phi><phi|."""
-    return Effect(phi.projector())
 
 
 def tau_mixed(rho: DensityMatrix, phi: StateVector) -> float:

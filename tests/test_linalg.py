@@ -17,7 +17,6 @@ from bornlab.linalg import (
     make_rng,
     partial_trace_a,
     purify,
-    random_density_matrix,
     random_povm,
     tensor,
 )
@@ -91,11 +90,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
 
-    def test_constructors_hold_on_random_inputs(self):
+    def test_constructors_hold_on_random_inputs(self, random_bipartite):
         for seed in range(25):
             psi = haar_random_state(4, seed)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-9
-            rho = random_density_matrix(4, seed)
+            rho = partial_trace_a(random_bipartite(4, 4, seed))
             assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-9
             # four Gram blocks, each refined into its three rank-one outcomes
             f = random_povm(3, 4, seed).factors
@@ -372,14 +371,14 @@ class TestPurify:
         schmidt = np.linalg.svd(purification.amplitudes, compute_uv=False)
         assert np.allclose(schmidt, [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
-    def test_round_trip(self):
+    def test_round_trip(self, random_bipartite):
         for seed in range(20):
-            rho = random_density_matrix(4, seed)
+            rho = partial_trace_a(random_bipartite(4, 4, seed))
             back = partial_trace_a(purify(rho))
             assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-8
 
-    def test_rank_deficient_round_trip_keeps_dimension(self):
-        rho = random_density_matrix(4, 9, rank=2)
+    def test_rank_deficient_round_trip_keeps_dimension(self, random_bipartite):
+        rho = partial_trace_a(random_bipartite(2, 4, 9))
         purification = purify(rho)
         assert purification.dim_a == purification.dim_b == 4
         back = partial_trace_a(purification)

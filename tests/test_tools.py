@@ -224,3 +224,62 @@ class TestFuzzCli:
         assert any(e.startswith("nesting: ") for e in errors)
         assert any(e == "non-finite number NaN: only finite numbers are accepted" for e in errors)
         assert any(e.endswith(": number overflows a float: only finite numbers are accepted") for e in errors)
+
+
+class TestAb:
+    """The verdict of ``tools/ab.py`` on synthetic paired samples; no
+    benchmark process is started."""
+
+    @pytest.fixture(scope="class")
+    def ab(self):
+        return load_tool("ab")
+
+    BASE = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.1, 10.0, 10.2]
+
+    def test_nine_wins_of_ten_are_a_gain(self, ab):
+        head = [b - 2.0 for b in self.BASE[:9]] + [self.BASE[9] + 1.0]
+        summary = ab.compare(self.BASE, head, "lower", 0.25)
+        assert (summary["head_wins"], summary["ties"], summary["pairs"]) == (9, 0, 10)
+        assert summary["sign_test_p"] == pytest.approx(22 / 1024)
+        assert summary["verdict"] == "gain"
+        # the same numbers, read as a metric where higher is better
+        assert ab.compare(self.BASE, head, "higher", 0.25)["verdict"] == "not_shown"
+
+    def test_eight_wins_of_ten_are_not(self, ab):
+        head = [b - 2.0 for b in self.BASE[:8]] + [b + 1.0 for b in self.BASE[8:]]
+        summary = ab.compare(self.BASE, head, "lower", 0.25)
+        assert summary["head_wins"] == 8 and summary["sign_test_p"] > 0.05
+        assert summary["verdict"] == "not_shown"
+
+    def test_equal_samples_show_nothing(self, ab):
+        summary = ab.compare(self.BASE, list(self.BASE), "lower", 0.25)
+        assert (summary["head_wins"], summary["ties"], summary["sign_test_p"]) == (0, 10, 1.0)
+        assert summary["median_change_pct"] == 0.0
+        assert summary["verdict"] == "not_shown"
+
+    def test_worse_past_the_bound(self, ab):
+        head = [1.3 * b for b in self.BASE]
+        assert ab.compare(self.BASE, head, "lower", 0.25)["verdict"] == "worse"
+        assert ab.compare(self.BASE, head, "lower", 0.35)["verdict"] == "not_shown"
+        assert ab.compare(head, self.BASE, "higher", 0.2)["verdict"] == "worse"
+
+    def test_ties_count_for_neither_side(self, ab):
+        # three wins and seven ties: the sign test sees three untied pairs
+        head = [b - 1.0 for b in self.BASE[:3]] + self.BASE[3:]
+        summary = ab.compare(self.BASE, head, "lower", 0.25)
+        assert (summary["head_wins"], summary["ties"], summary["pairs"]) == (3, 7, 10)
+        assert summary["sign_test_p"] == pytest.approx(0.25)
+        assert summary["verdict"] == "not_shown"
+        # eight wins and two ties: p = 2/256 over the untied pairs, but a
+        # gain needs nine tenths of all pairs
+        head = [b - 2.0 for b in self.BASE[:8]] + self.BASE[8:]
+        summary = ab.compare(self.BASE, head, "lower", 0.25)
+        assert (summary["head_wins"], summary["ties"]) == (8, 2)
+        assert summary["sign_test_p"] == pytest.approx(2 / 256)
+        assert summary["verdict"] == "not_shown"
+
+    def test_sign_test_p(self, ab):
+        assert ab.sign_test_p(0, 0) == 1.0
+        assert ab.sign_test_p(2, 0) == 0.5
+        assert ab.sign_test_p(10, 0) == pytest.approx(2 / 1024)
+        assert ab.sign_test_p(1, 9) == ab.sign_test_p(9, 1)

@@ -9,7 +9,6 @@ from bornlab.transition import (
     complementarity_check,
     qubit_orthogonal,
     tau_closed,
-    tau_extremal_effect,
     tau_mixed,
     tau_optimized,
 )
@@ -47,22 +46,6 @@ class TestClosedForm:
         assert TransitionResult(value=1.0 + 5e-10, method="closed_form").value == 1.0
         with pytest.raises(ValueError):
             TransitionResult(value=1.1, method="closed_form")
-
-
-class TestExtremalEffect:
-    def test_basis_projector(self):
-        assert np.allclose(tau_extremal_effect(ZERO).matrix, np.diag([1.0, 0.0]))
-
-    def test_plus_projector(self):
-        assert np.allclose(tau_extremal_effect(PLUS).matrix, np.full((2, 2), 0.5), atol=1e-12)
-
-    def test_rank_one(self):
-        for seed in range(10):
-            phi = haar_random_state(4, seed)
-            effect = tau_extremal_effect(phi)
-            assert np.trace(effect.matrix).real == pytest.approx(1.0, abs=1e-12)
-            fixed = effect.matrix @ phi.amplitudes - phi.amplitudes
-            assert np.max(np.abs(fixed)) <= 1e-12
 
 
 class TestOptimized:
