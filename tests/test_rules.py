@@ -17,6 +17,12 @@ from bornlab.rules import (
 from bornlab.steering import Ensemble, barycenter, geometric_fock_ensemble
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+GRID = np.linspace(0.0, 1.0, 1001)
+
+
+def _admissible(rule: PhiRule) -> bool:
+    """Phi fixes 0 and 1 and does not decrease on ``GRID``."""
+    return rule.eval(0.0) == 0.0 and rule.eval(1.0) == 1.0 and bool((np.diff(rule.eval(GRID)) >= 0).all())
 
 
 class TestEval:
@@ -146,7 +152,27 @@ class TestSlopeBounds:
         assert lo.tolist() == hi.tolist() == [1.0, 1.0, 1.0]
 
 
-class TestConstruction:
+class TestAdmissibility:
+    """A rule is admissible when Phi fixes 0 and 1 and does not decrease;
+    an inadmissible rule still constructs, so that it can be scanned."""
+
+    def test_identity_passes(self):
+        assert _admissible(PhiRule.identity())
+
+    def test_power_two_passes(self):
+        assert _admissible(PhiRule.power(2.0))
+
+    def test_decreasing_segment_fails_at_first_drop(self):
+        rule = PhiRule.piecewise_affine([(0.0, 0.0), (0.4, 0.8), (0.7, 0.5), (1.0, 1.0)])
+        assert not _admissible(rule)
+        drops = np.flatnonzero(np.diff(rule.eval(GRID)) < 0)
+        assert GRID[drops[0]] == pytest.approx(0.4, abs=1e-9)
+
+    def test_bad_endpoint_fails(self):
+        rule = PhiRule.custom(np.linspace(0.1, 1.0, 11))
+        assert rule.eval(0.0) == pytest.approx(0.1, abs=1e-15)
+        assert not _admissible(rule)
+
     def test_invalid_constructions(self):
         with pytest.raises(ValueError):
             PhiRule.power(-1.0)
@@ -435,9 +461,5 @@ class TestEquality:
 def test_builtin_rules_cover_acceptance_families():
     rules = builtin_rules()
     assert set(rules) == {"identity", "power(2)", "power(0.5)", "power(1.2)"}
-    grid = np.linspace(0.0, 1.0, 1001)
-    for rule in rules.values():
-        # admissible: Phi fixes 0 and 1 and does not decrease
-        assert rule.eval(0.0) == 0.0 and rule.eval(1.0) == 1.0
-        assert (np.diff(rule.eval(grid)) >= 0).all()
+    assert all(_admissible(rule) for rule in rules.values())
     assert math.isclose(rules["power(2)"].eval(0.5), 0.25)

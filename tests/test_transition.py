@@ -48,6 +48,27 @@ class TestClosedForm:
             TransitionResult(value=1.1, method="closed_form")
 
 
+class TestExtremalEffect:
+    """The effect that attains tau(., phi) is the projector |phi><phi|."""
+
+    def test_basis_projector(self):
+        assert np.allclose(ZERO.projector(), np.diag([1.0, 0.0]))
+
+    def test_plus_projector(self):
+        assert np.allclose(PLUS.projector(), np.full((2, 2), 0.5), atol=1e-12)
+
+    def test_rank_one(self):
+        for seed in range(10):
+            phi = haar_random_state(4, seed)
+            effect = phi.projector()
+            assert np.trace(effect).real == pytest.approx(1.0, abs=1e-12)
+            fixed = effect @ phi.amplitudes - phi.amplitudes
+            assert np.max(np.abs(fixed)) <= 1e-12
+            psi = haar_random_state(4, seed + 100)
+            expectation = np.vdot(psi.amplitudes, effect @ psi.amplitudes).real
+            assert expectation == pytest.approx(tau_closed(psi, phi).value, abs=1e-12)
+
+
 class TestOptimized:
     def test_same_state(self):
         psi = haar_random_state(3, 2)
