@@ -329,10 +329,7 @@ def _parse_sigma_affinity(params: dict, errors: list[str]) -> dict:
     if isinstance(spec, dict):
         index = _level(spec.get("fock"), "phi.fock", errors)
         if index is not None and n_list is not None:
-            try:
-                phi = StateVector.basis(max(max(n_list), index) + 1, index)
-            except ValueError as exc:
-                errors.append(f"phi.fock: {exc}")
+            phi = StateVector.basis(max(max(n_list), index) + 1, index)
     elif isinstance(spec, list) and len(spec) > MAX_CUTOFF + 1:
         errors.append(f"phi: {len(spec)} amplitudes exceed the {MAX_CUTOFF + 1} of the largest allowed level {MAX_CUTOFF}")
     elif isinstance(spec, list):

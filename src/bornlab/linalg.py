@@ -292,10 +292,3 @@ def psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(hermitize(matrix))
     eigvals = np.clip(eigvals, 0.0, None)
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
-
-
-def fidelity_to_pure(rho: DensityMatrix, psi: StateVector) -> float:
-    """<psi| rho |psi>: fidelity between a mixed state and a pure target."""
-    if rho.dim != psi.dim:
-        raise ValueError("dimension mismatch")
-    return float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))

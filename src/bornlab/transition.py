@@ -14,13 +14,10 @@ independent route (ROADMAP.md, open item 1, plans a dual certificate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .linalg import DensityMatrix, StateVector, fidelity_to_pure, hermitize
-
-TauMethod = Literal["closed_form", "optimized"]
+from .linalg import DensityMatrix, StateVector, hermitize
 
 # a transition probability may leave [0, 1] by this much before it is clamped
 TAU_RANGE_ATOL = 1e-9
@@ -36,7 +33,7 @@ MAX_ITERS = 5000
 
 @dataclass(frozen=True)
 class TransitionResult:
-    """Transition probability with provenance of the computation route.
+    """Transition probability with the optimizer's iteration count and residual.
 
     ``residual`` is the largest constraint violation of the effect the value
     was read from (0 for the closed form); ``iterations`` is 0 for the
@@ -44,7 +41,6 @@ class TransitionResult:
     """
 
     value: float
-    method: TauMethod
     iterations: int = 0
     residual: float = 0.0
 
@@ -55,13 +51,7 @@ class TransitionResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Optimizer ran out of iterations; carries the best value found."""
-
-    def __init__(self, message: str, best_value: float, residual: float, iterations: int):
-        super().__init__(message)
-        self.best_value = best_value
-        self.residual = residual
-        self.iterations = iterations
+    """Optimizer ran out of iterations; the message names the best value found."""
 
 
 def _check_dims(psi: StateVector, phi: StateVector) -> None:
@@ -73,14 +63,14 @@ def tau_closed(psi: StateVector, phi: StateVector) -> TransitionResult:
     """Closed form: squared modulus of the inner product."""
     _check_dims(psi, phi)
     overlap = np.vdot(phi.amplitudes, psi.amplitudes)
-    return TransitionResult(value=float(abs(overlap) ** 2), method="closed_form")
+    return TransitionResult(value=float(abs(overlap) ** 2))
 
 
 def tau_mixed(rho: DensityMatrix, phi: StateVector) -> float:
     """Affine extension to mixed inputs: trace(rho |phi><phi|)."""
     if rho.dim != phi.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {phi.dim}")
-    return min(1.0, max(0.0, fidelity_to_pure(rho, phi)))
+    return min(1.0, max(0.0, float(np.real(phi.amplitudes.conj() @ rho.matrix @ phi.amplitudes))))
 
 
 def _clip_spectrum(matrix: np.ndarray) -> np.ndarray:
@@ -106,8 +96,8 @@ def tau_optimized(
     condition: the loop stops once a step moves E by at most a thousandth of
     TOLERANCE. The value is <psi|E|psi> of the last iterate.
 
-    Raises ConvergenceError (carrying the best value and residual) if the
-    step criterion is not met within ``max_iters``.
+    Raises ConvergenceError, whose message names the best value and residual,
+    if the step criterion is not met within ``max_iters``.
     """
     _check_dims(psi, phi)
     if psi.dim > MAX_DIM:
@@ -134,10 +124,7 @@ def tau_optimized(
 
     best = _assemble_result(phi, effect, psi, iterations)
     raise ConvergenceError(
-        f"no convergence after {iterations} iterations (best value {best.value}, residual {best.residual})",
-        best_value=best.value,
-        residual=best.residual,
-        iterations=iterations,
+        f"no convergence after {iterations} iterations (best value {best.value}, residual {best.residual})"
     )
 
 
@@ -146,7 +133,7 @@ def _assemble_result(phi: StateVector, effect: np.ndarray, psi: StateVector, ite
     eigs = np.linalg.eigvalsh(hermitize(effect))
     fix_violation = float(np.max(np.abs(effect @ phi.amplitudes - phi.amplitudes)))
     residual = max(fix_violation, max(0.0, -float(eigs[0])), max(0.0, float(eigs[-1]) - 1.0))
-    return TransitionResult(value=value, method="optimized", iterations=iterations, residual=residual)
+    return TransitionResult(value=value, iterations=iterations, residual=residual)
 
 
 def qubit_orthogonal(phi: StateVector) -> StateVector:

@@ -12,14 +12,13 @@ from bornlab.fock import truncation_convergence, sigma_affinity_convergence
 from bornlab.linalg import (
     StateVector,
     haar_random_state,
-    make_rng,
     purify,
     random_povm,
 )
 from bornlab.rigidity import certify_identity
 from bornlab.rules import PhiRule, builtin_rules
 from bornlab.signaling import build_two_level_scenario, detectability, run_steering_experiment
-from bornlab.steering import Ensemble, barycenter, hjw_povm, steer, verify_marginal_invariance
+from bornlab.steering import barycenter, hjw_povm, steer, verify_marginal_invariance
 from bornlab.transition import complementarity_check, tau_closed, tau_optimized
 
 
@@ -29,12 +28,6 @@ def _criterion(name: str, ok: bool, detail: str = ""):
         line += f" ({detail})"
     print(line)
     assert ok, f"{name}: {detail}"
-
-
-def _random_ensemble(dim: int, n_members: int, seed: int) -> Ensemble:
-    rng = make_rng(seed, stream=77)
-    weights = rng.dirichlet(np.ones(n_members))
-    return Ensemble(weights, [haar_random_state(dim, seed * 1009 + i).amplitudes for i in range(n_members)])
 
 
 def test_criterion_1_tau_oracle_equivalence():
@@ -65,13 +58,13 @@ def test_criterion_2_complementarity():
     _criterion("2 complementarity", worst <= 1e-10, f"1000 qubit pairs, worst deviation={worst:.3g}")
 
 
-def test_criterion_3_steering_fidelity():
+def test_criterion_3_steering_fidelity(random_ensemble):
     worst_weight = 0.0
     worst_fidelity = 1.0
     for trial in range(200):
         dim = 2 + trial % 2
         n_members = 1 + trial % 4
-        ensemble = _random_ensemble(dim, n_members, trial)
+        ensemble = random_ensemble(dim, n_members, trial)
         purification = purify(barycenter(ensemble))
         result = steer(purification, hjw_povm(purification, ensemble))
         k = len(ensemble.weights)

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +270,18 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("numerical failure: tau: no convergence after 1 iterations")
         assert "best value " in lines[0] and "residual " in lines[0]
+
+    def test_module_run_as_a_script_writes_its_artifact(self, tmp_path):
+        out = tmp_path / "jensen.csv"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        config = write_config(tmp_path, jensen_doc(out))
+        done = subprocess.run(
+            [sys.executable, "-m", "bornlab.cli", "--config", str(config), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert out.read_text(encoding="utf-8").startswith("# ")
 
 
 class TestReproducibility:
@@ -711,11 +726,15 @@ class TestEveryConfigEndsCleanly:
         ("detect", {**TWO_LEVEL, "n_samples": 10, "alpha": 1e-16}, EXIT_CONFIG, "alpha: must lie strictly between 2**-53 and 1"),
         ("scan", {"grid_step": 1e-15}, EXIT_CONFIG, "grid_step: must lie in [0.0002, 0.1]"),
         ("steer", {"ensemble": {"members": [[1, [1] + [0] * 99_999]]}}, EXIT_CONFIG, "ensemble.members: dimension 100000 exceeds"),
+        ("tau", {"psi": [0, 0], "phi": [1, 0]}, EXIT_CONFIG, "psi: amplitude list has zero norm"),
+        # no command: the parameters are the whole document
+        (None, [1], EXIT_CONFIG, "top level: expected a JSON object"),
     ]
 
     @pytest.mark.parametrize("command,parameters,code,message", CASES)
     def test_config_exits_cleanly(self, tmp_path, capsys, command, parameters, code, message):
-        exit_code, out = run_doc(tmp_path, {"command": command, "seed": 0, "parameters": parameters})
+        doc = parameters if command is None else {"command": command, "seed": 0, "parameters": parameters}
+        exit_code, out = run_doc(tmp_path, doc)
         err = capsys.readouterr().err
         assert exit_code == code
         prefix = "config error: " if code == EXIT_CONFIG else "numerical failure: "

@@ -76,6 +76,10 @@ class TestTruncationConvergence:
         with pytest.raises(ValueError):
             truncation_convergence(0.0, 1.0, [10, 5])
 
+    def test_rejects_negative_cutoffs(self):
+        with pytest.raises(ValueError, match="^cutoffs must be nonnegative$"):
+            truncation_convergence(0.5, 0.2, [-1, 2])
+
     @pytest.mark.parametrize(
         "alpha,beta,cutoffs",
         [(0.0, 2.0, [0, 1, 5, 10, 20, 40]), (2.0, -2.0, list(range(60))), (1.5 + 0.5j, -0.3j, [3, 200])],
@@ -158,6 +162,15 @@ class TestSigmaAffinityConvergence:
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
             sigma_affinity_convergence(PhiRule.identity(), 1.2, StateVector.basis(11, 0), [5])
+
+    @pytest.mark.parametrize(
+        "n_list,message",
+        [([-1, 1], "cutoffs must be nonnegative"), ([], "cutoff list must be nonempty and strictly ascending")],
+        ids=["negative", "empty"],
+    )
+    def test_cutoff_list_validation(self, n_list, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sigma_affinity_convergence(PhiRule.identity(), 0.5, StateVector.basis(2, 0), n_list)
 
 
 def member_route(rule, r, phi, n_list):

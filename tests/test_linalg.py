@@ -12,7 +12,6 @@ from bornlab.linalg import (
     Effect,
     Povm,
     StateVector,
-    fidelity_to_pure,
     haar_random_state,
     make_rng,
     partial_trace_a,
@@ -20,6 +19,7 @@ from bornlab.linalg import (
     random_povm,
     tensor,
 )
+from bornlab.transition import tau_mixed
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -84,6 +84,22 @@ class TestConstruction:
                 build(np.array([[bad, 0.0], [0.0, 1.0]]))
             with pytest.raises(ValueError, match="hermiticity"):
                 build(np.array([[0.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: StateVector([]), "expected a nonempty 1-D amplitude list"),
+            (lambda: DensityMatrix(np.ones((2, 3))), "expected a nonempty square matrix"),
+            (lambda: StateVector.basis(2, 2), "basis index 2 outside dimension 2"),
+            (lambda: BipartiteState(np.array([1.0, 0.0])), "expected a nonempty 2-D amplitude matrix"),
+            (lambda: haar_random_state(0, 1), "dim must be >= 1"),
+            (lambda: random_povm(2, 0, 1), "need at least one outcome"),
+        ],
+        ids=["state-empty", "density-not-square", "basis-index", "bipartite-1d", "haar-dim", "povm-outcomes"],
+    )
+    def test_rejects_empty_or_misshapen_input(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_values_are_immutable(self):
         psi = StateVector.basis(2, 0)
@@ -440,6 +456,6 @@ class TestHelpers:
 
     def test_fidelity_to_pure(self):
         psi = StateVector.basis(2, 0)
-        assert fidelity_to_pure(DensityMatrix(psi.projector()), psi) == pytest.approx(1.0)
-        assert fidelity_to_pure(DensityMatrix(np.eye(2) / 2), psi) == pytest.approx(0.5)
+        assert tau_mixed(DensityMatrix(psi.projector()), psi) == pytest.approx(1.0)
+        assert tau_mixed(DensityMatrix(np.eye(2) / 2), psi) == pytest.approx(0.5)
 

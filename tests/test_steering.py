@@ -65,6 +65,10 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="nonnegative"):
             Ensemble(weights, np.eye(len(weights)), tail_weight=tail)
 
+    def test_rejects_no_members(self):
+        with pytest.raises(ValueError, match="^ensemble needs at least one member$"):
+            Ensemble([], np.zeros((0, 2)))
+
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="mismatched dimensions"):
             Ensemble([0.5, 0.5], [ZERO.amplitudes, StateVector.basis(3, 0).amplitudes])
@@ -227,6 +231,11 @@ class TestHjwPovm:
         with pytest.raises(ValueError, match="barycenter"):
             hjw_povm(purification, ensemble)
 
+    def test_rejects_ensemble_of_another_dimension(self):
+        purification = purify(DensityMatrix(np.eye(3) / 3))
+        with pytest.raises(ValueError, match="^ensemble dimension differs from the purified system$"):
+            hjw_povm(purification, Ensemble([1.0], [[1, 0]]))
+
     def test_rejects_member_outside_support(self):
         inside = Ensemble([0.5, 0.5], np.eye(3)[:2])
         purification = purify(barycenter(inside))
@@ -378,6 +387,10 @@ class TestMarginalInvariance:
             povm2 = random_povm(state.dim_a, 2 + (seed + 1) % 3, seed + 200)
             assert verify_marginal_invariance(state, povm1, povm2) <= 1e-10
 
+    def test_rejects_povm_of_another_dimension(self):
+        with pytest.raises(ValueError, match="^POVM dimension differs from A side$"):
+            verify_marginal_invariance(BELL, Povm(np.eye(2)), Povm(np.eye(3)))
+
     def test_equal_barycenters_same_marginal_distinct_conditionals(self):
         purification = purify(DensityMatrix(np.eye(2) / 2))
         computational = Ensemble([0.5, 0.5], np.eye(2))
@@ -418,3 +431,7 @@ class TestGeometricFockEnsemble:
             geometric_fock_ensemble(1.0, 5)
         with pytest.raises(ValueError):
             geometric_fock_ensemble(0.0, 5)
+
+    def test_truncation_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+            geometric_fock_ensemble(0.5, -1)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -44,6 +45,19 @@ class TestArtifactDigest:
         assert digest.digest_line(SimpleNamespace(name="c", check=wrong), 0, b"x") == ("check-failed", True)
         assert "c: AssertionError: probability off" in capsys.readouterr().err
         assert digest.digest_line(SimpleNamespace(name="c", check=wrong), 3, None) == ("exit-3", True)
+
+    def test_every_benchmark_call_exits_0_and_passes_its_check(self):
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", str(TOOLS / "artifact_digest.py")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        # every call of the three workloads at seeds 1, 2 and 3
+        assert len(lines) == 294
+        failed = [line for line in lines if line.startswith(("check-failed", "exit-"))]
+        assert not failed
 
 
 def write_tree(root: Path, files: dict[str, str]) -> Path:
