@@ -31,6 +31,7 @@ from .steering import (
     geometric_fock_ensemble,
     hjw_povm,
     steer,
+    steering_setup,
     verify_marginal_invariance,
 )
 from .transition import (
@@ -87,6 +88,7 @@ __all__ = [
     "scan_gaps",
     "sigma_affinity_convergence",
     "steer",
+    "steering_setup",
     "tau_closed",
     "tau_coherent_analytic",
     "tau_mixed",

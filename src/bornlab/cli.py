@@ -23,11 +23,11 @@ import numpy as np
 
 from . import __version__
 from .fock import sigma_affinity_convergence, tau_coherent_analytic, truncation_convergence
-from .linalg import StateVector, purify
+from .linalg import StateVector
 from .rigidity import certify_identity
 from .rules import PhiRule
 from .signaling import build_two_level_scenario, detectability, jensen_gap, run_steering_experiment
-from .steering import Ensemble, barycenter, hjw_povm, steer
+from .steering import Ensemble, steer, steering_setup
 from .transition import MAX_DIM, MAX_ITERS, ConvergenceError, tau_closed, tau_optimized
 
 EXIT_OK = 0
@@ -56,11 +56,11 @@ MAX_SAMPLES = 10**7
 # 0.29 s); the identity, affine on every block, takes 0.0014 s and 0.0056 s.
 MIN_GRID_STEP = 2e-4
 # Largest steer member count and dimension d, and largest members * d**2:
-# the work of the one barycenter product over all members and of hjw_povm's
-# SVD of the members x d matrix. The members are one members x d array, and
-# the measurement's rank-one outcomes and the steered states are each one
-# (members + d - r) x d array, r the marginal's numerical rank. At the
-# cap d = 32 with 4096 members takes ~0.8 s and 69 MB peak RSS as a
+# the work of the one barycenter product over all members and of the SVD of
+# the members x d matrix in steering_setup. The members are one members x d
+# array, and the measurement's rank-one outcomes and the steered states are
+# each one (members + d - r) x d array, r the marginal's numerical rank. At
+# the cap d = 32 with 4096 members takes ~0.8 s and 69 MB peak RSS as a
 # subprocess, d = 128 with 256 members ~0.4 s and 44 MB (2-vCPU VM). The
 # member count is checked before any member is read.
 MAX_MEMBERS = 4096
@@ -264,8 +264,8 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
             continue
         weights.append(_number(entry[0], f"ensemble.members[{i}].weight", errors, "must be nonnegative", lambda v: v >= 0))
         rows.append(_amplitudes(entry[1], f"ensemble.members[{i}].state", errors))
-    # purify needs a unit-trace barycenter, so a steered ensemble has no
-    # tail; declared tails belong to prob_ensemble and sigma_affinity
+    # steering_setup purifies a unit-trace barycenter, so a steered ensemble
+    # has no tail; declared tails belong to prob_ensemble and sigma_affinity
     _number(
         spec.get("tail_weight", 0.0), "ensemble.tail_weight", errors,
         "must be 0: steer purifies a unit-trace barycenter", lambda v: v == 0,
@@ -498,8 +498,7 @@ def _run_detect(rule, seed, p1, p2, lam, n_samples, alpha) -> _Result:
 
 
 def _run_steer(rule, seed, ensemble) -> _Result:
-    purification = purify(barycenter(ensemble))
-    result = steer(purification, hjw_povm(purification, ensemble))
+    result = steer(*steering_setup(ensemble))
     k = len(ensemble.weights)
     probabilities, weights = result.probabilities.tolist(), ensemble.weights.tolist()
     # |<psi_i|u_i>|^2 of each member with its unit conditional vector
@@ -508,7 +507,7 @@ def _run_steer(rule, seed, ensemble) -> _Result:
     columns = ["outcome", "probability", "target_weight", "fidelity_to_target"]
     rows = [[i, probabilities[i], weights[i], fidelities[i]] for i in range(k)]
     if len(result) > k:
-        # the columns hjw_povm appends for the unused A directions, one remainder row
+        # the measurement's columns for the unused A directions, one remainder row
         rows.append([k, math.fsum(probabilities[k:]), None, None])
     max_weight_err = float(np.max(np.abs(result.probabilities[:k] - ensemble.weights)))
     summary = f"outcomes={len(rows)} max_weight_error={max_weight_err:.3g}"
@@ -603,10 +602,7 @@ def _write_artifact(
     if config.output_format != "json":
         _write_csv(config.output_path, metadata, columns, rows)
     else:
-        payload = nested if nested is not None else {
-            "columns": columns,
-            "rows": [[_jsonable(v) for v in row] for row in rows],
-        }
+        payload = nested if nested is not None else {"columns": columns, "rows": rows}
         _write_json(config.output_path, metadata, _jsonable(payload))
 
 

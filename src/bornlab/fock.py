@@ -43,6 +43,13 @@ def tau_coherent_analytic(alpha: complex, beta: complex) -> float:
     return float(np.exp(-_squared_modulus(complex(alpha) - complex(beta))))
 
 
+def _check_cutoffs(n_list: list[int]) -> None:
+    if list(n_list) != sorted(set(int(n) for n in n_list)) or not n_list:
+        raise ValueError("cutoff list must be nonempty and strictly ascending")
+    if any(n < 0 for n in n_list):
+        raise ValueError("cutoffs must be nonnegative")
+
+
 def truncation_convergence(
     alpha: complex, beta: complex, n_list: list[int]
 ) -> list[tuple[int, float]]:
@@ -52,14 +59,11 @@ def truncation_convergence(
     allowed on purpose: the point is to watch the error fall as the cutoff
     deepens (strictly, within a 1e-14 floating point floor).
     """
-    if list(n_list) != sorted(set(int(n) for n in n_list)):
-        raise ValueError("cutoff list must be strictly ascending")
-    if any(n < 0 for n in n_list):
-        raise ValueError("cutoffs must be nonnegative")
+    _check_cutoffs(n_list)
     exact = tau_coherent_analytic(alpha, beta)
     # by the recurrence, each cutoff's array is bit for bit a prefix of these
-    raw_a = _coherent_amplitudes(complex(alpha), max(n_list, default=0))
-    raw_b = _coherent_amplitudes(complex(beta), max(n_list, default=0))
+    raw_a = _coherent_amplitudes(complex(alpha), max(n_list))
+    raw_b = _coherent_amplitudes(complex(beta), max(n_list))
     out = []
     for n in n_list:
         state_a = _truncated_coherent(raw_a[: n + 1], complex(alpha), n, "alpha")
@@ -108,10 +112,7 @@ def sigma_affinity_convergence(
     """
     if not 0.0 < r < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
-    if list(n_list) != sorted(set(int(n) for n in n_list)) or not n_list:
-        raise ValueError("cutoff list must be nonempty and strictly ascending")
-    if any(n < 0 for n in n_list):
-        raise ValueError("cutoffs must be nonnegative")
+    _check_cutoffs(n_list)
     if phi.dim < max(n_list) + 1:
         raise ValueError(f"target state lives in dimension {phi.dim}, below cutoff {max(n_list)}")
     dim = phi.dim

@@ -165,8 +165,6 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     values = np.asarray(rule.eval(grid), dtype=float)
 
     blocks = _row_blocks(n)
-    # block entry (t, c) is the pair (start + t, first + c); first + c <= start + t is no pair
-    below = np.tri(max(stop - start for start, stop in blocks), k=-1, dtype=bool)
     lo, hi = rule.slope_bounds(grid[[start for start, _ in blocks]])
     spreads = (hi - lo).tolist()
     scale = 1.0 + np.max(np.abs(values)) + np.maximum(np.abs(lo), np.abs(hi))
@@ -185,8 +183,8 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
                     continue
             mix = lam * p1 + (1.0 - lam) * grid[first:]
             gaps = np.abs(lam * v1 + (1.0 - lam) * values[first:] - np.asarray(rule.eval(mix), dtype=float))
-            rows, skipped = stop - start, first - start - 1
-            gaps[:, : max(rows - skipped, 0)][below[:rows, skipped:rows]] = -np.inf
+            # entry (t, c) is the pair (start + t, first + c); first + c <= start + t is no pair
+            gaps[np.arange(start, stop)[:, None] >= np.arange(first, n + 1)] = -np.inf
             k = int(np.argmax(gaps))
             gap = float(gaps.flat[k])
             if gap > max_gap or (gap == max_gap and lam < witness[2]):
@@ -210,21 +208,6 @@ def scan_gaps(rule: PhiRule, grid_step: float = 0.01) -> RigidityReport:
     )
 
 
-def derived_bound(gap_tolerance: float, grid_step: float) -> float:
-    """Largest identity deviation compatible with all midpoint gaps below
-    ``gap_tolerance`` on a 1/grid_step grid with pinned endpoints.
-
-    Each interior grid point is the midpoint of its neighbors, so its gap
-    bounds the discrete second difference by 2*tol; accumulating those
-    bounds from both pinned endpoints yields the worst-case profile
-    tol * k(n-k), maximized at tol * n^2 / 4.
-    """
-    if not gap_tolerance > 0 or not 0.0 < grid_step <= 0.1:
-        raise ValueError("tolerances must be positive, grid_step in (0, 0.1]")
-    n = int(round(1.0 / grid_step))
-    return gap_tolerance * n * n / 4.0
-
-
 def certify_identity(
     rule: PhiRule,
     gap_tolerance: float = 1e-10,
@@ -235,10 +218,18 @@ def certify_identity(
     Certification requires both the scan's max gap below ``gap_tolerance``
     and the identity deviation below the propagated bound; the returned
     witness for a rejection is directly usable as a steering scenario.
+
+    The bound: each interior grid point is the midpoint of its neighbors, so
+    a gap below tol = ``gap_tolerance`` bounds the discrete second difference
+    by 2 tol; summed from both pinned endpoints over n = 1/grid_step steps,
+    |Phi(p) - p| <= tol k (n - k) <= tol n^2 / 4. ValueError unless
+    ``gap_tolerance`` > 0 (a NaN fails), raised before the scan.
     """
-    bound = derived_bound(gap_tolerance, grid_step)
+    if not gap_tolerance > 0:
+        raise ValueError("gap_tolerance must be positive")
     report = scan_gaps(rule, grid_step)
     n = int(round(1.0 / grid_step))
+    bound = gap_tolerance * n * n / 4.0
     gap_ok = report.max_gap <= gap_tolerance
     dev_ok = report.max_identity_deviation <= bound
     witness: tuple[float, float, float] | float | None = None

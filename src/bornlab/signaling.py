@@ -17,9 +17,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .linalg import BipartiteState, DensityMatrix, Povm, StateVector, make_rng, purify
+from .linalg import BipartiteState, DensityMatrix, Povm, StateVector, make_rng
 from .rules import ENDPOINT_ATOL, PhiRule, phi_eval, prob_pure
-from .steering import Ensemble, barycenter, hjw_povm, steer
+from .steering import Ensemble, barycenter, steer, steering_setup
 from .transition import tau_mixed
 
 _NORMAL = NormalDist()
@@ -35,12 +35,12 @@ class SteeringScenario:
     flags equal target probabilities, where the two members coincide and
     every gap vanishes.
 
-    The type checks nothing itself; each check has one owner. ``hjw_povm``
-    compares the purification's marginal with ``omega`` (the mixture's
-    cached barycenter) and checks its measurement. ``steer`` decides which
-    branches are null. ``build_two_level_scenario`` is the only builder;
-    a hand-built scenario whose purification does not match ``omega``
-    shows up as a large ``pipeline_discrepancy``.
+    The type checks nothing itself; each check has one owner.
+    ``steering_setup`` compares the purification's marginal with ``omega``
+    (the mixture's cached barycenter) and checks its measurement. ``steer``
+    decides which branches are null. ``build_two_level_scenario`` is the
+    only builder; a hand-built scenario whose purification does not match
+    ``omega`` shows up as a large ``pipeline_discrepancy``.
     """
 
     p1: float
@@ -105,10 +105,9 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
     # sqrt(p)|0> + sqrt(1-p)|1> has transition probability p to |0>, to rounding
     members = [_probability_amplitudes(p).amplitudes for p in (p1, p2)]
     mixture = Ensemble([lam, 1.0 - lam], members)
-    # one ensemble for omega and the split: hjw_povm reuses its cached barycenter
+    # one ensemble for omega and the split: its barycenter is built once
     omega = barycenter(mixture)
-    purification = purify(omega)
-    povm_split = hjw_povm(purification, mixture)
+    purification, povm_split = steering_setup(mixture)
     return SteeringScenario(
         p1=float(p1),
         p2=float(p2),
@@ -145,7 +144,7 @@ def run_steering_experiment(rule: PhiRule, scenario: SteeringScenario) -> Experi
 
     A null branch (``SteeringResult.null``) is skipped: ``steer`` alone
     decides nullity. Every other branch is pure, held by its unit vector.
-    The scenario is not checked again here, since ``hjw_povm`` checked it
+    The scenario is not checked again here: ``steering_setup`` checked it
     when it was built.
     """
     result = steer(scenario.purification, scenario.povm_split)

@@ -26,6 +26,7 @@ from .linalg import (
     DensityMatrix,
     Povm,
     hermitize,
+    purify,
 )
 
 WEIGHT_SUM_ATOL = 1e-10
@@ -164,12 +165,13 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     onto those directions, so the collection is complete, and each has
     probability zero up to rounding.
 
-    Near a pure marginal the accuracy is the purification's. ``purify``
-    takes it from the marginal alone, and its ``eigh`` fixes a small
-    Schmidt coefficient only to about sqrt(eps) ~ 1.5e-8, so the steering
-    residual can reach the bound: at |p1 - p2| = 1e-9 in the two-level
-    scenario, 3 of 20000 seeded draws land just past it and raise. The
-    steered probabilities stay within a few eps of the weights.
+    Near a pure marginal the accuracy is the purification's: ``purify``'s
+    ``eigh`` fixes a small Schmidt direction only to about sqrt(eps). At
+    |p1 - p2| = 1e-9 in the two-level scenario 3 of 20000 seeded draws fail
+    the support check, but members within 1e-8 of one direction, turned by
+    a Haar unitary, fail in 96 of 200 seeded CLI draws (d = 2 to 8, k = 2
+    to d + 1; none unrotated) with completeness defects up to 0.98. ROADMAP
+    item 2 replaces the route; ``tests/test_cli.py`` holds them as xfail.
 
     Raises ValueError if the ensemble barycenter does not match the
     purification's B marginal within ``RECONSTRUCTION_ATOL``, or if a
@@ -197,6 +199,14 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     if support_defect > RECONSTRUCTION_ATOL:
         raise ValueError(f"ensemble member leaves the marginal's support (defect {support_defect})")
     return Povm(np.hstack([x.conj(), wmh[r:].T]))
+
+
+def steering_setup(ensemble: Ensemble) -> tuple[BipartiteState, Povm]:
+    """The one route by which callers steer: the canonical purification of
+    the ensemble's barycenter and the ``hjw_povm`` measurement on it, so
+    that ``steer(*steering_setup(ensemble))`` prepares the members."""
+    purification = purify(barycenter(ensemble))
+    return purification, hjw_povm(purification, ensemble)
 
 
 def _steered_rows(state: BipartiteState, povm: Povm) -> np.ndarray:

@@ -9,6 +9,21 @@ from bornlab.linalg import BipartiteState, haar_random_state, make_rng
 from bornlab.steering import Ensemble
 
 
+def load_module(name: str, path: Path):
+    """Import the file at ``path`` as module ``name``, writing no bytecode
+    cache beside it. The module is registered in ``sys.modules`` before it
+    runs: a dataclass looks its module up by name."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
 @pytest.fixture
 def random_ensemble():
     """Factory for seeded random pure-state ensembles.
@@ -40,13 +55,7 @@ def random_bipartite():
 @pytest.fixture(scope="session")
 def fuzz_cli():
     """``tools/fuzz_cli.py``, the CLI fuzz gate."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "fuzz_cli.py"
-    spec = importlib.util.spec_from_file_location("fuzz_cli", path)
-    module = importlib.util.module_from_spec(spec)
-    # registered first: a dataclass looks its module up by name
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+    return load_module("fuzz_cli", Path(__file__).resolve().parent.parent / "tools" / "fuzz_cli.py")
 
 
 @pytest.fixture(scope="session")

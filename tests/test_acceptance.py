@@ -12,13 +12,12 @@ from bornlab.fock import truncation_convergence, sigma_affinity_convergence
 from bornlab.linalg import (
     StateVector,
     haar_random_state,
-    purify,
     random_povm,
 )
 from bornlab.rigidity import certify_identity
 from bornlab.rules import PhiRule, builtin_rules
 from bornlab.signaling import build_two_level_scenario, detectability, run_steering_experiment
-from bornlab.steering import barycenter, hjw_povm, steer, verify_marginal_invariance
+from bornlab.steering import steer, steering_setup, verify_marginal_invariance
 from bornlab.transition import complementarity_check, tau_closed, tau_optimized
 
 
@@ -65,8 +64,7 @@ def test_criterion_3_steering_fidelity(random_ensemble):
         dim = 2 + trial % 2
         n_members = 1 + trial % 4
         ensemble = random_ensemble(dim, n_members, trial)
-        purification = purify(barycenter(ensemble))
-        result = steer(purification, hjw_povm(purification, ensemble))
+        result = steer(*steering_setup(ensemble))
         k = len(ensemble.weights)
         worst_weight = max(worst_weight, float(np.max(np.abs(result.probabilities[:k] - ensemble.weights))))
         for live, u, member in zip(~result.null, result.vectors, ensemble.amplitudes):

@@ -589,13 +589,14 @@ class TestParseOnce:
             handed_out.append(original(ensemble))
             return handed_out[-1]
 
-        for module in (cli, signaling, steering):
+        for module in (signaling, steering):
             monkeypatch.setattr(module, "barycenter", recording)
         return handed_out
 
     def test_steer_forms_one_barycenter(self, tmp_path, monkeypatch):
-        # purify and hjw_povm share the ensemble's barycenter: one product
-        # over the 64 members, in one DensityMatrix that both receive
+        # steering_setup's purify and hjw_povm share the ensemble's
+        # barycenter: one product over the 64 members, in one DensityMatrix
+        # that both receive
         members = [
             [1 / 64, [[z.real, z.imag] for z in haar_random_state(32, seed).amplitudes]]
             for seed in range(64)
@@ -609,12 +610,12 @@ class TestParseOnce:
 
     def test_experiment_forms_the_mixture_barycenter_once(self, tmp_path, monkeypatch):
         # omega and the split ensemble are one Ensemble, whose cached
-        # barycenter hjw_povm reuses
+        # barycenter steering_setup's purify and hjw_povm reuse
         handed_out = self.record_barycenters(monkeypatch)
         doc = {"command": "experiment", "seed": 0, "parameters": {"p1": 0.2, "p2": 0.7, "lambda": 0.4}}
         exit_code, _ = run_doc(tmp_path, doc)
         assert exit_code == EXIT_OK
-        assert len(handed_out) == 2 and handed_out[0] is handed_out[1]
+        assert len(handed_out) == 3 and all(b is handed_out[0] for b in handed_out)
 
     def test_experiment_checks_the_scenario_once(self, tmp_path, monkeypatch):
         # hjw_povm alone compares the purification's marginal with omega,
@@ -787,6 +788,35 @@ class TestEveryConfigEndsCleanly:
         analytic = signaling.jensen_gap(PhiRule.from_dict(rule), parameters["p1"], parameters["p2"], parameters["lambda"])
         assert abs(float(row["gap"]) - analytic) <= 1e-12
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rotated_near_pure_ensemble_steers_like_its_unrotated_copy(self, tmp_path, seed):
+        # k members within 1e-8 of |0>, and their copies turned by a Haar
+        # unitary U. Unrotated, purify's eigh is exact and all steer; rotated,
+        # it fixes the small Schmidt directions only to about sqrt(eps), and
+        # the measurement misses completeness. Steering commutes with U
+        # (ROADMAP item 20), so both must steer with the same probabilities
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 9))
+        k = int(rng.integers(2, d + 2))
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        members = 1e-8 * (rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)))
+        members[:, 0] = 1.0
+        members /= np.linalg.norm(members, axis=1)[:, None]
+        probabilities = []
+        for name, rows in (("unrotated", members), ("rotated", members @ u.T)):
+            ensemble = {"members": [[1 / k, [[z.real, z.imag] for z in row]] for row in rows]}
+            doc = {"command": "steer", "seed": 0, "parameters": {"ensemble": ensemble}, "output": {"format": "json"}}
+            exit_code, out = run_doc(tmp_path, doc, name)
+            assert exit_code == EXIT_OK, name
+            table = json.loads(out.read_text(encoding="utf-8"))
+            columns = {c: [row[i] for row in table["rows"]] for i, c in enumerate(table["columns"])}
+            assert np.max(np.abs(np.array(columns["probability"][:k]) - 1 / k)) <= 1e-8
+            assert min(columns["fidelity_to_target"][:k]) >= 1.0 - 1e-8
+            probabilities.append(np.array(columns["probability"]))
+        assert probabilities[0].shape == probabilities[1].shape
+        assert np.max(np.abs(probabilities[0] - probabilities[1])) <= 1e-8
+
     def test_a_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
         config = tmp_path / "latin1.json"
         config.write_bytes(b'{"command": "jensen", "note": "\xe9"}')
@@ -827,8 +857,8 @@ class TestEveryConfigEndsCleanly:
         assert capsys.readouterr().err == f"config error: rule: {message}\n"
 
     def test_steer_ignores_a_kind_key(self, tmp_path, capsys):
-        # the ensemble's kind follows from its tail weight; a kind key is
-        # ignored like any other unrecognised key
+        # an ensemble has no kind: a kind key is ignored like any other
+        # unrecognised key, and a steered ensemble's tail must be 0
         ensemble = {"kind": "bogus", "members": [[1, [1, 0]]]}
         assert run_doc(tmp_path, {"command": "steer", "parameters": {"ensemble": ensemble}}, "bogus")[0] == EXIT_OK
         ensemble = {"kind": "truncated_countable", "members": [[0.75, [1, 0]]], "tail_weight": 0.25}

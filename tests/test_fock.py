@@ -73,8 +73,9 @@ class TestTruncationConvergence:
         assert errors[-1] <= 1e-8
 
     def test_requires_ascending_cutoffs(self):
-        with pytest.raises(ValueError):
-            truncation_convergence(0.0, 1.0, [10, 5])
+        for cutoffs in ([10, 5], []):
+            with pytest.raises(ValueError, match="^cutoff list must be nonempty and strictly ascending$"):
+                truncation_convergence(0.0, 1.0, cutoffs)
 
     def test_rejects_negative_cutoffs(self):
         with pytest.raises(ValueError, match="^cutoffs must be nonnegative$"):

@@ -4,7 +4,6 @@ imports, and one traced pass of each benchmark workload."""
 
 import ast
 import importlib
-import importlib.util
 import json
 import shutil
 import subprocess
@@ -16,21 +15,15 @@ import pytest
 import bornlab
 from bornlab.linalg import StateVector
 from bornlab.steering import Ensemble
+from conftest import load_module
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
     # the benchmark directory is read, never written: no bytecode cache there
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
+    return load_module("perfbench_tracing", TRACING)
 
 
 def test_every_exported_name_resolves():

@@ -14,7 +14,6 @@ from bornlab.rigidity import (
     _convexity_intervals,
     _row_blocks,
     certify_identity,
-    derived_bound,
     scan_gaps,
 )
 from bornlab.rules import PhiRule
@@ -379,19 +378,18 @@ class TestCertification:
         # the tolerance by construction
         assert abs(jensen_gap(PhiRule.power(alpha), p1, p2, lam)) > result.gap_tolerance
 
-    def test_derived_bound_value_and_validation(self):
-        assert derived_bound(1e-10, 0.01) == pytest.approx(2.5e-7)
-        assert derived_bound(1e-10, 0.02) == pytest.approx(1e-10 * 50 * 50 / 4)
-        with pytest.raises(ValueError):
-            derived_bound(-1.0, 0.01)
+    def test_deviation_bound_value_and_validation(self):
+        identity = PhiRule.identity()
+        assert certify_identity(identity, 1e-10, 0.01).deviation_bound == pytest.approx(2.5e-7)
+        assert certify_identity(identity, 1e-10, 0.02).deviation_bound == pytest.approx(1e-10 * 50 * 50 / 4)
+        with pytest.raises(ValueError, match="^gap_tolerance must be positive$"):
+            certify_identity(identity, -1.0, 0.01)
 
     def test_nan_tolerance_is_rejected_before_the_scan(self, monkeypatch):
         # a NaN tolerance compares false both ways: it would give a NaN bound
         # and reject the identity with its gap-0 triple as the witness
-        with pytest.raises(ValueError):
-            derived_bound(float("nan"), 0.01)
         monkeypatch.setattr(PhiRule, "eval", lambda self, p: pytest.fail("the scan ran"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^gap_tolerance must be positive$"):
             certify_identity(PhiRule.identity(), float("nan"))
 
     def test_report_serialization_is_json_friendly(self, tmp_path):

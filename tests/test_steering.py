@@ -19,6 +19,7 @@ from bornlab.steering import (
     geometric_fock_ensemble,
     hjw_povm,
     steer,
+    steering_setup,
     verify_marginal_invariance,
 )
 
@@ -150,8 +151,7 @@ class TestHjwPovm:
         for seed in range(5):
             psi = haar_random_state(dim, seed)
             ensemble = Ensemble([1.0], [psi.amplitudes])
-            purification = purify(barycenter(ensemble))
-            povm = hjw_povm(purification, ensemble)
+            purification, povm = steering_setup(ensemble)
             assert len(povm) == dim
             result = steer(purification, povm)
             assert len(result) == dim
@@ -172,8 +172,7 @@ class TestHjwPovm:
         for seed in range(15):
             dim = 2 + seed % 2
             ensemble = random_ensemble(dim, 1 + seed % 4, seed)
-            purification = purify(barycenter(ensemble))
-            result = steer(purification, hjw_povm(purification, ensemble))
+            result = steer(*steering_setup(ensemble))
             k = len(ensemble.weights)
             assert np.max(np.abs(result.probabilities[:k] - ensemble.weights)) <= 1e-8
             live = ~result.null[:k]
@@ -182,8 +181,7 @@ class TestHjwPovm:
     def test_rank_deficient_marginal_gets_remainder_outcome(self):
         # two qubit-like members inside a qutrit: marginal has a kernel
         ensemble = Ensemble([0.5, 0.5], np.eye(3)[:2])
-        purification = purify(barycenter(ensemble))
-        povm = hjw_povm(purification, ensemble)
+        purification, povm = steering_setup(ensemble)
         assert len(povm) == 3
         result = steer(purification, povm)
         assert result.probabilities[2] <= 1e-12
@@ -195,8 +193,7 @@ class TestHjwPovm:
         # the 4 outcomes they add steer nothing
         for seed in range(5):
             ensemble = deficient_ensemble(8, 6, seed)
-            purification = purify(barycenter(ensemble))
-            povm = hjw_povm(purification, ensemble)
+            purification, povm = steering_setup(ensemble)
             assert povm.factors.shape == (8, 6 + 8 - 4)
             tail = povm.factors[:, 6:]
             assert np.max(np.abs(tail.conj().T @ tail - np.eye(4))) <= 1e-12

@@ -1,9 +1,9 @@
 import hashlib
-import importlib.util
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -13,17 +13,14 @@ from types import SimpleNamespace
 import pytest
 
 from bornlab import cli
+from conftest import load_module
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def load_tool(name: str):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # registered first: a dataclass looks its module up by name
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+    return load_module(name, TOOLS / f"{name}.py")
 
 
 @pytest.fixture(scope="module")
@@ -297,3 +294,30 @@ class TestAb:
         assert ab.sign_test_p(2, 0) == 0.5
         assert ab.sign_test_p(10, 0) == pytest.approx(2 / 1024)
         assert ab.sign_test_p(1, 9) == ab.sign_test_p(9, 1)
+
+
+class TestWorkflow:
+    """The scripts that ``.github/workflows/tests.yml`` runs exist and take
+    ``--help``. The workflow is read as text: CI installs only the test
+    extra, which has no YAML reader."""
+
+    # `python3 -W error tools/x.py ...` and `"python$version" -W error tools/x.py`
+    SCRIPT_RUN = re.compile(r"\bpython\S*\s+(?:-W\s*\S+\s+)?((?:tools|perfbench)/[\w/.-]+\.py)")
+
+    @pytest.fixture(scope="class")
+    def scripts(self):
+        text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+        return sorted(set(self.SCRIPT_RUN.findall(text)))
+
+    def test_every_script_the_workflow_runs_exists(self, scripts):
+        assert "tools/fuzz_cli.py" in scripts and "perfbench/run.py" in scripts
+        assert [path for path in scripts if not (ROOT / path).is_file()] == []
+
+    def test_every_tool_the_workflow_runs_takes_help(self, scripts, capsys):
+        tools = [Path(path).stem for path in scripts if path.startswith("tools/")]
+        assert tools
+        for name in tools:
+            with pytest.raises(SystemExit) as excinfo:
+                load_tool(name).main(["--help"])
+            assert excinfo.value.code == 0, name
+            assert capsys.readouterr().out.startswith("usage: "), name
