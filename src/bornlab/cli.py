@@ -56,12 +56,10 @@ MAX_SAMPLES = 10**7
 # 0.29 s); the identity, affine on every block, takes 0.0014 s and 0.0056 s.
 MIN_GRID_STEP = 2e-4
 # Largest steer member count and dimension d, and largest members * d**2:
-# the work of the one barycenter product over all members and of the SVD of
-# the members x d matrix in steering_setup. The members are one members x d
-# array, and the measurement's rank-one outcomes and the steered states are
-# each one (members + d - r) x d array, r the marginal's numerical rank. At
-# the cap d = 32 with 4096 members takes ~0.8 s and 69 MB peak RSS as a
-# subprocess, d = 128 with 256 members ~0.4 s and 44 MB (2-vCPU VM). The
+# the work of steering_setup's one SVD of the members x d weighted rows. The
+# outcomes and steered states are each one (members + d - r) x d array. At
+# the cap d = 32 with 4096 members takes ~0.4 s and 69 MB peak RSS as a
+# subprocess, d = 128 with 256 members ~0.3 s and 43 MB (2-vCPU VM). The
 # member count is checked before any member is read.
 MAX_MEMBERS = 4096
 MAX_MEMBER_DIM = 128
@@ -264,8 +262,7 @@ def _parse_steer(params: dict, errors: list[str]) -> dict:
             continue
         weights.append(_number(entry[0], f"ensemble.members[{i}].weight", errors, "must be nonnegative", lambda v: v >= 0))
         rows.append(_amplitudes(entry[1], f"ensemble.members[{i}].state", errors))
-    # steering_setup purifies a unit-trace barycenter, so a steered ensemble
-    # has no tail; declared tails belong to prob_ensemble and sigma_affinity
+    # steering_setup's purification M has |M|^2 = sum of weights, checked to be 1
     _number(
         spec.get("tail_weight", 0.0), "ensemble.tail_weight", errors,
         "must be 0: steer purifies a unit-trace barycenter", lambda v: v == 0,
@@ -345,6 +342,15 @@ def _reject_non_finite(token: str):
     raise ConfigValidationError([f"non-finite number {token}: only finite numbers are accepted"])
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigValidationError([f"{key}: repeated key"])
+        doc[key] = value
+    return doc
+
+
 def _finite_int(text: str) -> int:
     # the length test comes first: past 4300 digits int() itself refuses
     if len(text) <= 310:
@@ -362,7 +368,7 @@ def validate(
     failing so one round trip fixes them all. A ``seed``, ``output_path`` or
     ``output_format`` that is not None replaces the document's value before that field is read."""
     try:
-        doc = json.loads(config_text, parse_int=_finite_int, parse_constant=_reject_non_finite)
+        doc = json.loads(config_text, parse_int=_finite_int, parse_constant=_reject_non_finite, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigValidationError([f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]) from exc
     except RecursionError as exc:

@@ -6,8 +6,8 @@ defining invariants at construction time. They compare and hash by
 identity: the generated ``==`` and ``hash`` would compare and hash their
 arrays, which raises. Tolerances are global: ``VALIDATION_ATOL`` for
 constructor checks, ``RECONSTRUCTION_ATOL`` for round-trip identities
-and the steering residual of ``bornlab.steering.hjw_povm`` (eigensolver
-noise accumulates a few ulp per op, these leave headroom).
+and the residuals of ``bornlab.steering.hjw_povm``, which no CLI command
+runs (solver noise accumulates a few ulp per op; these leave headroom).
 
 ``DensityMatrix`` and ``Effect`` check their spectrum once, by
 ``eigvalsh`` against ``VALIDATION_ATOL``, and a rejection names the

@@ -36,10 +36,10 @@ class SteeringScenario:
     every gap vanishes.
 
     The type checks nothing itself; each check has one owner.
-    ``steering_setup`` compares the purification's marginal with ``omega``
-    (the mixture's cached barycenter) and checks its measurement. ``steer``
-    decides which branches are null. ``build_two_level_scenario`` is the
-    only builder; a hand-built scenario whose purification does not match
+    ``steering_setup`` builds the purification and measurement from the
+    mixture's members, and their constructors check them. ``steer`` decides
+    which branches are null. ``build_two_level_scenario`` is the only
+    builder; a hand-built scenario whose purification does not match
     ``omega`` shows up as a large ``pipeline_discrepancy``.
     """
 
@@ -105,7 +105,6 @@ def build_two_level_scenario(p1: float, p2: float, lam: float) -> SteeringScenar
     # sqrt(p)|0> + sqrt(1-p)|1> has transition probability p to |0>, to rounding
     members = [_probability_amplitudes(p).amplitudes for p in (p1, p2)]
     mixture = Ensemble([lam, 1.0 - lam], members)
-    # one ensemble for omega and the split: its barycenter is built once
     omega = barycenter(mixture)
     purification, povm_split = steering_setup(mixture)
     return SteeringScenario(

@@ -6,9 +6,9 @@ Bob into the i-th member with the member's weight as outcome probability.
 The marginal Bob sees never depends on which measurement Alice chose; that
 identity is exact linear algebra and is checkable here to solver precision.
 
-``hjw_povm`` builds that measurement from two SVDs, of the ensemble's
-weighted member rows and of the purification, and divides by no singular
-value, so a nearly pure or nearly degenerate marginal steers like any other.
+``steering_setup`` builds a purification and that measurement from one SVD
+of the weighted member rows and divides by nothing, so a nearly pure marginal
+in any frame steers like any other; ``hjw_povm`` fits one to a purification.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .linalg import (
     DensityMatrix,
     Povm,
     hermitize,
-    purify,
 )
 
 WEIGHT_SUM_ATOL = 1e-10
@@ -136,8 +135,7 @@ class SteeringResult:
 
 
 def barycenter(ensemble: Ensemble) -> DensityMatrix:
-    """The ensemble's barycenter (``Ensemble.barycenter``), built once per
-    ensemble however many callers ask for it."""
+    """The ensemble's barycenter, ``Ensemble.barycenter``, built once."""
     return ensemble.barycenter
 
 
@@ -145,33 +143,24 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     """Measurement on A whose branches steer B into the given ensemble
     (Hughston, Jozsa and Wootters 1993).
 
-    Let N be the k x d matrix of weighted member rows (row i is
-    sqrt(w_i) psi_i) and M the purification's coefficient matrix; both are
-    square-root factors of B's marginal, M^T conj(M) = N^T conj(N). With the
-    SVDs N^T = V S U^H and M^T = V_M S_M W^H, member i's outcome is
-    v v^dagger with v = conj(x_i), x_i column i of
+    Let N be ``_weighted_factor``'s weighted member rows and M the
+    purification's coefficient matrix; both are square-root factors of B's
+    marginal, M^T conj(M) = N^T conj(N). With N^T = V S U^H and the SVD
+    M^T = V_M S_M W^H, member i's outcome is v v^dagger with v = conj(x_i),
+    x_i column i of
 
         x = W_r (V_M,r^H V_r) U_r^H,
 
-    the r leading singular directions kept, r the numerical rank of N (the
-    ``numpy.linalg.matrix_rank`` rule). Then M^T x = N^T, so branch i has
-    probability w_i and conditional state |psi_i><psi_i|. The middle factor
-    is a product of isometries, a contraction, so the outcomes sum to at
-    most I by construction, and nothing is divided by a singular value. The
-    v are the columns of the measurement's ``factors``, so no d x d matrix
-    is built for them. When r < d_A the d_A - r rows of W^H past r, the A
-    directions that x leaves unused, are appended as columns (a one-member
-    ensemble's marginal has rank one). Their outcomes sum to the projector
-    onto those directions, so the collection is complete, and each has
-    probability zero up to rounding.
+    r the numerical rank of N. Then M^T x = N^T, so branch i has probability
+    w_i and conditional state |psi_i><psi_i|. The middle factor is a
+    contraction, so the outcomes sum to at most I, and nothing is divided.
+    When r < d_A the d_A - r rows of W^H past r, the A directions x leaves
+    unused, are appended as columns; their outcomes sum to the projector
+    onto those directions, so the collection is complete.
 
     Near a pure marginal the accuracy is the purification's: ``purify``'s
-    ``eigh`` fixes a small Schmidt direction only to about sqrt(eps). At
-    |p1 - p2| = 1e-9 in the two-level scenario 3 of 20000 seeded draws fail
-    the support check, but members within 1e-8 of one direction, turned by
-    a Haar unitary, fail in 96 of 200 seeded CLI draws (d = 2 to 8, k = 2
-    to d + 1; none unrotated) with completeness defects up to 0.98. ROADMAP
-    item 2 replaces the route; ``tests/test_cli.py`` holds them as xfail.
+    ``eigh`` fixes small Schmidt directions only to about sqrt(eps), so rotated
+    near-pure members fail in about half of draws. ``steering_setup`` uses neither.
 
     Raises ValueError if the ensemble barycenter does not match the
     purification's B marginal within ``RECONSTRUCTION_ATOL``, or if a
@@ -187,13 +176,11 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     if mismatch > RECONSTRUCTION_ATOL:
         raise ValueError(f"ensemble barycenter deviates from purified marginal by {mismatch}")
 
-    # column i is sqrt(w_i) psi_i
-    n_t = (np.sqrt(ensemble.weights)[:, None] * ensemble.amplitudes).T
-    v, s, uh = np.linalg.svd(n_t, full_matrices=False)
+    n_t, v, _, uh, r = _weighted_factor(ensemble)
     vm, _, wmh = np.linalg.svd(m_t)
     # N's numerical rank can exceed d_A while the barycenter check passes
     # (a member of weight ~1e-9 outside M's range); the residual names it
-    r = min(int(np.count_nonzero(s > s[0] * max(n_t.shape) * np.finfo(float).eps)), purification.dim_a)
+    r = min(r, purification.dim_a)
     x = wmh[:r].conj().T @ (vm[:, :r].conj().T @ v[:, :r]) @ uh[:r]
     support_defect = float(np.max(np.linalg.norm(m_t @ x - n_t, axis=0)))
     if support_defect > RECONSTRUCTION_ATOL:
@@ -201,12 +188,30 @@ def hjw_povm(purification: BipartiteState, ensemble: Ensemble) -> Povm:
     return Povm(np.hstack([x.conj(), wmh[r:].T]))
 
 
+def _weighted_factor(ensemble: Ensemble) -> tuple:
+    """(N^T, V, S, W^H, r) for the k x d matrix N of rows sqrt(w_i) psi_i: its
+    thin SVD N^T = V S W^H and its rank r by ``numpy.linalg.matrix_rank``'s rule."""
+    n_t = (np.sqrt(ensemble.weights)[:, None] * ensemble.amplitudes).T
+    v, s, wh = np.linalg.svd(n_t, full_matrices=False)
+    return n_t, v, s, wh, int(np.count_nonzero(s > s[0] * max(n_t.shape) * np.finfo(float).eps))
+
+
 def steering_setup(ensemble: Ensemble) -> tuple[BipartiteState, Povm]:
-    """The one route by which callers steer: the canonical purification of
-    the ensemble's barycenter and the ``hjw_povm`` measurement on it, so
-    that ``steer(*steering_setup(ensemble))`` prepares the members."""
-    purification = purify(barycenter(ensemble))
-    return purification, hjw_povm(purification, ensemble)
+    """The one route by which callers steer: a purification of the
+    ensemble's barycenter and a measurement on it, so that
+    ``steer(*steering_setup(ensemble))`` prepares the members.
+
+    Both come from ``_weighted_factor``'s SVD N^T = V S W^H, r terms kept.
+    M = [S_r V_r^T; 0], so M^T conj(M) = N^T conj(N). Member i's outcome
+    factor v is column i of [conj(W_r^H); 0], and ``steer``'s row v^H M is
+    column i of V_r S_r W_r^H, sqrt(w_i) psi_i. The remainder columns, the A
+    directions e_r ... e_{d-1}, steer nothing. Completeness is
+    W_r^H W_r = I_r: nothing is divided or eigendecomposed.
+    """
+    _, v, s, wh, r = _weighted_factor(ensemble)
+    zero_rows = ((0, ensemble.dim - r), (0, 0))
+    factors = np.hstack([np.pad(wh[:r].conj(), zero_rows), np.eye(ensemble.dim, ensemble.dim - r, -r)])
+    return BipartiteState(np.pad(s[:r, None] * v[:, :r].T, zero_rows)), Povm(factors)
 
 
 def _steered_rows(state: BipartiteState, povm: Povm) -> np.ndarray:

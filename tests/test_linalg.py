@@ -228,14 +228,15 @@ class TestSpectrumCheck:
                 with pytest.raises(ValueError, match="hermiticity"):
                     build(m)
 
-    def test_cli_steer_at_dim_32_takes_two_eigendecompositions_and_two_svds(self, tmp_path, monkeypatch):
-        # purify's eigh, the barycenter's check, and hjw_povm's two SVDs; the
-        # purified marginal is compared unchecked, a full-rank marginal has
-        # no remainder, and neither the rank-one member outcomes nor their
-        # 64 pure conditional states take an eigendecomposition
+    def test_cli_steer_at_dim_32_takes_one_svd(self, tmp_path, monkeypatch):
+        # steering_setup's SVD of the weighted member rows gives both the
+        # purification and the measurement: no barycenter is built or
+        # checked, a full-rank marginal has no remainder, and neither the
+        # rank-one member outcomes nor their 64 pure conditional states
+        # take an eigendecomposition
         members = [(1 / 64, haar_random_state(32, seed).amplitudes) for seed in range(64)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 1, "svd": 2}
+        assert counts == {"cholesky": 0, "eigh": 0, "eigvalsh": 0, "svd": 1}
 
 
 def columns_accepted(factors) -> bool:
@@ -325,13 +326,13 @@ class TestRankOneEffect:
                 Povm(factors=empty)
 
     def test_cli_steer_of_a_rank_deficient_ensemble_at_dim_32(self, tmp_path, monkeypatch):
-        # purify's eigh, the barycenter's check and hjw_povm's two SVDs; the
-        # 16 remainder columns are rank-one outcomes like the members, and no
-        # outcome or pure conditional state takes an eigendecomposition
+        # steering_setup's one SVD; the 16 remainder columns are rank-one
+        # outcomes like the members, and no outcome or pure conditional
+        # state takes an eigendecomposition
         basis, _ = np.linalg.qr(make_rng(3).standard_normal((32, 16)) + 0j)
         members = [(1 / 48, basis @ haar_random_state(16, seed).amplitudes) for seed in range(48)]
         counts = cli_steer_counts(tmp_path, monkeypatch, members)
-        assert counts == {"cholesky": 0, "eigh": 1, "eigvalsh": 1, "svd": 2}
+        assert counts == {"cholesky": 0, "eigh": 0, "eigvalsh": 0, "svd": 1}
 
 
 class TestTensor:

@@ -249,6 +249,48 @@ class TestHjwPovm:
             hjw_povm(narrow, target)
 
 
+def near_pure_ensemble(dim: int, n_members: int, seed: int) -> Ensemble:
+    """Members within 1e-8 of |0>, turned by a Haar unitary: the frame in
+    which eigh fixes the barycenter's small Schmidt directions only to about
+    sqrt(eps)."""
+    rng = make_rng(seed, stream=4)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    rows = 1e-8 * (rng.standard_normal((n_members, dim)) + 1j * rng.standard_normal((n_members, dim)))
+    rows[:, 0] = 1.0
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return Ensemble(rng.dirichlet(np.ones(n_members)), rows @ u.T)
+
+
+class TestSteeringSetupMatchesHjw:
+    # steering_setup's measurement against hjw_povm's on the same
+    # purification, which takes its own SVD of M and checks M's marginal
+    # against the barycenter; and, where purify's eigh is accurate, against
+    # the whole purify -> hjw_povm chain
+    @pytest.mark.parametrize(
+        "kind,dim,n_members",
+        [(kind, dim, None) for kind in ("full", "deficient", "near_pure") for dim in range(2, 9)]
+        + [("full", 32, 64), ("deficient", 32, 48)],
+    )
+    def test_agrees_with_the_reference_construction(self, random_ensemble, kind, dim, n_members):
+        build = {"full": random_ensemble, "deficient": deficient_ensemble, "near_pure": near_pure_ensemble}[kind]
+        for seed in range(10 if n_members is None else 3):
+            k = n_members or int(make_rng(seed, stream=6).integers(1, 2 * dim + 2))
+            ensemble = build(dim, k, seed)
+            purification, povm = steering_setup(ensemble)
+            reference = hjw_povm(purification, ensemble)
+            result, expected = steer(purification, povm), steer(purification, reference)
+            probabilities = result.probabilities[:k]
+            assert np.max(np.abs(probabilities - expected.probabilities[:k])) <= 1e-12
+            # the same conditional states, up to a phase
+            overlaps = np.abs(np.sum(result.vectors[:k].conj() * expected.vectors[:k], axis=1)) ** 2
+            assert np.all(overlaps[~expected.null[:k]] >= 1.0 - 1e-12)
+            assert verify_marginal_invariance(purification, povm, reference) <= 1e-12
+            if kind != "near_pure":
+                chain = purify(barycenter(ensemble))
+                chained = steer(chain, hjw_povm(chain, ensemble)).probabilities[:k]
+                assert np.max(np.abs(probabilities - chained)) <= 1e-12
+
+
 class TestSteer:
     def test_outcomes_averaged_over_prepare_the_marginal(self):
         omega = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))

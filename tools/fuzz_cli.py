@@ -7,11 +7,12 @@ The base configs are the seven small calls that end each op of the
 benchmark's ``steer_pipeline`` workload at the fuzz seed
 (``perfbench/workloads.py``, read and never written), a two-member and a
 one-member qubit steer config (the second's artifact ends in the remainder
-row, which no other base reaches), and one small config of each command in
-the forms those calls do not write (complex pairs, a Fock-index ``phi``,
-three steer members).
-Each base runs once unmutated and must exit 0, and a benchmark call's
-artifact must pass its benchmark check. Each of the ``CONFIGS`` fuzzed
+row, which no other base reaches), a near-pure steer config (six members
+within 1e-8 of one direction of a 7-dimensional space, turned by a Haar
+unitary), and one small config of each command in the forms those calls do
+not write (complex pairs, a Fock-index ``phi``, three steer members).
+Each base runs once unmutated and must exit 0, and a benchmark call's or
+steer base's artifact must pass its check. Each of the ``CONFIGS`` fuzzed
 configs is then a base with a rule drawn from the four kinds, an output
 format drawn from csv and json, and one to three mutations, each at a
 random position of the document: a hostile leaf value, a deleted key or
@@ -59,6 +60,8 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = "config.json"
@@ -137,15 +140,16 @@ def load_cli():
     return cli
 
 
-def _qubit_steer_check(n_members: int):
-    """The artifact check of a qubit steer base: two rows, the members'
-    first; a one-member ensemble's marginal has rank one, so its second row
-    is the remainder."""
+def _steer_check(n_members: int, n_rows: int):
+    """The artifact check of a steer base: ``n_rows`` rows, the members'
+    first, each steered with its weight; any further row is the remainder
+    (a one-member qubit ensemble's marginal has rank one, six members in
+    dimension 7 have rank six)."""
 
     def check(data: bytes) -> None:
         lines = data.decode("utf-8").splitlines()
         rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
-        assert len(rows) == 2, f"{len(rows)} outcomes for {n_members} members"
+        assert len(rows) == n_rows, f"{len(rows)} outcomes for {n_members} members"
         for row in rows[:n_members]:
             assert abs(float(row["probability"]) - float(row["target_weight"])) <= 1e-8, row
             assert float(row["fidelity_to_target"]) >= 1.0 - 1e-8, row
@@ -154,6 +158,20 @@ def _qubit_steer_check(n_members: int):
             assert row["target_weight"] == row["fidelity_to_target"] == "", row
 
     return check
+
+
+def _near_pure_members() -> list:
+    """Six equally weighted members within 1e-8 of |0> in dimension 7, turned
+    by a Haar unitary, as [weight, [[re, im], ...]] entries: the seed-0 draw
+    of ``tests/test_cli.py``'s rotated near-pure steer test."""
+    rng = np.random.default_rng(0)
+    d = int(rng.integers(2, 9))
+    k = int(rng.integers(2, d + 2))
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rows = 1e-8 * (rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d)))
+    rows[:, 0] = 1.0
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return [[1 / k, [[z.real, z.imag] for z in row.tolist()]] for row in rows @ u.T]
 
 
 def base_configs(workloads, seed: int) -> list[tuple[str, dict, object]]:
@@ -165,9 +183,11 @@ def base_configs(workloads, seed: int) -> list[tuple[str, dict, object]]:
             bases.append((call.name, {**call.config, "output": output}, call.check))
     members = [[0.25, [[0.6, 0.0], [0.0, 0.8]]], [0.75, [1, 0]]]
     steer = {"command": "steer", "seed": 0, "parameters": {"ensemble": {"members": members}}, "output": {"path": "qubit.csv"}}
-    bases.append(("qubit_steer", steer, _qubit_steer_check(2)))
+    bases.append(("qubit_steer", steer, _steer_check(2, 2)))
     one = {**steer, "parameters": {"ensemble": {"members": [[1.0, [[0.6, 0.0], [0.0, 0.8]]]]}}, "output": {"path": "remainder.csv"}}
-    bases.append(("qubit_remainder", one, _qubit_steer_check(1)))
+    bases.append(("qubit_remainder", one, _steer_check(1, 2)))
+    near_pure = {**steer, "parameters": {"ensemble": {"members": _near_pure_members()}}, "output": {"path": "near_pure.csv"}}
+    bases.append(("near_pure_steer", near_pure, _steer_check(6, 7)))
     for command, parameters in FORMS.items():
         form = {"command": command, "seed": 1, "parameters": parameters, "output": {"path": f"form_{command}.csv"}}
         bases.append((f"form_{command}", form, None))
