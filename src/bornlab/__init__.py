@@ -3,11 +3,11 @@ probability-rule rigidity in finite-dimensional and truncated-Fock quantum
 models.
 
 The package computes the transition probability between pure states by a
-closed form and by an optimizer over effects, realizes ensemble steering
-through purification, measures the Jensen gap that a distorted probability
-rule opens between two steering choices of the same marginal state, and
-certifies numerically that only the undistorted (Born) rule closes that gap
-everywhere.
+closed form and by a Lagrange dual bound over effects, realizes ensemble
+steering through purification, measures the Jensen gap that a distorted
+probability rule opens between two steering choices of the same marginal
+state, and certifies numerically that only the undistorted (Born) rule
+closes that gap everywhere.
 """
 
 __version__ = "0.1.0"

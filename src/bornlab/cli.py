@@ -28,7 +28,7 @@ from .rigidity import certify_identity
 from .rules import PhiRule
 from .signaling import build_two_level_scenario, detectability, jensen_gap, run_steering_experiment
 from .steering import Ensemble, steer, steering_setup
-from .transition import MAX_DIM, MAX_ITERS, ConvergenceError, tau_closed, tau_optimized
+from .transition import DUAL_GAP_BOUND, MAX_DIM, tau_closed, tau_optimized
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -210,16 +210,14 @@ def _cutoffs(raw, errors: list[str]) -> list[int] | None:
 def _parse_tau(params: dict, errors: list[str]) -> dict:
     psi = _parse_state(params.get("psi"), "psi", errors)
     phi = _parse_state(params.get("phi"), "phi", errors)
-    max_iters = _number(
-        params.get("max_iters", MAX_ITERS), "max_iters", errors,
-        "must be a positive integer", lambda v: v >= 1, integer=True,
-    )
+    if "max_iters" in params:
+        errors.append("max_iters: tau's second route is a dual bound and runs no iterations; remove the key")
     if psi is not None and phi is not None:
         if psi.dim != phi.dim:
             errors.append("psi/phi: amplitude lists differ in length")
         elif psi.dim > MAX_DIM:
-            errors.append(f"psi/phi: {psi.dim} amplitudes exceed the optimizer's maximum dimension {MAX_DIM}")
-    return {"psi": psi, "phi": phi, "max_iters": max_iters}
+            errors.append(f"psi/phi: {psi.dim} amplitudes exceed tau_optimized's maximum dimension {MAX_DIM}")
+    return {"psi": psi, "phi": phi}
 
 
 def _parse_two_level(params: dict, errors: list[str]) -> dict:
@@ -461,15 +459,16 @@ def _write_json(path: str, metadata: dict, payload: dict) -> None:
 _Result = tuple[str, list[str], list[list], "dict | None"]
 
 
-def _run_tau(rule, seed, psi, phi, max_iters) -> _Result:
-    closed = tau_closed(psi, phi)
-    optimized = tau_optimized(psi, phi, max_iters)
+def _run_tau(rule, seed, psi, phi) -> _Result:
+    closed = tau_closed(psi, phi).value
+    optimized = tau_optimized(psi, phi).value
+    # the dual bound lies below the closed form, by at most DUAL_GAP_BOUND
+    width = closed - optimized
+    if not 0.0 <= width <= DUAL_GAP_BOUND:
+        raise ValueError(f"closed form {closed!r} minus dual bound {optimized!r} is {width!r}, outside [0, {DUAL_GAP_BOUND!r}]")
     columns = ["method", "value", "iterations", "residual"]
-    rows = [
-        ["closed_form", closed.value, closed.iterations, closed.residual],
-        ["optimized", optimized.value, optimized.iterations, optimized.residual],
-    ]
-    summary = f"tau={closed.value:.12g} closed_form, {optimized.value:.12g} optimized"
+    rows = [["closed_form", closed, 0, 0.0], ["optimized", optimized, 0, width]]
+    summary = f"tau={closed:.12g} closed_form, {optimized:.12g} optimized"
     return summary, columns, rows, None
 
 
@@ -586,7 +585,7 @@ def run(config: ScenarioConfig, quiet: bool = False) -> int:
     """Execute one validated config and write its artifact."""
     try:
         summary, columns, rows, nested = _COMMANDS[config.command][1](config.rule, config.seed, **config.args)
-    except (ValueError, ArithmeticError, ConvergenceError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         # the config is valid, but the numerics fail on it: no file is written
         print(f"numerical failure: {config.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

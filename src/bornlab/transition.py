@@ -1,14 +1,15 @@
-"""Transition probability between pure states, by closed form and by
-constrained optimization over the effects that accept the target.
+"""Transition probability between pure states, by closed form and by a
+Lagrange dual bound over the effects that accept the target.
 
 The operational quantity is the acceptance probability of the extremal
 effect that accepts the target state with certainty. Any effect E with
 E|phi> = |phi> and 0 <= E <= I decomposes as |phi><phi| (+) F on the
 orthogonal complement; the minimal one (F = 0) is the rank-1 projector and
-gives |<phi|psi>|^2. The optimizer minimizes <psi|E|psi> over the whole
-d x d effect, starting from E = I, and reads its value from the effect it
-ends on. Its first step still lands on the minimizer, so it is not yet an
-independent route (ROADMAP.md, open item 1, plans a dual certificate).
+gives |<phi|psi>|^2. The second route never forms that effect or the inner
+product: it bounds the minimum from below by the Lagrange dual of the
+constraint <phi|E|phi> = 1, read from one spectrum (Boyd & Vandenberghe,
+Convex Optimization, ch. 5; Watrous, The Theory of Quantum Information,
+sec. 1.2.3), so the two routes share no computation.
 """
 
 from __future__ import annotations
@@ -17,41 +18,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, StateVector, hermitize
+from .linalg import DensityMatrix, StateVector
 
 # a transition probability may leave [0, 1] by this much before it is clamped
 TAU_RANGE_ATOL = 1e-9
 
-# the optimizer's guaranteed agreement with the closed form; it stops once
-# the projected step moves less than a thousandth of it, a wide margin
-TOLERANCE = 1e-6
-# the largest dimension the optimizer accepts; the CLI rejects larger tau
-# configs with exit 2
+# the largest dimension tau_optimized accepts, the one DUAL_ALLOWANCE is
+# sized at; the CLI rejects larger tau configs with exit 2
 MAX_DIM = 16
-MAX_ITERS = 5000
+# the dual multiplier y: a power of two, so that y * Phi and y * tr(Phi) are
+# exact, near the y that minimizes DUAL_GAP_BOUND at MAX_DIM
+DUAL_MULTIPLIER = 2.0**22
+# bounds the rounding of tau_optimized's value (derived there): 3.4e-8
+DUAL_ALLOWANCE = 2 * (MAX_DIM + 2) * np.finfo(float).eps * (1 + DUAL_MULTIPLIER)
+# the largest tau_closed - tau_optimized: the dual gap, at most
+# 1 / (4 (y - 1)), plus the allowance twice: 1.3e-7
+DUAL_GAP_BOUND = 1 / (4 * (DUAL_MULTIPLIER - 1)) + 2 * DUAL_ALLOWANCE
 
 
 @dataclass(frozen=True)
 class TransitionResult:
-    """Transition probability with the optimizer's iteration count and residual.
-
-    ``residual`` is the largest constraint violation of the effect the value
-    was read from (0 for the closed form); ``iterations`` is 0 for the
-    closed form.
-    """
+    """Transition probability; ``iterations`` is 0 for both routes (the
+    benchmark's tracer reads it)."""
 
     value: float
     iterations: int = 0
-    residual: float = 0.0
 
     def __post_init__(self):
         if not -TAU_RANGE_ATOL <= self.value <= 1.0 + TAU_RANGE_ATOL:
             raise ValueError(f"transition probability {self.value} outside [0, 1]")
         object.__setattr__(self, "value", float(min(1.0, max(0.0, self.value))))
-
-
-class ConvergenceError(RuntimeError):
-    """Optimizer ran out of iterations; the message names the best value found."""
 
 
 def _check_dims(psi: StateVector, phi: StateVector) -> None:
@@ -73,67 +69,39 @@ def tau_mixed(rho: DensityMatrix, phi: StateVector) -> float:
     return min(1.0, max(0.0, float(np.real(phi.amplitudes.conj() @ rho.matrix @ phi.amplitudes))))
 
 
-def _clip_spectrum(matrix: np.ndarray) -> np.ndarray:
-    """Project a Hermitian matrix onto the box 0 <= F <= I by eigenvalue clipping."""
-    eigvals, eigvecs = np.linalg.eigh(hermitize(matrix))
-    eigvals = np.clip(eigvals, 0.0, 1.0)
-    return (eigvecs * eigvals) @ eigvecs.conj().T
+def tau_optimized(psi: StateVector, phi: StateVector) -> TransitionResult:
+    """Transition probability from below, by the Lagrange dual of the
+    effects that accept phi.
 
+    With Psi = |psi><psi| and Phi = |phi><phi|, the Lagrangian of
+    min <psi|E|psi> over 0 <= E <= I with <phi|E|phi> = tr(Phi) is
+    y tr(Phi) + tr((Psi - y Phi) E). Its minimum over the box is the dual
+    g(y) = y tr(Phi) - ||(Psi - y Phi)_-||_1 <= tau for every y >= 0, and
+    Psi - y Phi, of rank at most 2, has one negative eigenvalue once
+    y tr(Phi) > tr(Psi): g(y) = y tr(Phi) + lambda_min. For unit vectors
+    g(y) = ((1 + y) - sqrt((1 + y)^2 - 4 y tau)) / 2, so
+    0 <= tau - g(y) <= tau (1 - tau) / (y - 1) <= 1 / (4 (y - 1)); off unit
+    norm, g bounds |<phi|psi>|^2 / tr(Phi), the least feasible value.
 
-def tau_optimized(
-    psi: StateVector,
-    phi: StateVector,
-    max_iters: int = MAX_ITERS,
-) -> TransitionResult:
-    """Transition probability via constrained numerical minimization.
-
-    Runs projected gradient on <psi|E|psi> over the effects C = {0 <= E <= I,
-    E|phi> = |phi>}, starting from E = I, which accepts everything. The
-    projection onto C is exact, P_C(X) = Phi + clip01(P X P) with
-    Phi = |phi><phi| and P = I - Phi, so each step is
-    E <- Phi + clip01(P E P - g g^dagger / |g|^2) with g = P psi. The
-    objective is linear, so E = P_C(E - s |psi><psi|) is the optimality
-    condition: the loop stops once a step moves E by at most a thousandth of
-    TOLERANCE. The value is <psi|E|psi> of the last iterate.
-
-    Raises ConvergenceError, whose message names the best value and residual,
-    if the step criterion is not met within ``max_iters``.
+    The value is g(DUAL_MULTIPLIER) less DUAL_ALLOWANCE, clamped at 0
+    (tau >= 0). With eps = 2^-52 and d <= MAX_DIM, the allowance bounds:
+    - forming Psi - y Phi: entry (i, j) is off by at most
+      1.5 eps (|psi_i psi_j| + y |phi_i phi_j|), and a matrix bounded
+      entrywise by |v| |v|^T has 2-norm at most |v|^2: 1.5 eps (1 + y);
+    - eigvalsh, backward stable with p(d) taken as d (LAPACK Users' Guide,
+      sec. 4.7): by Weyl's inequality, d eps ||Psi - y Phi||_2 <= d eps (1 + y);
+    - tr(Phi), d rounded squares summed: (d + 1) eps y / 2; y tr(Phi) is
+      exact, and the last sum and subtraction add eps.
+    The total is at most 2 (d + 2) eps (1 + y), which also covers the
+    closed form's own rounding, (d + 2) eps.
     """
     _check_dims(psi, phi)
     if psi.dim > MAX_DIM:
-        raise ValueError(f"dimension {psi.dim} exceeds optimizer maximum {MAX_DIM}")
-
-    effect = np.eye(psi.dim, dtype=complex)
-    g = psi.amplitudes - phi.amplitudes * np.vdot(phi.amplitudes, psi.amplitudes)
-    weight = float(np.real(np.vdot(g, g)))
-    if weight < 1e-30:
-        # psi is parallel to phi: every feasible effect accepts it, E = I too
-        return _assemble_result(phi, effect, psi, 0)
-
+        raise ValueError(f"dimension {psi.dim} exceeds the maximum {MAX_DIM}")
     target = phi.projector()
-    perp = effect - target
-    step_grad = np.outer(g, g.conj()) / weight
-    step_tol = TOLERANCE * 1e-3
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        trial = target + _clip_spectrum(perp @ effect @ perp - step_grad)
-        move = float(np.linalg.norm(trial - effect))
-        effect = trial
-        if move <= step_tol:
-            return _assemble_result(phi, effect, psi, iterations)
-
-    best = _assemble_result(phi, effect, psi, iterations)
-    raise ConvergenceError(
-        f"no convergence after {iterations} iterations (best value {best.value}, residual {best.residual})"
-    )
-
-
-def _assemble_result(phi: StateVector, effect: np.ndarray, psi: StateVector, iterations: int) -> TransitionResult:
-    value = float(np.real(np.vdot(psi.amplitudes, effect @ psi.amplitudes)))
-    eigs = np.linalg.eigvalsh(hermitize(effect))
-    fix_violation = float(np.max(np.abs(effect @ phi.amplitudes - phi.amplitudes)))
-    residual = max(fix_violation, max(0.0, -float(eigs[0])), max(0.0, float(eigs[-1]) - 1.0))
-    return TransitionResult(value=value, iterations=iterations, residual=residual)
+    lowest = np.linalg.eigvalsh(psi.projector() - DUAL_MULTIPLIER * target)[0]
+    bound = DUAL_MULTIPLIER * np.trace(target).real + lowest - DUAL_ALLOWANCE
+    return TransitionResult(value=max(0.0, float(bound)))
 
 
 def qubit_orthogonal(phi: StateVector) -> StateVector:

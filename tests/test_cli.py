@@ -123,10 +123,15 @@ class TestRun:
             "output": {"path": str(tmp_path / "tau.csv"), "format": "csv"},
         }
         assert main(["--config", str(write_config(tmp_path, doc))]) == EXIT_OK
-        assert "tau=0.5" in capsys.readouterr().out
-        body = (tmp_path / "tau.csv").read_text(encoding="utf-8")
-        assert "closed_form,0.5" in body
-        assert "optimized,0.5" in body
+        assert "tau=0.5 closed_form" in capsys.readouterr().out
+        lines = (tmp_path / "tau.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[4] == "method,value,iterations,residual"
+        assert lines[5].startswith("closed_form,0.5") and lines[5].endswith(",0,0")
+        closed = lines[5].split(",")[1]
+        method, value, iterations, residual = lines[6].split(",")
+        # the dual bound sits below the closed form, and its residual is the width
+        assert (method, iterations) == ("optimized", "0")
+        assert 0.0 < float(residual) == float(closed) - float(value) <= transition.DUAL_GAP_BOUND
 
     def test_scan_identity_certifies(self, tmp_path, capsys):
         doc = {
@@ -271,20 +276,31 @@ class TestExitCodes:
         assert err.startswith("config error: ensemble.tail_weight: must be 0")
 
     def test_numerical_failure_exits_three_without_artifact(self, tmp_path, capsys):
-        inv = 2**-0.5
-        out = tmp_path / "tau.csv"
+        # a valid rule whose values leave [0, 1] takes prob_split outside it
+        out = tmp_path / "detect.json"
         doc = {
-            "command": "tau",
+            "command": "detect",
+            "rule": {"kind": "custom", "values": [0, 1.5, 1]},
             "seed": 0,
-            "parameters": {"psi": [inv, inv], "phi": [1.0, 0.0], "max_iters": 1},
-            "output": {"path": str(out), "format": "csv"},
+            "parameters": {"p1": 0.2, "p2": 0.7, "lambda": 0.4, "n_samples": 100},
+            "output": {"path": str(out), "format": "json"},
         }
         assert main(["--config", str(write_config(tmp_path, doc))]) == EXIT_NUMERICAL
         assert not out.exists()
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("numerical failure: tau: no convergence after 1 iterations")
-        assert "best value " in lines[0] and "residual " in lines[0]
+        assert lines[0].startswith("numerical failure: detect: prob_split = ")
+
+    def test_tau_outside_its_interval_exits_three_without_artifact(self, tmp_path, capsys, monkeypatch):
+        # a dual bound above the closed form is no bound: the run names both
+        monkeypatch.setattr(cli, "tau_optimized", lambda psi, phi: transition.TransitionResult(value=1.0))
+        out = tmp_path / "tau.csv"
+        doc = {"command": "tau", "seed": 0, "parameters": {"psi": [0.6, 0.8], "phi": [1, 0]}}
+        assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical failure: tau: closed form 0.36") and " minus dual bound 1.0 is " in lines[0]
 
     def test_module_run_as_a_script_writes_its_artifact(self, tmp_path):
         out = tmp_path / "jensen.csv"
@@ -587,14 +603,26 @@ class TestParseOnce:
     def test_parameters_are_left_as_given(self):
         # amplitude lists become states once; scalars keep their JSON type,
         # and a default is filled in only for a field that is absent
-        params = {"psi": [1.0, 0.0], "phi": [[0.6, 0.0], [0.0, 0.8]], "max_iters": 7}
+        params = {"psi": [1.0, 0.0], "phi": [[0.6, 0.0], [0.0, 0.8]]}
         config = validate(json.dumps({"command": "tau", "seed": 0, "parameters": params}))
-        assert sorted(config.args) == ["max_iters", "phi", "psi"]
+        assert sorted(config.args) == ["phi", "psi"]
         assert config.args["phi"].amplitudes.tolist() == [0.6 + 0j, 0.8j]
-        assert config.args["max_iters"] == 7
         config = validate(json.dumps({"command": "detect", "seed": 0, "parameters": {"p1": 0, "p2": 1, "lambda": 0.5, "n_samples": 9}}))
         assert config.args == {"p1": 0, "p2": 1, "lam": 0.5, "n_samples": 9, "alpha": 0.05}
         assert [type(config.args[k]) for k in ("p1", "p2", "lam")] == [int, int, float]
+
+    @pytest.mark.parametrize("value", ["7", "-1", "true"])
+    def test_max_iters_is_rejected_by_name(self, tmp_path, capsys, value):
+        # tau's second route runs no iterations: a config that still sets the
+        # old optimizer's key exits 2, whatever its value, and writes no file
+        config, out = tmp_path / "tau.json", tmp_path / "tau.csv"
+        params = '{"psi": [1, 0], "phi": [0, 1], "max_iters": %s}' % value
+        config.write_text('{"command": "tau", "seed": 0, "parameters": %s}' % params, encoding="utf-8")
+        assert main(["--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: max_iters: tau's second route is a dual bound and runs no iterations; remove the key\n"
+        )
 
     def test_scan_runs_the_grid_once(self, tmp_path, monkeypatch):
         calls = []
@@ -737,7 +765,7 @@ class TestEveryConfigEndsCleanly:
             EXIT_CONFIG,
             "ensemble.tail_weight: must be 0",
         ),
-        ("tau", {"psi": [1] * 17, "phi": [1] + [0] * 16}, EXIT_CONFIG, "psi/phi: 17 amplitudes exceed the optimizer's maximum dimension 16"),
+        ("tau", {"psi": [1] * 17, "phi": [1] + [0] * 16}, EXIT_CONFIG, "psi/phi: 17 amplitudes exceed tau_optimized's maximum dimension 16"),
         ("sigma_affinity", {"r": 0.5, "n_list": [0, 5, 10], "phi": [1, 0, 0]}, EXIT_CONFIG, "phi: 3 amplitudes"),
         ("fock_converge", {"alpha": 40, "beta": 0, "n_list": [5, 10]}, EXIT_NUMERICAL, "fock_converge: coherent amplitude alpha"),
         # past ~1.34e154 the float square |alpha|^2 overflows
@@ -1182,7 +1210,7 @@ class TestBooleansAreNotNumbers:
         ("experiment", {**TWO_LEVEL, "lambda": True}, "lambda"),
         ("detect", {**TWO_LEVEL, "n_samples": True}, "n_samples"),
         ("detect", {**TWO_LEVEL, "n_samples": 10, "alpha": True}, "alpha"),
-        ("tau", {"psi": [1, 0], "phi": [0, 1], "max_iters": True}, "max_iters"),
+        ("experiment", {**TWO_LEVEL, "p2": True}, "p2"),
         ("scan", {"grid_step": True}, "grid_step"),
         ("scan", {"gap_tolerance": True}, "gap_tolerance"),
         ("sigma_affinity", {"r": True, "n_list": [0, 5]}, "r"),

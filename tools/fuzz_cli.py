@@ -76,7 +76,7 @@ RULES = [
 FORMATS = ("csv", "json")
 # one small config of each command, in forms the benchmark's calls do not write
 FORMS = {
-    "tau": {"psi": [0.6, [0.0, 0.8]], "phi": [[1, 0], [0, 1]], "max_iters": 50},
+    "tau": {"psi": [0.6, [0.0, 0.8]], "phi": [[1, 0], [0, 1]]},
     "steer": {"ensemble": {"members": [[0.5, [1, 0]], [0.25, [0.6, 0.8]], [0.25, [0, 1]]]}},
     "jensen": {"p1": 0.2, "p2": 0.9, "lambda": 0.3},
     "experiment": {"p1": 0.1, "p2": 0.7, "lambda": 0.6},
